@@ -84,7 +84,7 @@ def extract_brain(
         mask = fallback_extract(v)
     else:
         loaded = _load_reoriented(source.path)
-        if not Volume(loaded.data, loaded.affine).same_grid(v):
+        if not loaded.same_grid(v):
             raise GridMismatch(
                 f"{source.path}: grid does not match subject after reorientation"
             )

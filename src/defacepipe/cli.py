@@ -162,25 +162,17 @@ def cmd_qc(args) -> int:
     except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    loaded = []
+    items = []
     for item_id, orig_path, defaced_path in entries:
         try:
             orig, _ = nifti.read_nifti(orig_path)
             defaced, _ = nifti.read_nifti(defaced_path)
-            loaded.append((item_id, orig, defaced))
-        except DefacepipeError as e:
-            loaded.append((item_id, None, None))
-            # carried through as a failed item by qc_report via exception
-    # Feed unreadable pairs as failures by replacing them with raising stubs.
+        except DefacepipeError:
+            orig = defaced = None  # qc_report records the pair as failed
+        items.append((item_id, orig, defaced))
     report = qc_report(
-        [(i, o, d) for i, o, d in loaded if o is not None],
-        brain_source=_brain_source(args),
-        threshold=args.threshold,
+        items, brain_source=_brain_source(args), threshold=args.threshold
     )
-    for item_id, o, _d in loaded:
-        if o is None:
-            report.per_item.append((item_id, None, True, "unreadable input"))
-            report.failed.append(item_id)
     print(report.to_table())
     if args.json:
         Path(args.json).write_text(report.to_json())
@@ -226,6 +218,16 @@ def cmd_phantom(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="defacepipe",
@@ -234,7 +236,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
 
     def add_common(p):
-        p.add_argument("--jobs", type=int, default=1, help="parallel workers")
+        p.add_argument(
+            "--jobs", type=_positive_int, default=1, help="parallel workers (>= 1)"
+        )
         p.add_argument("--seed", type=int, default=0, help="RNG seed")
         p.add_argument("--verbose", action="store_true")
 

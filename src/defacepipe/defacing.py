@@ -174,9 +174,13 @@ def convex_hull_2d(points) -> list[tuple[float, float]]:
     return hull
 
 
-def _shear_plane(brain: BinaryMask, buffer_mm: float):
-    """Hull-derived face plane in the (anterior, superior) mm plane of the
-    mid-sagittal slice; offset so no brain voxel (in any slice) is cut."""
+def _shear_plane(brain: BinaryMask, buffer_mm: float) -> np.ndarray:
+    """Face side of the hull-derived shear plane, as a boolean array on the
+    brain's (canonical) grid.
+
+    The plane is fitted in the (anterior, superior) mm plane of the
+    mid-sagittal slice and extruded along x; it is offset so no brain voxel
+    (in any slice) lies on the face side."""
     xs = np.flatnonzero(brain.data.any(axis=(1, 2)))
     if len(xs) == 0:
         raise EmptyMask("empty brain mask")
@@ -204,7 +208,11 @@ def _shear_plane(brain: BinaryMask, buffer_mm: float):
 
     all_pts = np.argwhere(brain.data)[:, 1:3] * sp[1:3]
     offset = float((all_pts @ normal).max()) + buffer_mm
-    return normal, offset
+    yy, zz = np.meshgrid(
+        np.arange(brain.dims[1]) * sp[1], np.arange(brain.dims[2]) * sp[2],
+        indexing="ij",
+    )
+    return np.broadcast_to((normal[0] * yy + normal[1] * zz) > offset, brain.dims)
 
 
 def quickshear(input_volume: Volume, brain: BinaryMask, buffer_mm: float = 5.0) -> Volume:
@@ -219,16 +227,8 @@ def quickshear(input_volume: Volume, brain: BinaryMask, buffer_mm: float = 5.0) 
     canon_vol, perm = geometry.reorient_to_canonical(input_volume)
     canon_brain = BinaryMask(perm.apply(brain.data), canon_vol.affine.copy())
 
-    normal, offset = _shear_plane(canon_brain, buffer_mm)
-    sp = canon_brain.spacing
-    ny, nz = canon_brain.dims[1], canon_brain.dims[2]
-    yy, zz = np.meshgrid(
-        np.arange(ny) * sp[1], np.arange(nz) * sp[2], indexing="ij"
-    )
-    face_side = (normal[0] * yy + normal[1] * zz) > offset
-    keep = BinaryMask(
-        np.broadcast_to(~face_side, canon_brain.dims), canon_vol.affine.copy()
-    )
+    face_side = _shear_plane(canon_brain, buffer_mm)
+    keep = BinaryMask(~face_side, canon_vol.affine.copy())
     out_canon = apply_mask(canon_vol, keep)
     return Volume(
         geometry.undo_reorientation(out_canon.data, perm),
@@ -261,16 +261,7 @@ def make_template_pack(
         brain = extract_brain(canon, brain_source)
 
     stripped = apply_mask(canon, brain)
-    normal, offset = _shear_plane(brain, buffer_mm)
-
-    sp = canon.spacing
-    ny, nz = canon.dims[1], canon.dims[2]
-    yy, zz = np.meshgrid(
-        np.arange(ny) * sp[1], np.arange(nz) * sp[2], indexing="ij"
-    )
-    face_side = np.broadcast_to(
-        (normal[0] * yy + normal[1] * zz) > offset, canon.dims
-    )
+    face_side = _shear_plane(brain, buffer_mm)
 
     head_fg = canon.data > otsu_threshold(canon.data) * 0.25
     face_tissue = BinaryMask(face_side & head_fg, canon.affine.copy())

@@ -7,13 +7,13 @@ import numpy as np
 
 from . import geometry
 from .brain_extraction import BrainMaskSource, extract_brain
-from .errors import BothEmpty, GridMismatch
+from .errors import BothEmpty, FileError
 from .geometry import reorient_to_canonical
-from .volume import BinaryMask, Volume, check_same_grid
+from .volume import BinaryMask, Grid, Volume, check_same_grid
 
 
 @dataclass
-class LabelVolume:
+class LabelVolume(Grid):
     """Nonnegative integer labels on a grid; 0 is background."""
 
     data: np.ndarray
@@ -22,10 +22,6 @@ class LabelVolume:
     def __post_init__(self):
         self.data = np.asarray(self.data)
         self.affine = np.asarray(self.affine, dtype=np.float64)
-
-    @property
-    def dims(self):
-        return self.data.shape
 
 
 @dataclass
@@ -82,8 +78,7 @@ def dice(a: BinaryMask, b: BinaryMask) -> float:
 
 def multilabel_dice(a: LabelVolume, b: LabelVolume) -> dict[int, float]:
     """Per-label binary Dice over nonzero labels present in either volume."""
-    if a.dims != b.dims or not np.allclose(a.affine, b.affine, atol=1e-6):
-        raise GridMismatch("label volumes on different grids")
+    check_same_grid(a, b)
     labels = np.union1d(np.unique(a.data), np.unique(b.data))
     out = {}
     for lab in labels:
@@ -120,7 +115,9 @@ def qc_report(
     threshold: float = 0.99,
 ) -> DiceReport:
     """For each (id, original Volume, defaced Volume), re-extract brain masks
-    on both and Dice them. Per-item errors are recorded, not fatal."""
+    on both and Dice them. Per-item errors are recorded, not fatal; a pair
+    whose original or defaced volume is None (it could not be read) is
+    recorded as failed in its place."""
     if not items:
         raise ValueError("qc_report requires at least one item")
     source = brain_source or BrainMaskSource("fallback")
@@ -129,6 +126,8 @@ def qc_report(
     values = []
     for item_id, original, defaced in items:
         try:
+            if original is None or defaced is None:
+                raise FileError("unreadable input")
             ca, _ = reorient_to_canonical(original)
             cb, _ = reorient_to_canonical(defaced)
             ma = extract_brain(ca, source)

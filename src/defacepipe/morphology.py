@@ -36,9 +36,14 @@ def dilate(m: BinaryMask, radius_mm: float) -> BinaryMask:
         return BinaryMask(m.data.copy(), m.affine.copy())
     sp = np.asarray(m.spacing, dtype=np.float64)
     extent = np.floor(radius_mm / sp + 1e-9) * 2 + 1
-    if extent.prod() > 200_000:
-        # Equivalent distance-transform formulation; the structuring element
-        # for a radius this large would not fit in memory.
+    if extent.prod() > 125:
+        # Same result as the ball below. The ball's cost grows with its
+        # volume and the distance transform's does not: the ball is faster
+        # up to a 5x5x5 extent (the fallback's 2 mm closing at 1 mm), the
+        # two are about even at 3 mm, and at the 7 mm safety margin the
+        # distance transform is 10-15x faster (0.04 s against 0.55 s at
+        # 64^3, 0.41 s against 4.4 s at 128^3; phantom brain masks, one
+        # Xeon vCPU).
         dist = ndimage.distance_transform_edt(~m.data, sampling=sp)
         return BinaryMask(dist <= radius_mm, m.affine.copy())
     structure = ball_structure(radius_mm, m.spacing)

@@ -1,10 +1,11 @@
 """Affine registration by histogram mutual information.
 
-The metric is a 32-bin joint histogram with partial-volume (trilinear)
-weighting of the moving intensity, evaluated over sampled fixed-image
-foreground voxels. Optimization is Nelder-Mead per pyramid level,
-coarse to fine, over a 12-parameter transform (translation, Euler
-rotation, log-scale, shear) centered on the fixed foreground centroid.
+The metric is a 32-bin Parzen-window joint histogram in the style of
+Mattes et al. (IEEE TMI 2003): each moving intensity, interpolated at a
+sampled fixed-image foreground point, is spread linearly across its two
+nearest bins. Optimization is Nelder-Mead per pyramid level, coarse to
+fine, over a 12-parameter transform (translation, Euler rotation,
+log-scale, shear) centered on the fixed foreground centroid.
 """
 
 from dataclasses import dataclass, field
@@ -32,28 +33,22 @@ class JointHistogram:
         return float(self.counts.sum())
 
 
+# (pyramid factor, smoothing sigma in mm, sample fraction) per level, coarse
+# to fine; the last level is full resolution. Dense sampling everywhere: at
+# desk-scale volumes the metric bias from subsampling exceeds the recovery
+# tolerance.
+LEVELS = ((4, 4.0, 1.0), (2, 2.0, 1.0), (1, 0.0, 1.0))
+# Nelder-Mead iteration cap of each simplex restart.
+MAX_ITERS = 200
+
+
 @dataclass
 class RegistrationConfig:
-    pyramid_factors: tuple = (4, 2, 1)
-    smoothing_sigmas_mm: tuple = (4.0, 2.0, 0.0)
-    # Dense sampling everywhere: at desk-scale volumes the metric bias from
-    # subsampling exceeds the recovery tolerance. Lower the last entry
-    # (e.g. 0.25) to trade accuracy for speed on large volumes.
-    sample_fractions: tuple = (1.0, 1.0, 1.0)
     bins: int = 32
-    max_iters_per_level: int = 200
     convergence_tol: float = 1e-5
     seed: int = 0
 
     def __post_init__(self):
-        if not (
-            len(self.pyramid_factors)
-            == len(self.smoothing_sigmas_mm)
-            == len(self.sample_fractions)
-        ):
-            raise ValueError("pyramid schedule lists must share length")
-        if self.pyramid_factors[-1] != 1:
-            raise ValueError("pyramid must end at full resolution (factor 1)")
         if self.bins < 2:
             raise ValueError("bins must be >= 2")
 
@@ -150,61 +145,24 @@ def _bin_indices(values, rng, bins):
     return np.clip(idx, 0, bins - 1)
 
 
-def joint_histogram(
-    fixed: Volume,
-    moving: Volume,
-    transform: np.ndarray,
-    bins: int = 32,
-    sample_indices: np.ndarray | None = None,
-    fixed_range: tuple | None = None,
-    moving_range: tuple | None = None,
-    fixed_values: np.ndarray | None = None,
-) -> JointHistogram:
-    """Joint intensity histogram of fixed vs moving under a world map
-    fixed-world -> moving-world, with partial-volume weighting.
+def parzen_histogram(fixed_bins, moving_values, moving_range, bins) -> np.ndarray:
+    """Joint counts (bins x bins) of fixed bin index against moving
+    intensity, with each moving value spread by a linear Parzen window
+    across its two nearest bins (bin centers at (k + 0.5) / bins of the
+    range); values outside the range clamp to the end bins.
 
-    sample_indices: (N,3) fixed-voxel coordinates (integer or jittered
-    off-grid); defaults to the full fixed grid. fixed_values overrides the
-    fixed intensities at those coordinates (required when off-grid).
+    The window keeps the count continuous in the moving value, and so the
+    MI continuous in the transform parameters.
     """
-    if sample_indices is None:
-        sample_indices = np.indices(fixed.dims).reshape(3, -1).T
-    fixed_range = fixed_range or robust_range(fixed.data)
-    moving_range = moving_range or robust_range(moving.data)
-
-    if fixed_values is not None:
-        fixed_vals = np.asarray(fixed_values, dtype=np.float64)
-    else:
-        idx = np.asarray(np.rint(sample_indices), dtype=np.intp)
-        fixed_vals = fixed.data[idx[:, 0], idx[:, 1], idx[:, 2]].astype(np.float64)
-    vox_map = invert(moving.affine) @ np.asarray(transform) @ fixed.affine
-    pts = np.asarray(sample_indices, dtype=np.float64).T
-    coords = vox_map[:3, :3] @ pts + vox_map[:3, 3:4]
-
-    n = np.array(moving.dims, dtype=np.float64).reshape(3, 1)
-    inb = np.all((coords >= 0.0) & (coords <= n - 1.0), axis=0)
-    if not inb.any():
-        raise NoOverlap("no sample mapped into the moving image")
-    coords = coords[:, inb]
-    fbin = _bin_indices(fixed_vals[inb], fixed_range, bins)
-
-    base = np.minimum(np.floor(coords), n - 2).astype(np.intp)
-    frac = coords - base
-    counts = np.zeros(bins * bins, dtype=np.float64)
-    mdata = np.asarray(moving.data, dtype=np.float64)
-    for dx in (0, 1):
-        wx = frac[0] if dx else 1.0 - frac[0]
-        for dy in (0, 1):
-            wy = frac[1] if dy else 1.0 - frac[1]
-            for dz in (0, 1):
-                wz = frac[2] if dz else 1.0 - frac[2]
-                w = wx * wy * wz
-                vals = mdata[base[0] + dx, base[1] + dy, base[2] + dz]
-                mbin = _bin_indices(vals, moving_range, bins)
-                counts += np.bincount(
-                    fbin * bins + mbin, weights=w, minlength=bins * bins
-                )
-    return JointHistogram(counts.reshape(bins, bins), fixed_range, moving_range)
+    mlo, mhi = moving_range
+    pos = np.clip((moving_values - mlo) / (mhi - mlo) * bins - 0.5, 0.0, bins - 1.0)
+    b0 = np.minimum(pos.astype(np.intp), bins - 2)
+    w1 = pos - b0
+    fb = fixed_bins * bins
+    counts = np.bincount(
+        fb + b0, weights=1.0 - w1, minlength=bins * bins
+    ) + np.bincount(fb + b0 + 1, weights=w1, minlength=bins * bins)
+    return counts.reshape(bins, bins)
 
 
 def mutual_information(h: JointHistogram) -> float:
@@ -272,9 +230,7 @@ def register_affine(
     theta[:3] = moving_centroid - center
 
     diagnostics = {"levels": [], "converged": True, "seed": config.seed}
-    for level, (factor, sigma, fraction) in enumerate(
-        zip(config.pyramid_factors, config.smoothing_sigmas_mm, config.sample_fractions)
-    ):
+    for level, (factor, sigma, fraction) in enumerate(LEVELS):
         f_level = _downsample(fixed, factor, sigma)
         m_level = _downsample(moving, factor, sigma)
         fixed_range = robust_range(f_level.data)
@@ -317,8 +273,6 @@ def register_affine(
         nmax = np.asarray(m_level.dims, dtype=np.float64).reshape(3, 1) - 1.0
         fgT = fg.T
 
-        mlo, mhi = moving_range
-
         def cost(t):
             m = AffineParams.from_vector(t, center).to_matrix()
             vox_map = m_inv @ m @ f_aff
@@ -327,18 +281,8 @@ def register_affine(
             if not inb.any():
                 return 1.0
             vals = ndimage.map_coordinates(mdata, coords[:, inb], order=1)
-            # Linear Parzen window across the two nearest intensity bins
-            # keeps the cost continuous in the parameters.
-            pos = np.clip((vals - mlo) / (mhi - mlo) * bins - 0.5, 0.0, bins - 1.0)
-            b0 = np.minimum(pos.astype(np.intp), bins - 2)
-            w1 = pos - b0
-            fb = fbin_all[inb] * bins
-            counts = np.bincount(
-                fb + b0, weights=1.0 - w1, minlength=bins * bins
-            ) + np.bincount(fb + b0 + 1, weights=w1, minlength=bins * bins)
-            h = JointHistogram(
-                counts.reshape(bins, bins), fixed_range, moving_range
-            )
+            counts = parzen_histogram(fbin_all[inb], vals, moving_range, bins)
+            h = JointHistogram(counts, fixed_range, moving_range)
             return -mutual_information(h)
 
         # Simplex restarts with shrinking steps: a single Nelder-Mead run
@@ -354,7 +298,7 @@ def register_affine(
                 bounds=_BOUNDS,
                 options={
                     "initial_simplex": simplex,
-                    "maxiter": config.max_iters_per_level,
+                    "maxiter": MAX_ITERS,
                     "xatol": 1e-4,
                     "fatol": config.convergence_tol,
                     "adaptive": True,

@@ -19,8 +19,31 @@ DTYPE_TO_CODE = {np.dtype(v): k for k, v in SUPPORTED_DTYPES.items()}
 GRID_ATOL = 1e-6
 
 
+class Grid:
+    """Geometry shared by every array on a grid: a 3D ``data`` array indexed
+    [x, y, z] and a 4x4 ``affine`` mapping homogeneous voxel indices to
+    world mm."""
+
+    data: np.ndarray
+    affine: np.ndarray
+
+    @property
+    def dims(self) -> tuple[int, int, int]:
+        return self.data.shape
+
+    @property
+    def spacing(self) -> np.ndarray:
+        """Voxel spacing in mm: Euclidean norm of each affine column."""
+        return np.linalg.norm(self.affine[:3, :3], axis=0)
+
+    def same_grid(self, other: "Grid") -> bool:
+        return self.dims == other.dims and np.allclose(
+            self.affine, other.affine, atol=GRID_ATOL
+        )
+
+
 @dataclass
-class Volume:
+class Volume(Grid):
     """A dense 3D scalar volume with a voxel-to-world affine.
 
     data is indexed [x, y, z] (x fastest in memory order on disk);
@@ -38,23 +61,9 @@ class Volume:
         if self.affine.shape != (4, 4):
             raise ValueError("affine must be 4x4")
 
-    @property
-    def dims(self) -> tuple[int, int, int]:
-        return self.data.shape
-
-    @property
-    def spacing(self) -> np.ndarray:
-        """Voxel spacing in mm: Euclidean norm of each affine column."""
-        return np.linalg.norm(self.affine[:3, :3], axis=0)
-
-    def same_grid(self, other: "Volume | BinaryMask") -> bool:
-        return self.dims == other.dims and np.allclose(
-            self.affine, other.affine, atol=GRID_ATOL
-        )
-
 
 @dataclass
-class BinaryMask:
+class BinaryMask(Grid):
     """A {0,1} volume on a stated grid."""
 
     data: np.ndarray  # bool
@@ -64,29 +73,16 @@ class BinaryMask:
         self.data = np.asarray(self.data).astype(bool)
         self.affine = np.asarray(self.affine, dtype=np.float64)
 
-    @property
-    def dims(self) -> tuple[int, int, int]:
-        return self.data.shape
-
-    @property
-    def spacing(self) -> np.ndarray:
-        return np.linalg.norm(self.affine[:3, :3], axis=0)
-
     def count(self) -> int:
         return int(self.data.sum())
-
-    def same_grid(self, other: "Volume | BinaryMask") -> bool:
-        return self.dims == other.dims and np.allclose(
-            self.affine, other.affine, atol=GRID_ATOL
-        )
 
     def to_volume(self) -> Volume:
         return Volume(self.data.astype(np.uint8), self.affine.copy())
 
 
-def check_same_grid(a, b):
+def check_same_grid(a: Grid, b: Grid):
     """Raise GridMismatch unless a and b share dims and affine."""
     if a.dims != b.dims:
         raise GridMismatch(f"dims differ: {a.dims} vs {b.dims}")
-    if not np.allclose(a.affine, b.affine, atol=GRID_ATOL):
+    if not a.same_grid(b):
         raise GridMismatch("affines differ beyond tolerance")

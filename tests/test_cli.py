@@ -1,6 +1,7 @@
 """Exit codes, output artifacts, and batch behavior of the command line."""
 
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -165,6 +166,36 @@ def test_qc_corrupted_pair_exit_1(workspace, tmp_path):
     assert main(["qc", str(manifest)]) == 1
 
 
+def test_qc_unreadable_pair_keeps_manifest_position(workspace, tmp_path, capsys):
+    root, _head, _subject = workspace
+    subj = root / "subj.nii.gz"
+    later = tmp_path / "later.nii.gz"
+    shutil.copy(subj, later)
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text(
+        f"{subj} {subj}\n{tmp_path / 'missing.nii.gz'} {subj}\n{later} {subj}\n"
+    )
+    code = main(["qc", str(manifest), "--json", str(tmp_path / "report.json")])
+    assert code == 1
+    ids = ["subj.nii.gz", "missing.nii.gz", "later.nii.gz"]
+    rows = [r.split() for r in capsys.readouterr().out.splitlines()[1:4]]
+    assert [r[0] for r in rows] == ids
+    assert [r[2] for r in rows] == ["ok", "FAILED", "ok"]
+    payload = json.loads((tmp_path / "report.json").read_text())
+    assert [i["id"] for i in payload["items"]] == ids
+    assert payload["items"][1]["error"] == "unreadable input"
+    assert payload["failed"] == ["missing.nii.gz"]
+    assert payload["n"] == 2
+
+
+def test_qc_all_pairs_unreadable_exit_1(tmp_path, capsys):
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text(f"{tmp_path / 'a.nii'} {tmp_path / 'b.nii'}\n")
+    assert main(["qc", str(manifest)]) == 1
+    out = capsys.readouterr().out
+    assert "a.nii" in out and "FAILED" in out
+
+
 def test_qc_empty_manifest_exit_2(tmp_path, capsys):
     manifest = tmp_path / "empty.txt"
     manifest.write_text("# nothing but comments\n\n")
@@ -176,6 +207,16 @@ def test_qc_malformed_manifest_exit_2(tmp_path):
     manifest = tmp_path / "bad.txt"
     manifest.write_text("only_one_path\n")
     assert main(["qc", str(manifest)]) == 2
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1", "two"])
+def test_jobs_below_one_is_usage_error(workspace, tmp_path, capsys, jobs):
+    root, _head, _subject = workspace
+    with pytest.raises(SystemExit) as exc:
+        main(_deface_args(root, tmp_path, [str(root / "subj.nii.gz")],
+                          extra=["--jobs", jobs]))
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
 
 
 def test_make_template_pack_brain_only_all_ones(workspace, tmp_path):
