@@ -17,6 +17,8 @@ from .errors import EmptyMask, FileError, GridMismatch
 from .geometry import reorient_to_canonical
 from .volume import BinaryMask, Volume
 
+CLOSING_MM = 2.0
+
 
 @dataclass
 class BrainMaskSource:
@@ -30,13 +32,13 @@ class BrainMaskSource:
             raise ValueError(f"{self.kind} requires a path")
 
 
-def otsu_threshold(data: np.ndarray, nbins: int = 256) -> float:
+def otsu_threshold(data: np.ndarray) -> float:
     """Classic maximum between-class variance threshold."""
     flat = np.asarray(data, dtype=np.float64).ravel()
     lo, hi = flat.min(), flat.max()
     if hi <= lo:
         return lo
-    hist, edges = np.histogram(flat, bins=nbins, range=(lo, hi))
+    hist, edges = np.histogram(flat, bins=256, range=(lo, hi))
     hist = hist.astype(np.float64)
     centers = (edges[:-1] + edges[1:]) / 2
     w0 = np.cumsum(hist)
@@ -48,7 +50,7 @@ def otsu_threshold(data: np.ndarray, nbins: int = 256) -> float:
     return float(centers[int(np.argmax(between))])
 
 
-def fallback_extract(v: Volume, closing_mm: float = 2.0) -> BinaryMask:
+def fallback_extract(v: Volume) -> BinaryMask:
     t = otsu_threshold(v.data)
     upper = v.data[v.data > t]
     if upper.size:
@@ -60,7 +62,7 @@ def fallback_extract(v: Volume, closing_mm: float = 2.0) -> BinaryMask:
     fg = morphology.binarise(v, t)
     if not fg.data.any():
         raise EmptyMask("no foreground above Otsu threshold")
-    closed = morphology.erode(morphology.dilate(fg, closing_mm), closing_mm)
+    closed = morphology.erode(morphology.dilate(fg, CLOSING_MM), CLOSING_MM)
     if not closed.data.any():
         closed = fg
     comp = morphology.largest_connected_component(closed)

@@ -1,8 +1,8 @@
 """Batch command-line front end.
 
 Subcommands: deface, quickshear, qc, make-template-pack, phantom.
-Files are processed by a worker pool of size --jobs; a failing file is
-reported on stderr and never blocks the rest of the batch.
+deface processes its files on a worker pool of size --jobs; a failing
+file is reported on stderr and never blocks the rest of the batch.
 """
 
 import argparse
@@ -49,18 +49,16 @@ def _out_path(input_path: Path, output_dir: Path | None, suffix: str, ext=None) 
 def _load_pack(template_path: Path, face_mask_path: Path) -> TemplatePack:
     template, _ = nifti.read_nifti(template_path)
     mask_vol, _ = nifti.read_nifti(face_mask_path)
-    pack = TemplatePack(
+    return TemplatePack(
         template=template,
         keep_mask=BinaryMask(mask_vol.data > 0, mask_vol.affine),
     )
-    pack.validate()
-    return pack
 
 
 def _brain_source(args) -> BrainMaskSource:
-    if getattr(args, "brain_mask", None):
+    if args.brain_mask:
         return BrainMaskSource("external_file", Path(args.brain_mask))
-    if getattr(args, "stripped", None):
+    if args.stripped:
         return BrainMaskSource("external_stripped_volume", Path(args.stripped))
     return BrainMaskSource("fallback")
 
@@ -167,12 +165,11 @@ def cmd_qc(args) -> int:
         try:
             orig, _ = nifti.read_nifti(orig_path)
             defaced, _ = nifti.read_nifti(defaced_path)
-        except DefacepipeError:
+        except DefacepipeError as e:
+            print(f"error: {orig_path}: {e}", file=sys.stderr)
             orig = defaced = None  # qc_report records the pair as failed
         items.append((item_id, orig, defaced))
-    report = qc_report(
-        items, brain_source=_brain_source(args), threshold=args.threshold
-    )
+    report = qc_report(items, threshold=args.threshold)
     print(report.to_table())
     if args.json:
         Path(args.json).write_text(report.to_json())
@@ -235,13 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
 
-    def add_common(p):
-        p.add_argument(
-            "--jobs", type=_positive_int, default=1, help="parallel workers (>= 1)"
-        )
-        p.add_argument("--seed", type=int, default=0, help="RNG seed")
-        p.add_argument("--verbose", action="store_true")
-
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("deface", help="run the nine-stage defacing pipeline")
@@ -254,7 +244,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threshold", type=float, default=0.0)
     p.add_argument("--bins", type=int, default=32)
     p.add_argument("--output-dir")
-    add_common(p)
+    p.add_argument(
+        "--jobs", type=_positive_int, default=1, help="parallel workers (>= 1)"
+    )
+    p.add_argument("--seed", type=int, default=0, help="registration RNG seed")
     p.set_defaults(func=cmd_deface)
 
     p = sub.add_parser("quickshear", help="geometric baseline defacing")
@@ -262,16 +255,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--brain-mask", required=True)
     p.add_argument("--buffer-mm", type=float, default=5.0)
     p.add_argument("--output-dir")
-    add_common(p)
     p.set_defaults(func=cmd_quickshear)
 
     p = sub.add_parser("qc", help="Dice QC over (original, defaced) pairs")
     p.add_argument("manifest", help="two whitespace-separated paths per line")
     p.add_argument("--threshold", type=float, default=0.99)
-    p.add_argument("--brain-mask", help=argparse.SUPPRESS)
-    p.add_argument("--stripped", help=argparse.SUPPRESS)
     p.add_argument("--json", help="also write the report as JSON here")
-    add_common(p)
     p.set_defaults(func=cmd_qc)
 
     p = sub.add_parser(
@@ -283,15 +272,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--buffer-mm", type=float, default=5.0)
     p.add_argument("--face-dilate-mm", type=float, default=3.0)
     p.add_argument("--output-dir")
-    add_common(p)
     p.set_defaults(func=cmd_make_template_pack)
 
     p = sub.add_parser("phantom", help="write a synthetic head phantom")
     p.add_argument("--size", type=int, default=64)
     p.add_argument("--output-dir", default=".")
-    add_common(p)
+    p.add_argument("--seed", type=int, default=0, help="0 = the nominal head")
     p.set_defaults(func=cmd_phantom)
 
+    for p in sub.choices.values():
+        p.add_argument("--verbose", action="store_true")
     return parser
 
 

@@ -26,14 +26,16 @@ from .morphology import apply_mask, dilate, union
 from .volume import BinaryMask, Volume, check_same_grid
 
 
-@dataclass
+@dataclass(frozen=True)
 class TemplatePack:
-    """Skull-stripped registration template plus its keep-mask (1 = keep)."""
+    """Skull-stripped registration template plus its keep-mask (1 = keep).
+    Construction fails unless the two share a grid and the keep-mask keeps
+    every template voxel above 0."""
 
     template: Volume
     keep_mask: BinaryMask
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         check_same_grid(self.template, self.keep_mask)
         fg = self.template.data > 0
         if np.any(fg & ~self.keep_mask.data):
@@ -87,7 +89,6 @@ def deface(
 ) -> DefaceResult:
     """Run the nine-stage pipeline; output stays on the input's native grid."""
     config = config or DefaceConfig()
-    pack.validate()
     t0 = time.time()
 
     with _stage(1):
@@ -233,7 +234,6 @@ def quickshear(input_volume: Volume, brain: BinaryMask, buffer_mm: float = 5.0) 
     return Volume(
         geometry.undo_reorientation(out_canon.data, perm),
         input_volume.affine.copy(),
-        input_volume.background,
     )
 
 
@@ -270,9 +270,7 @@ def make_template_pack(
     # Dilation may creep back across the plane; never remove brain.
     removal = face_tissue.data & ~brain.data
 
-    pack = TemplatePack(
+    return TemplatePack(
         template=stripped,
         keep_mask=BinaryMask(~removal, canon.affine.copy()),
     )
-    pack.validate()
-    return pack

@@ -24,11 +24,15 @@ class LabelVolume(Grid):
         self.affine = np.asarray(self.affine, dtype=np.float64)
 
 
+def _cell(value: float | None) -> str:
+    return "-" if value is None else f"{value:.6f}"
+
+
 @dataclass
 class DiceReport:
     per_item: list  # (id, dsc or None, flagged, error)
-    mean: float
-    std: float
+    mean: float | None  # None when no pair yields a Dice value (n = 0)
+    std: float | None
     n: int
     threshold: float
     failed: list = field(default_factory=list)
@@ -58,9 +62,9 @@ class DiceReport:
         rows = [("id", "dice", "status")]
         for i, d, f, e in self.per_item:
             status = "FAILED" if e else ("FLAGGED" if f else "ok")
-            rows.append((str(i), "-" if d is None else f"{d:.6f}", status))
-        rows.append(("mean", f"{self.mean:.6f}", f"n={self.n}"))
-        rows.append(("std", f"{self.std:.6f}", ""))
+            rows.append((str(i), _cell(d), status))
+        rows.append(("mean", _cell(self.mean), f"n={self.n}"))
+        rows.append(("std", _cell(self.std), ""))
         widths = [max(len(r[c]) for r in rows) for c in range(3)]
         return "\n".join(
             "  ".join(cell.ljust(w) for cell, w in zip(r, widths)) for r in rows
@@ -98,7 +102,7 @@ def propagate_labels(
     subject_affine,
 ) -> LabelVolume:
     """Nearest-neighbor propagation of atlas labels onto the subject grid."""
-    src = Volume(atlas_labels.data, atlas_labels.affine, background=0)
+    src = Volume(atlas_labels.data, atlas_labels.affine)
     out = geometry.resample(
         src,
         tuple(subject_dims),
@@ -109,18 +113,14 @@ def propagate_labels(
     return LabelVolume(out.data, out.affine)
 
 
-def qc_report(
-    items,
-    brain_source: BrainMaskSource | None = None,
-    threshold: float = 0.99,
-) -> DiceReport:
+def qc_report(items, threshold: float = 0.99) -> DiceReport:
     """For each (id, original Volume, defaced Volume), re-extract brain masks
-    on both and Dice them. Per-item errors are recorded, not fatal; a pair
-    whose original or defaced volume is None (it could not be read) is
-    recorded as failed in its place."""
+    on both with the fallback extractor and Dice them. Per-item errors are
+    recorded, not fatal; a pair whose original or defaced volume is None (it
+    could not be read) is recorded as failed in its place."""
     if not items:
         raise ValueError("qc_report requires at least one item")
-    source = brain_source or BrainMaskSource("fallback")
+    source = BrainMaskSource("fallback")
     per_item = []
     failed = []
     values = []
@@ -138,9 +138,8 @@ def qc_report(
         except Exception as e:
             per_item.append((item_id, None, True, str(e)))
             failed.append(item_id)
+    mean = std = None
     if values:
         mean = float(np.mean(values))
         std = float(np.std(values))  # population std (divisor n)
-    else:
-        mean, std = float("nan"), float("nan")
     return DiceReport(per_item, mean, std, len(values), threshold, failed)

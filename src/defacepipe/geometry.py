@@ -91,7 +91,7 @@ def reorient_to_canonical(v: Volume) -> tuple[Volume, AxisPermutation]:
 
     rec = AxisPermutation(perm, flips)
     if rec.is_identity:
-        return Volume(v.data, v.affine.copy(), v.background), rec
+        return Volume(v.data, v.affine.copy()), rec
 
     aff = v.affine.copy()
     # Flip columns in source-axis terms first, then permute.
@@ -103,7 +103,7 @@ def reorient_to_canonical(v: Volume) -> tuple[Volume, AxisPermutation]:
     out_aff = aff.copy()
     out_aff[:3, :3] = aff[:3, [perm[0], perm[1], perm[2]]]
     data = np.ascontiguousarray(rec.apply(v.data))
-    return Volume(data, out_aff, v.background), rec
+    return Volume(data, out_aff), rec
 
 
 def undo_reorientation(data: np.ndarray, rec: AxisPermutation) -> np.ndarray:
@@ -120,8 +120,8 @@ def resample(
     """Sample source onto the target grid.
 
     world_map sends a target voxel's world position to the position in
-    source-world at which to sample; out-of-bounds samples take the source
-    background value. Voxel indices refer to voxel centers.
+    source-world at which to sample; out-of-bounds samples are 0. Voxel
+    indices refer to voxel centers.
     """
     if interp not in ("nearest", "trilinear"):
         raise ValueError(f"unknown interpolation {interp!r}")
@@ -140,13 +140,12 @@ def resample(
 
     src = np.asarray(source.data, dtype=np.float64)
     out = ndimage.map_coordinates(
-        src, coords, order=order, mode="grid-constant", cval=source.background
+        src, coords, order=order, mode="grid-constant", cval=0.0
     )
-    out[~valid] = source.background
+    out[~valid] = 0.0
     out = out.reshape(target_dims)
     if np.issubdtype(source.data.dtype, np.integer):
         out = np.rint(out)
     return Volume(
-        out.astype(source.data.dtype), np.asarray(target_affine, float).copy(),
-        source.background,
+        out.astype(source.data.dtype), np.asarray(target_affine, float).copy()
     )

@@ -8,7 +8,6 @@ from .errors import EmptyMask
 from .volume import BinaryMask, Volume, check_same_grid
 
 SIX_CONNECTED = ndimage.generate_binary_structure(3, 1)
-TWENTYSIX_CONNECTED = ndimage.generate_binary_structure(3, 3)
 
 
 def ball_structure(radius_mm: float, spacing) -> np.ndarray:
@@ -61,8 +60,8 @@ def erode(m: BinaryMask, radius_mm: float) -> BinaryMask:
 
 def apply_mask(v: Volume, m: BinaryMask) -> Volume:
     check_same_grid(v, m)
-    out = np.where(m.data, v.data, np.asarray(v.background, dtype=v.data.dtype))
-    return Volume(out.astype(v.data.dtype), v.affine.copy(), v.background)
+    out = np.where(m.data, v.data, 0).astype(v.data.dtype)
+    return Volume(out, v.affine.copy())
 
 
 def union(a: BinaryMask, b: BinaryMask) -> BinaryMask:
@@ -79,15 +78,12 @@ def complement(m: BinaryMask) -> BinaryMask:
     return BinaryMask(~m.data, m.affine.copy())
 
 
-def largest_connected_component(
-    m: BinaryMask, connectivity: int = 6
-) -> BinaryMask:
-    """Largest component of 1-bits; ties broken by the component whose first
-    voxel has the smallest x-fastest linear index."""
+def largest_connected_component(m: BinaryMask) -> BinaryMask:
+    """Largest 6-connected component of 1-bits; ties broken by the component
+    whose first voxel has the smallest x-fastest linear index."""
     if not m.data.any():
         raise EmptyMask("no foreground voxels")
-    structure = SIX_CONNECTED if connectivity == 6 else TWENTYSIX_CONNECTED
-    labels, nlab = ndimage.label(m.data, structure=structure)
+    labels, nlab = ndimage.label(m.data, structure=SIX_CONNECTED)
     sizes = np.bincount(labels.ravel())
     sizes[0] = 0
     best_size = sizes.max()
@@ -100,7 +96,6 @@ def largest_connected_component(
     return BinaryMask(labels == keep, m.affine.copy())
 
 
-def fill_holes(m: BinaryMask, connectivity: int = 6) -> BinaryMask:
-    structure = SIX_CONNECTED if connectivity == 6 else TWENTYSIX_CONNECTED
-    out = ndimage.binary_fill_holes(m.data, structure=structure)
+def fill_holes(m: BinaryMask) -> BinaryMask:
+    out = ndimage.binary_fill_holes(m.data, structure=SIX_CONNECTED)
     return BinaryMask(out, m.affine.copy())

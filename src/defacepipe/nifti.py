@@ -6,6 +6,7 @@ descrip and aux_file are zeroed on write as a minimal anonymisation scrub.
 """
 
 import gzip
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -25,7 +26,7 @@ from .volume import DTYPE_TO_CODE, SUPPORTED_DTYPES, Volume
 HEADER_SIZE = 348
 VOX_OFFSET = 352
 GZIP_MAGIC = b"\x1f\x8b"
-NIFTI1_MAGIC = (b"n+1\x00", b"ni1\x00")
+NIFTI1_MAGIC = b"n+1\x00"  # single file; "ni1" marks a .hdr/.img pair
 
 
 @dataclass
@@ -75,6 +76,20 @@ def _quaternion_affine(raw: bytes, bo: str) -> np.ndarray:
     return aff
 
 
+def _scaling(slope: float, inter: float, path) -> tuple[float, float] | None:
+    """The (scl_slope, scl_inter) pair to apply, or None for unscaled data.
+    As nibabel reads the NIfTI-1 rule, a zero or non-finite slope means no
+    scaling, whatever scl_inter holds; a usable slope with a non-finite
+    intercept is a corrupt header."""
+    if slope == 0.0 or not math.isfinite(slope):
+        return None
+    if not math.isfinite(inter):
+        raise CorruptFile(f"{path}: scl_slope {slope} with scl_inter {inter}")
+    if slope == 1.0 and inter == 0.0:
+        return None
+    return slope, inter
+
+
 def read_nifti(path) -> tuple[Volume, HeaderSidecar]:
     """Read a NIfTI-1 single file (optionally gzipped) into a Volume.
 
@@ -91,7 +106,7 @@ def read_nifti(path) -> tuple[Volume, HeaderSidecar]:
             if len(raw) < HEADER_SIZE:
                 raise NotNifti(f"{path}: file shorter than a NIfTI-1 header")
             magic = raw[344:348]
-            if magic not in NIFTI1_MAGIC:
+            if magic != NIFTI1_MAGIC:
                 raise NotNifti(f"{path}: bad magic {magic!r}")
             bo = "<"
             (sizeof_hdr,) = _unpack(bo + "i", raw, 0)
@@ -106,6 +121,7 @@ def read_nifti(path) -> tuple[Volume, HeaderSidecar]:
             pixdim = _unpack(bo + "8f", raw, 76)
             (vox_offset,) = _unpack(bo + "f", raw, 108)
             scl_slope, scl_inter = _unpack(bo + "2f", raw, 112)
+            scaling = _scaling(scl_slope, scl_inter, path)
             qform_code, sform_code = _unpack(bo + "2h", raw, 252)
 
             ndim = dim[0]
@@ -138,8 +154,9 @@ def read_nifti(path) -> tuple[Volume, HeaderSidecar]:
         raise IoError(f"{path}: {e}") from e
 
     warnings = []
-    if scl_slope not in (0.0, 1.0) or scl_inter != 0.0:
-        data = data.astype(np.float64) * np.float64(scl_slope) + np.float64(scl_inter)
+    if scaling:
+        slope, inter = scaling
+        data = data.astype(np.float64) * np.float64(slope) + np.float64(inter)
 
     if sform_code > 0:
         affine = np.eye(4)
@@ -191,12 +208,16 @@ def sidecar_for_dtype(dtype) -> HeaderSidecar:
     return default_sidecar(DTYPE_TO_CODE[np.dtype(dtype)])
 
 
-def _encode_payload(volume: Volume, sidecar: HeaderSidecar) -> tuple[np.ndarray, int]:
+def _encode_payload(
+    volume: Volume, sidecar: HeaderSidecar, path
+) -> tuple[np.ndarray, int]:
     code = sidecar.datatype_code
     dtype = np.dtype(SUPPORTED_DTYPES[code])
     data = np.asarray(volume.data, dtype=np.float64)
-    if sidecar.scl_slope not in (0.0, 1.0) or sidecar.scl_inter != 0.0:
-        data = (data - sidecar.scl_inter) / sidecar.scl_slope
+    scaling = _scaling(sidecar.scl_slope, sidecar.scl_inter, path)
+    if scaling:
+        slope, inter = scaling
+        data = (data - inter) / slope
     if np.issubdtype(dtype, np.integer):
         raw_vals = np.rint(data)
         info = np.iinfo(dtype)
@@ -212,7 +233,7 @@ def write_nifti(volume: Volume, sidecar: HeaderSidecar, path) -> None:
     """Write a Volume back to disk, preserving the input header verbatim
     except for geometry, datatype bookkeeping, and the scrub list."""
     path = Path(path)
-    payload, code = _encode_payload(volume, sidecar)
+    payload, code = _encode_payload(volume, sidecar, path)
     bo = sidecar.byte_order
 
     raw = bytearray(sidecar.raw)

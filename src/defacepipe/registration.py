@@ -199,7 +199,7 @@ def _downsample(v: Volume, factor: int, sigma_mm: float) -> Volume:
         aff[:3, :3] *= factor
     else:
         aff = v.affine.copy()
-    return Volume(np.ascontiguousarray(data), aff, v.background)
+    return Volume(np.ascontiguousarray(data), aff)
 
 
 _SIMPLEX_STEPS = np.concatenate(

@@ -31,12 +31,12 @@ def _ellipsoid(grid, center, radii):
     ) <= 1.0
 
 
-def nominal_head(size: int = 64, spacing: float = 1.0) -> HeadPhantom:
-    """Deterministic head: bright textured brain, dim scalp shell, nose and
-    eye blobs protruding anterior-inferior, background zero."""
-    affine = np.diag([spacing, spacing, spacing, 1.0])
-    grid = np.indices((size, size, size), dtype=np.float64) * spacing
-    s = size * spacing / 64.0  # scale geometry with grid extent
+def nominal_head(size: int = 64) -> HeadPhantom:
+    """Deterministic head on a 1 mm grid: bright textured brain, dim scalp
+    shell, nose and eye blobs protruding anterior-inferior, background zero."""
+    affine = np.eye(4)
+    grid = np.indices((size, size, size), dtype=np.float64)
+    s = size / 64.0  # scale geometry with grid extent
 
     brain_c = (32 * s, 30 * s, 38 * s)
     brain_r = (14 * s, 17 * s, 13 * s)
@@ -123,18 +123,11 @@ def transformed_phantom(base: HeadPhantom, transform: np.ndarray) -> HeadPhantom
     )
 
 
-def random_subject(
-    base: HeadPhantom,
-    seed: int,
-    max_translation_mm: float = 10.0,
-    max_rotation_deg: float = 8.0,
-    scale_range: tuple = (0.97, 1.03),
-) -> HeadPhantom:
+def random_subject(base: HeadPhantom, seed: int) -> HeadPhantom:
+    """base moved by up to 10 mm and 8 degrees per axis, scaled 0.97-1.03."""
     rng = np.random.default_rng(seed)
     extent = (np.array(base.volume.dims) - 1) * base.volume.spacing
-    m = random_rigid_affine(
-        rng, extent / 2, max_translation_mm, max_rotation_deg, scale_range
-    )
+    m = random_rigid_affine(rng, extent / 2, 10.0, 8.0, (0.97, 1.03))
     return transformed_phantom(base, m)
 
 

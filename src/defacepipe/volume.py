@@ -47,12 +47,12 @@ class Volume(Grid):
     """A dense 3D scalar volume with a voxel-to-world affine.
 
     data is indexed [x, y, z] (x fastest in memory order on disk);
-    affine maps homogeneous voxel indices to world mm.
+    affine maps homogeneous voxel indices to world mm. Background, and any
+    voxel a mask removes or a resample leaves uncovered, is 0.
     """
 
     data: np.ndarray
     affine: np.ndarray
-    background: float = 0.0
 
     def __post_init__(self):
         if self.data.ndim != 3:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from defacepipe import nifti, synthetic
-from defacepipe.cli import main
+from defacepipe.cli import build_parser, main
 from defacepipe.morphology import apply_mask
 from defacepipe.volume import Volume
 
@@ -178,9 +178,11 @@ def test_qc_unreadable_pair_keeps_manifest_position(workspace, tmp_path, capsys)
     code = main(["qc", str(manifest), "--json", str(tmp_path / "report.json")])
     assert code == 1
     ids = ["subj.nii.gz", "missing.nii.gz", "later.nii.gz"]
-    rows = [r.split() for r in capsys.readouterr().out.splitlines()[1:4]]
+    captured = capsys.readouterr()
+    rows = [r.split() for r in captured.out.splitlines()[1:4]]
     assert [r[0] for r in rows] == ids
     assert [r[2] for r in rows] == ["ok", "FAILED", "ok"]
+    assert "missing.nii.gz" in captured.err and "no such file" in captured.err
     payload = json.loads((tmp_path / "report.json").read_text())
     assert [i["id"] for i in payload["items"]] == ids
     assert payload["items"][1]["error"] == "unreadable input"
@@ -191,9 +193,18 @@ def test_qc_unreadable_pair_keeps_manifest_position(workspace, tmp_path, capsys)
 def test_qc_all_pairs_unreadable_exit_1(tmp_path, capsys):
     manifest = tmp_path / "manifest.txt"
     manifest.write_text(f"{tmp_path / 'a.nii'} {tmp_path / 'b.nii'}\n")
-    assert main(["qc", str(manifest)]) == 1
+    report = tmp_path / "report.json"
+    assert main(["qc", str(manifest), "--json", str(report)]) == 1
     out = capsys.readouterr().out
     assert "a.nii" in out and "FAILED" in out
+    assert [r.split()[:2] for r in out.splitlines()[-2:]] == [["mean", "-"], ["std", "-"]]
+
+    def reject(name):
+        raise ValueError(f"not JSON: {name}")
+
+    payload = json.loads(report.read_text(), parse_constant=reject)
+    assert payload["n"] == 0
+    assert payload["mean"] is None and payload["std"] is None
 
 
 def test_qc_empty_manifest_exit_2(tmp_path, capsys):
@@ -217,6 +228,43 @@ def test_jobs_below_one_is_usage_error(workspace, tmp_path, capsys, jobs):
                           extra=["--jobs", jobs]))
     assert exc.value.code == 2
     assert "--jobs" in capsys.readouterr().err
+
+
+_MINIMAL_ARGV = {
+    "deface": ["deface", "in.nii", "--template", "t.nii", "--face-mask", "k.nii"],
+    "quickshear": ["quickshear", "in.nii", "--brain-mask", "m.nii"],
+    "qc": ["qc", "manifest.txt"],
+    "make-template-pack": ["make-template-pack", "t.nii"],
+    "phantom": ["phantom"],
+}
+
+
+@pytest.mark.parametrize("command, flag, parses", [
+    ("quickshear", "--jobs", False),
+    ("quickshear", "--seed", False),
+    ("qc", "--jobs", False),
+    ("qc", "--seed", False),
+    ("qc", "--brain-mask", False),
+    ("qc", "--stripped", False),
+    ("make-template-pack", "--jobs", False),
+    ("make-template-pack", "--seed", False),
+    ("phantom", "--jobs", False),
+    ("deface", "--jobs", True),
+    ("deface", "--seed", True),
+    ("phantom", "--seed", True),
+    *((command, "--verbose", True) for command in _MINIMAL_ARGV),
+])
+def test_flags_exist_only_where_read(capsys, command, flag, parses):
+    value = [] if flag == "--verbose" else ["2"]
+    argv = [*_MINIMAL_ARGV[command], flag, *value]
+    if parses:
+        args = build_parser().parse_args(argv)
+        assert getattr(args, flag[2:]) == (2 if value else True)
+        return
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
 
 
 def test_make_template_pack_brain_only_all_ones(workspace, tmp_path):

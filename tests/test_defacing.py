@@ -172,12 +172,13 @@ def test_make_template_pack_brain_only_all_ones(head):
 
 
 def test_template_pack_validation_rejects_brain_removal(head, pack):
-    bad = TemplatePack(
-        template=pack.template,
-        keep_mask=BinaryMask(np.zeros(pack.template.dims, bool), pack.template.affine),
-    )
     with pytest.raises(TemplatePackError):
-        bad.validate()
+        TemplatePack(
+            template=pack.template,
+            keep_mask=BinaryMask(
+                np.zeros(pack.template.dims, bool), pack.template.affine
+            ),
+        )
 
 
 def test_template_checksum_stable(pack):

@@ -222,8 +222,9 @@ def test_resample_round_trip_inverse():
 
 
 def test_resample_background_fill():
-    v = Volume(np.ones((3, 3, 3), dtype=np.float32), np.eye(4), background=7.0)
-    out = geometry.resample(
-        v, v.dims, v.affine, geometry.translation((100.0, 0, 0)), interp="trilinear"
-    )
-    assert np.all(out.data == 7.0)
+    v = Volume(np.full((3, 3, 3), 7.0, dtype=np.float32), np.eye(4))
+    for interp in ("nearest", "trilinear"):
+        out = geometry.resample(
+            v, v.dims, v.affine, geometry.translation((100.0, 0, 0)), interp=interp
+        )
+        assert np.all(out.data == 0.0)

@@ -95,7 +95,7 @@ def test_dilate_extensive_and_monotone(seed, radius):
 
 def test_apply_mask_full_and_empty():
     data = np.arange(8, dtype=np.float32).reshape(2, 2, 2)
-    v = Volume(data, np.eye(4), background=0.0)
+    v = Volume(data, np.eye(4))
     full = BinaryMask(np.ones((2, 2, 2), bool), np.eye(4))
     empty = BinaryMask(np.zeros((2, 2, 2), bool), np.eye(4))
     np.testing.assert_array_equal(morphology.apply_mask(v, full).data, data)

@@ -6,6 +6,7 @@ of the writer, so the two sides check each other.
 
 import gzip
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -86,11 +87,49 @@ def test_read_applies_scaling(tmp_path):
     assert sidecar.scl_slope == 2.0
 
 
+@pytest.mark.parametrize(
+    "slope, inter",
+    [(0.0, 5.0), (np.nan, 0.0), (np.inf, 0.0), (-np.inf, 3.0)],
+)
+def test_read_unusable_slope_means_unscaled(tmp_path, slope, inter):
+    # NIfTI-1, as nibabel applies it: a zero or non-finite scl_slope means
+    # the stored values are the data, whatever scl_inter holds.
+    data = np.arange(-4, 4, dtype=np.int16).reshape(2, 2, 2)
+    path = tmp_path / "unscaled.nii"
+    path.write_bytes(build_nifti_bytes(data, scl_slope=slope, scl_inter=inter))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vol, sidecar = nifti.read_nifti(path)
+        assert vol.data.dtype == np.int16
+        np.testing.assert_array_equal(vol.data, data)
+        out = tmp_path / "unscaled_rt.nii"
+        nifti.write_nifti(vol, sidecar, out)
+    stored = np.frombuffer(out.read_bytes()[352:], dtype="<i2")
+    np.testing.assert_array_equal(stored.reshape(2, 2, 2, order="F"), data)
+    np.testing.assert_array_equal(nifti.read_nifti(out)[0].data, data)
+
+
+@pytest.mark.parametrize("inter", [np.nan, np.inf])
+def test_read_nonfinite_intercept_is_corrupt(tmp_path, inter):
+    data = np.full((2, 2, 2), 3, dtype=np.int16)
+    path = tmp_path / "badinter.nii"
+    path.write_bytes(build_nifti_bytes(data, scl_slope=2.0, scl_inter=inter))
+    with pytest.raises(CorruptFile, match="scl_inter"):
+        nifti.read_nifti(path)
+
+
 def test_read_bad_magic(tmp_path):
     path = tmp_path / "bad.nii"
     path.write_bytes(b"\x00" * 400)
     with pytest.raises(NotNifti):
         nifti.read_nifti(path)
+    # "ni1" marks the header of a two-file .hdr/.img pair, which is not read
+    raw = bytearray(build_nifti_bytes(np.zeros((2, 2, 2), dtype=np.float32)))
+    struct.pack_into("<4s", raw, 344, b"ni1\x00")
+    pair = tmp_path / "pair.hdr"
+    pair.write_bytes(raw[:348])
+    with pytest.raises(NotNifti, match="magic"):
+        nifti.read_nifti(pair)
 
 
 def test_read_unsupported_datatype(tmp_path, identity_2x2x2):
