@@ -91,7 +91,7 @@ def extract_brain(
                 f"{source.path}: grid does not match subject after reorientation"
             )
         if source.kind == "external_file":
-            mask = BinaryMask(loaded.data > 0.5, v.affine.copy())
+            mask = BinaryMask.from_volume(loaded)
         else:
             mask = morphology.binarise(loaded, threshold)
     if not mask.data.any():

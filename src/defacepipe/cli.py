@@ -23,7 +23,7 @@ from .defacing import (
     make_template_pack,
     quickshear,
 )
-from .errors import DefacepipeError
+from .errors import DefacepipeError, StageError
 from .evaluation import qc_report
 from .registration import RegistrationConfig
 from .synthetic import nominal_head, random_subject
@@ -49,10 +49,7 @@ def _out_path(input_path: Path, output_dir: Path | None, suffix: str, ext=None) 
 def _load_pack(template_path: Path, face_mask_path: Path) -> TemplatePack:
     template, _ = nifti.read_nifti(template_path)
     mask_vol, _ = nifti.read_nifti(face_mask_path)
-    return TemplatePack(
-        template=template,
-        keep_mask=BinaryMask(mask_vol.data > 0, mask_vol.affine),
-    )
+    return TemplatePack(template=template, keep_mask=BinaryMask.from_volume(mask_vol))
 
 
 def _brain_source(args) -> BrainMaskSource:
@@ -64,8 +61,6 @@ def _brain_source(args) -> BrainMaskSource:
 
 
 def _deface_one(input_path: Path, pack: TemplatePack, source, config, output_dir):
-    from .errors import StageError
-
     try:
         volume, sidecar = nifti.read_nifti(input_path)
     except Exception as e:
@@ -122,14 +117,9 @@ def cmd_deface(args) -> int:
 
 
 def cmd_quickshear(args) -> int:
-    try:
-        volume, sidecar = nifti.read_nifti(Path(args.input))
-        mask_vol, _ = nifti.read_nifti(Path(args.brain_mask))
-        brain = BinaryMask(mask_vol.data > 0, mask_vol.affine)
-        sheared = quickshear(volume, brain, args.buffer_mm)
-    except DefacepipeError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+    volume, sidecar = nifti.read_nifti(Path(args.input))
+    mask_vol, _ = nifti.read_nifti(Path(args.brain_mask))
+    sheared = quickshear(volume, BinaryMask.from_volume(mask_vol), args.buffer_mm)
     output_dir = Path(args.output_dir) if args.output_dir else None
     if output_dir:
         output_dir.mkdir(parents=True, exist_ok=True)
@@ -182,16 +172,12 @@ def cmd_make_template_pack(args) -> int:
     except DefacepipeError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    try:
-        pack = make_template_pack(
-            head,
-            brain_source=_brain_source(args),
-            buffer_mm=args.buffer_mm,
-            face_dilate_mm=args.face_dilate_mm,
-        )
-    except DefacepipeError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+    pack = make_template_pack(
+        head,
+        brain_source=_brain_source(args),
+        buffer_mm=args.buffer_mm,
+        face_dilate_mm=args.face_dilate_mm,
+    )
     output_dir = Path(args.output_dir) if args.output_dir else Path(args.template).parent
     output_dir.mkdir(parents=True, exist_ok=True)
     tpath = _out_path(Path(args.template), output_dir, "_stripped")

@@ -6,6 +6,8 @@ subject brain mask before any voxel is touched, so a bad registration can
 never delete brain tissue.
 """
 
+import contextlib
+import functools
 import hashlib
 import time
 from dataclasses import dataclass, field
@@ -43,6 +45,14 @@ class TemplatePack:
                 "keep-mask marks template tissue for removal"
             )
 
+    @functools.cached_property
+    def sha256(self) -> str:
+        """Hash of the template and keep-mask voxels, computed once per pack."""
+        h = hashlib.sha256()
+        h.update(np.ascontiguousarray(self.template.data).tobytes())
+        h.update(np.ascontiguousarray(self.keep_mask.data).tobytes())
+        return h.hexdigest()
+
 
 @dataclass
 class DefaceConfig:
@@ -61,24 +71,15 @@ class DefaceResult:
     provenance: dict
 
 
+@contextlib.contextmanager
 def _stage(n: int):
-    class _Ctx:
-        def __enter__(self):
-            return self
-
-        def __exit__(self, exc_type, exc, tb):
-            if exc is not None and not isinstance(exc, StageError):
-                raise StageError(n, exc) from exc
-            return False
-
-    return _Ctx()
-
-
-def template_checksum(pack: TemplatePack) -> str:
-    h = hashlib.sha256()
-    h.update(np.ascontiguousarray(pack.template.data).tobytes())
-    h.update(np.ascontiguousarray(pack.keep_mask.data).tobytes())
-    return h.hexdigest()
+    """Report any failure inside the block as a StageError of stage n."""
+    try:
+        yield
+    except StageError:
+        raise
+    except Exception as exc:
+        raise StageError(n, exc) from exc
 
 
 def deface(
@@ -123,7 +124,7 @@ def deface(
         safe_canon = union(keep_reg, dilated)
     with _stage(9):
         safe_native = BinaryMask(
-            geometry.undo_reorientation(safe_canon.data, perm),
+            perm.undo(safe_canon.data),
             input_volume.affine.copy(),
         )
         defaced = apply_mask(input_volume, safe_native)
@@ -131,7 +132,7 @@ def deface(
     provenance = {
         "tool": "defacepipe",
         "version": __version__,
-        "template_sha256": template_checksum(pack),
+        "template_sha256": pack.sha256,
         "margin_mm": config.margin_mm,
         "threshold": config.threshold,
         "brain_source": brain_source.kind,
@@ -232,7 +233,7 @@ def quickshear(input_volume: Volume, brain: BinaryMask, buffer_mm: float = 5.0) 
     keep = BinaryMask(~face_side, canon_vol.affine.copy())
     out_canon = apply_mask(canon_vol, keep)
     return Volume(
-        geometry.undo_reorientation(out_canon.data, perm),
+        perm.undo(out_canon.data),
         input_volume.affine.copy(),
     )
 

@@ -9,19 +9,7 @@ from . import geometry
 from .brain_extraction import BrainMaskSource, extract_brain
 from .errors import BothEmpty, FileError
 from .geometry import reorient_to_canonical
-from .volume import BinaryMask, Grid, Volume, check_same_grid
-
-
-@dataclass
-class LabelVolume(Grid):
-    """Nonnegative integer labels on a grid; 0 is background."""
-
-    data: np.ndarray
-    affine: np.ndarray
-
-    def __post_init__(self):
-        self.data = np.asarray(self.data)
-        self.affine = np.asarray(self.affine, dtype=np.float64)
+from .volume import BinaryMask, Volume, check_same_grid
 
 
 def _cell(value: float | None) -> str:
@@ -80,8 +68,9 @@ def dice(a: BinaryMask, b: BinaryMask) -> float:
     return 2.0 * inter / (na + nb)
 
 
-def multilabel_dice(a: LabelVolume, b: LabelVolume) -> dict[int, float]:
-    """Per-label binary Dice over nonzero labels present in either volume."""
+def multilabel_dice(a: Volume, b: Volume) -> dict[int, float]:
+    """Per-label binary Dice over nonzero integer labels present in either
+    volume; 0 is background."""
     check_same_grid(a, b)
     labels = np.union1d(np.unique(a.data), np.unique(b.data))
     out = {}
@@ -96,21 +85,19 @@ def multilabel_dice(a: LabelVolume, b: LabelVolume) -> dict[int, float]:
 
 
 def propagate_labels(
-    atlas_labels: LabelVolume,
+    atlas_labels: Volume,
     atlas_to_subject: np.ndarray,
     subject_dims,
     subject_affine,
-) -> LabelVolume:
+) -> Volume:
     """Nearest-neighbor propagation of atlas labels onto the subject grid."""
-    src = Volume(atlas_labels.data, atlas_labels.affine)
-    out = geometry.resample(
-        src,
+    return geometry.resample(
+        atlas_labels,
         tuple(subject_dims),
         subject_affine,
         geometry.invert(np.asarray(atlas_to_subject)),
         interp="nearest",
     )
-    return LabelVolume(out.data, out.affine)
 
 
 def qc_report(items, threshold: float = 0.99) -> DiceReport:

@@ -11,26 +11,32 @@ from .volume import Volume
 DET_EPS = 1e-12
 
 
-def identity() -> np.ndarray:
-    return np.eye(4)
-
-
 def translation(t) -> np.ndarray:
     m = np.eye(4)
     m[:3, 3] = t
     return m
 
 
-def rotation_z(angle: float) -> np.ndarray:
-    c, s = np.cos(angle), np.sin(angle)
+def affine_matrix(translation, rotation, scale, shear, center) -> np.ndarray:
+    """12-dof transform about a center: x -> R Z H (x - c) + c + t, with
+    R = Rz Ry Rx from Euler angles in radians, Z = diag(scale) (linear, per
+    axis) and H the upper unit-triangular shear (hxy, hxz, hyz)."""
+    rx, ry, rz = rotation
+    cx, sx = np.cos(rx), np.sin(rx)
+    cy, sy = np.cos(ry), np.sin(ry)
+    cz, sz = np.cos(rz), np.sin(rz)
+    rot_x = np.array([[1, 0, 0], [0, cx, -sx], [0, sx, cx]])
+    rot_y = np.array([[cy, 0, sy], [0, 1, 0], [-sy, 0, cy]])
+    rot_z = np.array([[cz, -sz, 0], [sz, cz, 0], [0, 0, 1]])
+    rot = rot_z @ rot_y @ rot_x
+    hxy, hxz, hyz = shear
+    sh = np.array([[1, hxy, hxz], [0, 1, hyz], [0, 0, 1]])
+    lin = rot @ np.diag(scale) @ sh
+    center = np.asarray(center, dtype=np.float64)
     m = np.eye(4)
-    m[:2, :2] = [[c, -s], [s, c]]
+    m[:3, :3] = lin
+    m[:3, 3] = translation + center - lin @ center
     return m
-
-
-def compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Transform applying b first, then a."""
-    return np.asarray(a) @ np.asarray(b)
 
 
 def invert(t: np.ndarray) -> np.ndarray:
@@ -70,10 +76,11 @@ class AxisPermutation:
         return np.flip(out, rev) if rev else out
 
     def undo(self, data: np.ndarray) -> np.ndarray:
+        """Inverse of apply, as a contiguous array."""
         rev = tuple(j for j in range(3) if self.flips[j])
         out = np.flip(data, rev) if rev else data
         inv = np.argsort(self.perm)
-        return np.transpose(out, inv)
+        return np.ascontiguousarray(np.transpose(out, inv))
 
 
 def reorient_to_canonical(v: Volume) -> tuple[Volume, AxisPermutation]:
@@ -104,10 +111,6 @@ def reorient_to_canonical(v: Volume) -> tuple[Volume, AxisPermutation]:
     out_aff[:3, :3] = aff[:3, [perm[0], perm[1], perm[2]]]
     data = np.ascontiguousarray(rec.apply(v.data))
     return Volume(data, out_aff), rec
-
-
-def undo_reorientation(data: np.ndarray, rec: AxisPermutation) -> np.ndarray:
-    return np.ascontiguousarray(rec.undo(data))
 
 
 def resample(

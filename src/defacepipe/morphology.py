@@ -69,15 +69,6 @@ def union(a: BinaryMask, b: BinaryMask) -> BinaryMask:
     return BinaryMask(a.data | b.data, a.affine.copy())
 
 
-def intersection(a: BinaryMask, b: BinaryMask) -> BinaryMask:
-    check_same_grid(a, b)
-    return BinaryMask(a.data & b.data, a.affine.copy())
-
-
-def complement(m: BinaryMask) -> BinaryMask:
-    return BinaryMask(~m.data, m.affine.copy())
-
-
 def largest_connected_component(m: BinaryMask) -> BinaryMask:
     """Largest 6-connected component of 1-bits; ties broken by the component
     whose first voxel has the smallest x-fastest linear index."""

@@ -38,7 +38,6 @@ class HeaderSidecar:
     datatype_code: int
     scl_slope: float
     scl_inter: float
-    qform_code: int
     sform_code: int
     warnings: list = field(default_factory=list)
 
@@ -179,33 +178,28 @@ def read_nifti(path) -> tuple[Volume, HeaderSidecar]:
         datatype_code=datatype,
         scl_slope=float(scl_slope),
         scl_inter=float(scl_inter),
-        qform_code=qform_code,
         sform_code=sform_code,
         warnings=warnings,
     )
     return Volume(np.ascontiguousarray(data), affine), sidecar
 
 
-def default_sidecar(datatype_code: int) -> HeaderSidecar:
+def sidecar_for_dtype(dtype) -> HeaderSidecar:
     """Sidecar for volumes born in memory (masks, phantoms)."""
-    if datatype_code not in SUPPORTED_DTYPES:
-        raise UnsupportedDatatype(f"datatype code {datatype_code}")
+    code = DTYPE_TO_CODE.get(np.dtype(dtype))
+    if code is None:
+        raise UnsupportedDatatype(f"dtype {np.dtype(dtype)}")
     raw = bytearray(HEADER_SIZE)
     struct.pack_into("<i", raw, 0, HEADER_SIZE)
     struct.pack_into("<4s", raw, 344, b"n+1\x00")
     return HeaderSidecar(
         raw=bytes(raw),
         byte_order="<",
-        datatype_code=datatype_code,
+        datatype_code=code,
         scl_slope=1.0,
         scl_inter=0.0,
-        qform_code=0,
         sform_code=1,
     )
-
-
-def sidecar_for_dtype(dtype) -> HeaderSidecar:
-    return default_sidecar(DTYPE_TO_CODE[np.dtype(dtype)])
 
 
 def _encode_payload(
@@ -272,4 +266,4 @@ def write_nifti(volume: Volume, sidecar: HeaderSidecar, path) -> None:
 
 def write_mask(mask, path) -> None:
     """Persist a BinaryMask as a u8 NIfTI volume."""
-    write_nifti(mask.to_volume(), default_sidecar(2), path)
+    write_nifti(mask.to_volume(), sidecar_for_dtype(np.uint8), path)

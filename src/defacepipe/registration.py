@@ -8,29 +8,14 @@ fine, over a 12-parameter transform (translation, Euler rotation,
 log-scale, shear) centered on the fixed foreground centroid.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage, optimize
 
 from .errors import NoOverlap
-from .geometry import invert
+from .geometry import affine_matrix, invert
 from .volume import Volume
-
-
-@dataclass
-class JointHistogram:
-    counts: np.ndarray  # B x B
-    fixed_range: tuple[float, float]
-    moving_range: tuple[float, float]
-
-    @property
-    def bins(self) -> int:
-        return self.counts.shape[0]
-
-    @property
-    def total(self) -> float:
-        return float(self.counts.sum())
 
 
 # (pyramid factor, smoothing sigma in mm, sample fraction) per level, coarse
@@ -51,84 +36,6 @@ class RegistrationConfig:
     def __post_init__(self):
         if self.bins < 2:
             raise ValueError("bins must be >= 2")
-
-
-@dataclass
-class AffineParams:
-    """12-dof transform about a fixed center: x -> R(r) Z(e^s) H(h) (x-c) + c + t."""
-
-    translation: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    rotation: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    log_scale: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    shear: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    center: np.ndarray = field(default_factory=lambda: np.zeros(3))
-
-    def to_vector(self) -> np.ndarray:
-        return np.concatenate(
-            [self.translation, self.rotation, self.log_scale, self.shear]
-        )
-
-    @classmethod
-    def from_vector(cls, theta, center) -> "AffineParams":
-        theta = np.asarray(theta, dtype=np.float64)
-        return cls(
-            translation=theta[0:3].copy(),
-            rotation=theta[3:6].copy(),
-            log_scale=theta[6:9].copy(),
-            shear=theta[9:12].copy(),
-            center=np.asarray(center, dtype=np.float64),
-        )
-
-    def to_matrix(self) -> np.ndarray:
-        rx, ry, rz = self.rotation
-        cx, sx = np.cos(rx), np.sin(rx)
-        cy, sy = np.cos(ry), np.sin(ry)
-        cz, sz = np.cos(rz), np.sin(rz)
-        rot_x = np.array([[1, 0, 0], [0, cx, -sx], [0, sx, cx]])
-        rot_y = np.array([[cy, 0, sy], [0, 1, 0], [-sy, 0, cy]])
-        rot_z = np.array([[cz, -sz, 0], [sz, cz, 0], [0, 0, 1]])
-        rot = rot_z @ rot_y @ rot_x
-        zoom = np.diag(np.exp(self.log_scale))
-        hxy, hxz, hyz = self.shear
-        sh = np.array([[1, hxy, hxz], [0, 1, hyz], [0, 0, 1]])
-        lin = rot @ zoom @ sh
-        m = np.eye(4)
-        m[:3, :3] = lin
-        m[:3, 3] = self.translation + self.center - lin @ self.center
-        return m
-
-    @classmethod
-    def from_matrix(cls, m, center) -> "AffineParams":
-        """Decompose a well-conditioned affine (positive determinant) into
-        translation/rotation/log-scale/shear about the given center."""
-        m = np.asarray(m, dtype=np.float64)
-        center = np.asarray(center, dtype=np.float64)
-        lin = m[:3, :3]
-        q, r = np.linalg.qr(lin)
-        signs = np.sign(np.diag(r))
-        signs[signs == 0] = 1.0
-        q = q * signs
-        r = signs[:, None] * r
-        # q orthogonal with det +1 expected for anatomical transforms
-        scale = np.diag(r).copy()
-        log_scale = np.log(scale)
-        shear = np.array([r[0, 1] / scale[0], r[0, 2] / scale[0], r[1, 2] / scale[1]])
-        # Euler angles for q = Rz(rz) @ Ry(ry) @ Rx(rx)
-        ry = -np.arcsin(np.clip(q[2, 0], -1.0, 1.0))
-        if abs(np.cos(ry)) > 1e-9:
-            rx = np.arctan2(q[2, 1], q[2, 2])
-            rz = np.arctan2(q[1, 0], q[0, 0])
-        else:  # gimbal lock
-            rx = np.arctan2(-q[1, 2], q[1, 1])
-            rz = 0.0
-        translation = m[:3, 3] - center + lin @ center
-        return cls(
-            translation=translation,
-            rotation=np.array([rx, ry, rz]),
-            log_scale=log_scale,
-            shear=shear,
-            center=center,
-        )
 
 
 def robust_range(data: np.ndarray) -> tuple[float, float]:
@@ -165,12 +72,13 @@ def parzen_histogram(fixed_bins, moving_values, moving_range, bins) -> np.ndarra
     return counts.reshape(bins, bins)
 
 
-def mutual_information(h: JointHistogram) -> float:
-    """MI in nats over nonzero cells; nonnegative."""
-    total = h.total
+def mutual_information(counts: np.ndarray) -> float:
+    """MI in nats of a joint count histogram, over nonzero cells;
+    nonnegative."""
+    total = float(counts.sum())
     if total <= 0:
         raise NoOverlap("empty joint histogram")
-    p = h.counts / total
+    p = counts / total
     px = p.sum(axis=1)
     py = p.sum(axis=0)
     nz = p > 0
@@ -225,7 +133,8 @@ def register_affine(
     config = config or RegistrationConfig()
     center = _foreground_centroid(fixed)
     moving_centroid = _foreground_centroid(moving)
-    # Internal parameters map fixed-world -> moving-world.
+    # Internal parameters (translation, rotation, log-scale, shear) map
+    # fixed-world -> moving-world.
     theta = np.zeros(12)
     theta[:3] = moving_centroid - center
 
@@ -274,7 +183,7 @@ def register_affine(
         fgT = fg.T
 
         def cost(t):
-            m = AffineParams.from_vector(t, center).to_matrix()
+            m = affine_matrix(t[0:3], t[3:6], np.exp(t[6:9]), t[9:12], center)
             vox_map = m_inv @ m @ f_aff
             coords = vox_map[:3, :3] @ fgT + vox_map[:3, 3:4]
             inb = np.all((coords >= 0.0) & (coords <= nmax), axis=0)
@@ -282,8 +191,7 @@ def register_affine(
                 return 1.0
             vals = ndimage.map_coordinates(mdata, coords[:, inb], order=1)
             counts = parzen_histogram(fbin_all[inb], vals, moving_range, bins)
-            h = JointHistogram(counts, fixed_range, moving_range)
-            return -mutual_information(h)
+            return -mutual_information(counts)
 
         # Simplex restarts with shrinking steps: a single Nelder-Mead run
         # stalls well short of the optimum in 12 dimensions.
@@ -317,7 +225,9 @@ def register_affine(
         if not res.success:
             diagnostics["converged"] = False
 
-    fixed_to_moving = AffineParams.from_vector(theta, center).to_matrix()
+    fixed_to_moving = affine_matrix(
+        theta[0:3], theta[3:6], np.exp(theta[6:9]), theta[9:12], center
+    )
     if cost(theta) >= 1.0:  # never found overlap at the final level
         raise NoOverlap("registration found no overlapping support")
     return invert(fixed_to_moving), diagnostics

@@ -85,22 +85,9 @@ def random_rigid_affine(
     """Random world transform: rotation+isotropic scale about center, then
     translation."""
     angles = np.deg2rad(rng.uniform(-max_rotation_deg, max_rotation_deg, 3))
-    cx, sx = np.cos(angles[0]), np.sin(angles[0])
-    cy, sy = np.cos(angles[1]), np.sin(angles[1])
-    cz, sz = np.cos(angles[2]), np.sin(angles[2])
-    rot = (
-        np.array([[cz, -sz, 0], [sz, cz, 0], [0, 0, 1]])
-        @ np.array([[cy, 0, sy], [0, 1, 0], [-sy, 0, cy]])
-        @ np.array([[1, 0, 0], [0, cx, -sx], [0, sx, cx]])
-    )
     scale = rng.uniform(*scale_range)
-    lin = rot * scale
     t = rng.uniform(-max_translation_mm, max_translation_mm, 3)
-    center = np.asarray(center, dtype=np.float64)
-    m = np.eye(4)
-    m[:3, :3] = lin
-    m[:3, 3] = t + center - lin @ center
-    return m
+    return geometry.affine_matrix(t, angles, np.full(3, scale), np.zeros(3), center)
 
 
 def transformed_phantom(base: HeadPhantom, transform: np.ndarray) -> HeadPhantom:

@@ -73,6 +73,11 @@ class BinaryMask(Grid):
         self.data = np.asarray(self.data).astype(bool)
         self.affine = np.asarray(self.affine, dtype=np.float64)
 
+    @classmethod
+    def from_volume(cls, v: Volume) -> "BinaryMask":
+        """Every voxel of v above 0; the inverse of to_volume."""
+        return cls(v.data > 0, v.affine.copy())
+
     def count(self) -> int:
         return int(self.data.sum())
 

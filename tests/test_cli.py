@@ -1,13 +1,25 @@
 """Exit codes, output artifacts, and batch behavior of the command line."""
 
+import importlib
 import json
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from defacepipe import nifti, synthetic
+from defacepipe import (
+    brain_extraction,
+    cli,
+    defacing,
+    evaluation,
+    nifti,
+    registration,
+    synthetic,
+)
+from defacepipe.brain_extraction import BrainMaskSource, extract_brain
 from defacepipe.cli import build_parser, main
+from defacepipe.defacing import quickshear
 from defacepipe.morphology import apply_mask
 from defacepipe.volume import Volume
 
@@ -138,6 +150,26 @@ def test_quickshear_degenerate_mask_exits_1(workspace, tmp_path, capsys):
     ])
     assert code == 1
     assert "collinear" in capsys.readouterr().err
+
+
+def test_probabilistic_mask_file_reads_alike_everywhere(workspace, tmp_path):
+    """A mask file marks every voxel above 0, whichever command reads it."""
+    root, head, subject = workspace
+    prob = Volume(subject.brain_mask.data * np.float32(0.3), subject.volume.affine)
+    path = tmp_path / "prob_brain.nii.gz"
+    nifti.write_nifti(prob, nifti.sidecar_for_dtype(np.float32), path)
+
+    mask = extract_brain(subject.volume, BrainMaskSource("external_file", path))
+    np.testing.assert_array_equal(mask.data, subject.brain_mask.data)
+
+    out = tmp_path / "out"
+    code = main([
+        "quickshear", str(root / "subj.nii.gz"),
+        "--brain-mask", str(path), "--output-dir", str(out),
+    ])
+    assert code == 0
+    sheared, _ = nifti.read_nifti(out / "subj_quickshear.nii.gz")
+    np.testing.assert_array_equal(sheared.data, quickshear(subject.volume, mask).data)
 
 
 def test_qc_identical_pairs_exit_0(workspace, tmp_path, capsys):
@@ -337,3 +369,26 @@ def test_jobs_parallel_matches_serial(workspace, tmp_path):
         a = (out1 / f"s{seed}_defaced.nii.gz").read_bytes()
         b = (out2 / f"s{seed}_defaced.nii.gz").read_bytes()
         assert a == b
+
+
+def test_benchmark_tracer_restores_every_patched_name(monkeypatch):
+    """The traced benchmark (perfbench/spans.py) patches names that these
+    modules look up; it must still find them, and put every one back."""
+    modules = (cli, defacing, registration, brain_extraction, evaluation)
+    before = [dict(vars(m)) for m in modules]
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    tracer = importlib.import_module("spans").Tracer()
+    tracer.install()
+    try:
+        patched = [
+            name
+            for m, names in zip(modules, before)
+            for name, obj in vars(m).items()
+            if names.get(name) is not obj
+        ]
+    finally:
+        tracer.uninstall()
+    assert len(patched) >= 1
+    for m, names in zip(modules, before):
+        assert vars(m).keys() == names.keys()
+        assert all(vars(m)[name] is obj for name, obj in names.items())

@@ -12,7 +12,6 @@ from defacepipe.defacing import (
     deface,
     make_template_pack,
     quickshear,
-    template_checksum,
 )
 from defacepipe.errors import DegenerateHull, EmptyMask, StageError, TemplatePackError
 from defacepipe.morphology import apply_mask, dilate
@@ -181,13 +180,14 @@ def test_template_pack_validation_rejects_brain_removal(head, pack):
         )
 
 
-def test_template_checksum_stable(pack):
-    assert template_checksum(pack) == template_checksum(pack)
+def test_template_sha256_stable(pack):
+    same = TemplatePack(template=pack.template, keep_mask=pack.keep_mask)
+    assert same.sha256 == pack.sha256
     other = TemplatePack(
         template=pack.template,
         keep_mask=BinaryMask(np.ones(pack.template.dims, bool), pack.template.affine),
     )
-    assert template_checksum(other) != template_checksum(pack)
+    assert other.sha256 != pack.sha256
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ import pytest
 from defacepipe.errors import BothEmpty, GridMismatch
 from defacepipe.evaluation import (
     DiceReport,
-    LabelVolume,
     dice,
     multilabel_dice,
     propagate_labels,
@@ -63,7 +62,7 @@ def test_dice_grid_mismatch():
 def test_multilabel_identical():
     rng = np.random.default_rng(1)
     labels = rng.integers(0, 4, size=(5, 5, 5))
-    lv = LabelVolume(labels, np.eye(4))
+    lv = Volume(labels, np.eye(4))
     out = multilabel_dice(lv, lv)
     assert set(out) == set(np.unique(labels)) - {0}
     assert all(v == 1.0 for v in out.values())
@@ -74,7 +73,7 @@ def test_multilabel_shifted_out():
     a[:2, :, :] = 3
     b = np.zeros((6, 6, 6), dtype=np.int32)
     b[4:, :, :] = 3
-    out = multilabel_dice(LabelVolume(a, np.eye(4)), LabelVolume(b, np.eye(4)))
+    out = multilabel_dice(Volume(a, np.eye(4)), Volume(b, np.eye(4)))
     assert out[3] == 0.0
 
 
@@ -82,7 +81,7 @@ def test_multilabel_matches_brute_force():
     rng = np.random.default_rng(2)
     a = rng.integers(0, 4, size=(6, 6, 6))
     b = rng.integers(0, 4, size=(6, 6, 6))
-    out = multilabel_dice(LabelVolume(a, np.eye(4)), LabelVolume(b, np.eye(4)))
+    out = multilabel_dice(Volume(a, np.eye(4)), Volume(b, np.eye(4)))
     for lab in (1, 2, 3):
         inter = int(((a == lab) & (b == lab)).sum())
         denom = int((a == lab).sum() + (b == lab).sum())
@@ -93,8 +92,8 @@ def test_multilabel_binary_equals_dice(rng):
     bits = rng.random((5, 5, 5)) > 0.5
     other = rng.random((5, 5, 5)) > 0.5
     ml = multilabel_dice(
-        LabelVolume(bits.astype(int), np.eye(4)),
-        LabelVolume(other.astype(int), np.eye(4)),
+        Volume(bits.astype(int), np.eye(4)),
+        Volume(other.astype(int), np.eye(4)),
     )
     assert ml[1] == pytest.approx(dice(_mask(bits), _mask(other)))
 
@@ -102,7 +101,7 @@ def test_multilabel_binary_equals_dice(rng):
 def test_propagate_identity():
     rng = np.random.default_rng(3)
     labels = rng.integers(0, 5, size=(6, 6, 6))
-    lv = LabelVolume(labels, np.eye(4))
+    lv = Volume(labels, np.eye(4))
     out = propagate_labels(lv, np.eye(4), (6, 6, 6), np.eye(4))
     np.testing.assert_array_equal(out.data, labels)
 
@@ -110,7 +109,7 @@ def test_propagate_identity():
 def test_propagate_integer_shift():
     labels = np.zeros((6, 6, 6), dtype=np.int32)
     labels[2, 3, 1] = 7
-    lv = LabelVolume(labels, np.eye(4))
+    lv = Volume(labels, np.eye(4))
     # atlas-to-subject moves everything +2 along x in world mm
     out = propagate_labels(lv, translation((2.0, 0, 0)), (6, 6, 6), np.eye(4))
     expected = np.zeros_like(labels)

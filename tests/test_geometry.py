@@ -8,22 +8,27 @@ from defacepipe.errors import AmbiguousOrientation, SingularTransform
 from defacepipe.volume import Volume
 
 
+def _z_turn(angle, scale=1.0):
+    return geometry.affine_matrix(
+        np.zeros(3), (0.0, 0.0, angle), np.full(3, scale), np.zeros(3), np.zeros(3)
+    )
+
+
 def test_compose_identity():
-    t = geometry.translation((1.0, 2.0, 3.0)) @ geometry.rotation_z(0.3)
-    np.testing.assert_array_equal(geometry.compose(geometry.identity(), t), t)
+    t = geometry.translation((1.0, 2.0, 3.0)) @ _z_turn(0.3)
+    np.testing.assert_array_equal(np.eye(4) @ t, t)
 
 
 def test_compose_inverse_translations():
     t1 = geometry.translation((1, 2, 3))
     t2 = geometry.translation((-1, -2, -3))
-    np.testing.assert_allclose(geometry.compose(t1, t2), np.eye(4), atol=1e-15)
+    np.testing.assert_allclose(t1 @ t2, np.eye(4), atol=1e-15)
 
 
 def test_compose_two_quarter_turns():
     # rot_z(90) twice sends (1,0,0) to (-1,0,0)
-    r = geometry.rotation_z(np.pi / 2)
-    m = geometry.compose(r, r)
-    out = m @ np.array([1.0, 0.0, 0.0, 1.0])
+    r = _z_turn(np.pi / 2)
+    out = r @ r @ np.array([1.0, 0.0, 0.0, 1.0])
     np.testing.assert_allclose(out[:3], [-1.0, 0.0, 0.0], atol=1e-12)
 
 
@@ -37,11 +42,42 @@ def test_invert_translation():
 
 
 def test_invert_compose_to_identity():
-    m = geometry.rotation_z(np.deg2rad(30))
-    m[:3, :3] *= 2.0
-    np.testing.assert_allclose(
-        geometry.compose(m, geometry.invert(m)), np.eye(4), atol=1e-9
+    m = _z_turn(np.deg2rad(30), scale=2.0)
+    np.testing.assert_allclose(m @ geometry.invert(m), np.eye(4), atol=1e-9)
+
+
+def _random_affine_args(rng):
+    return (
+        rng.uniform(-np.pi, np.pi, 3),
+        rng.uniform(0.5, 2.0, 3),
+        rng.uniform(-0.5, 0.5, 3),
+        rng.uniform(-50.0, 50.0, 3),
     )
+
+
+def test_affine_matrix_fixes_center():
+    rng = np.random.default_rng(41)
+    for _ in range(50):
+        rotation, scale, shear, center = _random_affine_args(rng)
+        m = geometry.affine_matrix(np.zeros(3), rotation, scale, shear, center)
+        c = np.append(center, 1.0)
+        np.testing.assert_allclose(m @ c, c, atol=1e-9)
+
+
+def test_affine_matrix_determinant_is_scale_product():
+    rng = np.random.default_rng(42)
+    for _ in range(50):
+        rotation, scale, shear, center = _random_affine_args(rng)
+        t = rng.uniform(-50.0, 50.0, 3)
+        m = geometry.affine_matrix(t, rotation, scale, shear, center)
+        assert np.linalg.det(m) == pytest.approx(np.prod(scale), rel=1e-12)
+
+
+def test_affine_matrix_pure_translation():
+    t = np.array([3.5, -2.0, 7.25])
+    center = (10.0, 20.0, -5.0)
+    m = geometry.affine_matrix(t, np.zeros(3), np.ones(3), np.zeros(3), center)
+    np.testing.assert_array_equal(m, geometry.translation(t))
 
 
 def test_invert_singular():
@@ -129,7 +165,7 @@ def test_reorient_mixed_perm_and_flip_world_invariant():
     out, rec = geometry.reorient_to_canonical(v)
     assert not rec.is_identity
     assert_world_geometry_invariant(v, out)
-    np.testing.assert_array_equal(geometry.undo_reorientation(out.data, rec), data)
+    np.testing.assert_array_equal(rec.undo(out.data), data)
 
 
 def test_reorient_oblique_keeps_obliquity():
@@ -202,7 +238,7 @@ def test_resample_mask_stays_binary():
     rng = np.random.default_rng(9)
     data = (rng.random((6, 6, 6)) > 0.5).astype(np.uint8)
     v = Volume(data, np.eye(4))
-    m = geometry.rotation_z(0.4) @ geometry.translation((0.3, -0.6, 0.2))
+    m = _z_turn(0.4) @ geometry.translation((0.3, -0.6, 0.2))
     out = geometry.resample(v, v.dims, v.affine, m, interp="nearest")
     assert set(np.unique(out.data)).issubset({0, 1})
 

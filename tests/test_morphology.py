@@ -122,7 +122,7 @@ def test_union_identities(rng):
     m = BinaryMask(rng.random((4, 4, 4)) > 0.5, np.eye(4))
     empty = BinaryMask(np.zeros((4, 4, 4), bool), np.eye(4))
     np.testing.assert_array_equal(morphology.union(m, empty).data, m.data)
-    full = morphology.union(m, morphology.complement(m))
+    full = morphology.union(m, BinaryMask(~m.data, m.affine))
     assert full.count() == 64
 
 
@@ -130,8 +130,8 @@ def test_union_inclusion_exclusion(rng):
     a = BinaryMask(rng.random((6, 6, 6)) > 0.6, np.eye(4))
     b = BinaryMask(rng.random((6, 6, 6)) > 0.6, np.eye(4))
     u = morphology.union(a, b)
-    i = morphology.intersection(a, b)
-    assert u.count() == a.count() + b.count() - i.count()
+    inter = int((a.data & b.data).sum())
+    assert u.count() == a.count() + b.count() - inter
 
 
 @settings(max_examples=20, deadline=None)

@@ -212,8 +212,13 @@ def test_write_integer_overflow(tmp_path):
     data = np.array([[[70000.0]]], dtype=np.float64)
     with pytest.raises(DatatypeOverflow):
         nifti.write_nifti(
-            Volume(data, np.eye(4)), nifti.default_sidecar(4), tmp_path / "x.nii"
+            Volume(data, np.eye(4)), nifti.sidecar_for_dtype(np.int16), tmp_path / "x.nii"
         )
+
+
+def test_sidecar_for_unsupported_dtype():
+    with pytest.raises(UnsupportedDatatype):
+        nifti.sidecar_for_dtype(np.int8)
 
 
 def test_write_background_zero_representable(tmp_path):
