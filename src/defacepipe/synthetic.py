@@ -78,9 +78,9 @@ def nominal_head(size: int = 64) -> HeadPhantom:
 def random_rigid_affine(
     rng: np.random.Generator,
     center,
-    max_translation_mm: float = 15.0,
-    max_rotation_deg: float = 10.0,
-    scale_range: tuple = (0.95, 1.05),
+    max_translation_mm: float,
+    max_rotation_deg: float,
+    scale_range: tuple,
 ) -> np.ndarray:
     """Random world transform: rotation+isotropic scale about center, then
     translation."""

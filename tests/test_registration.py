@@ -2,12 +2,16 @@
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
-from defacepipe import synthetic
+from defacepipe import registration, synthetic
 from defacepipe.errors import NoOverlap
 from defacepipe.geometry import affine_matrix, invert, translation
 from defacepipe.registration import (
     RegistrationConfig,
+    _overlap_samples,
+    _pad_high,
+    _trilinear,
     mutual_information,
     parzen_histogram,
     register_affine,
@@ -110,6 +114,80 @@ def test_mi_invariant_under_affine_intensity_remap():
         counts = parzen_histogram(fixed_bins, values, mrange, 8)
         mi.append(mutual_information(counts))
     assert mi[0] == pytest.approx(mi[1], abs=1e-9)
+
+
+def boundary_coords(dims, rng, n=400):
+    """Voxel coordinates in [0, dims - 1] (3, m): random points, integer
+    points, the far corner, points on every face, and points on every
+    dims - 1 plane at integer and fractional positions.
+
+    Also points below 0.5 with all mantissa bits set: only there does the
+    upper weight 1 - (1 - t) differ from t (uniform draws alone have none)."""
+    hi = np.asarray(dims, dtype=np.float64).reshape(3, 1) - 1.0
+    inside = rng.uniform(0.0, 1.0, (3, n)) * hi
+    fine = rng.uniform(0.0, 1.5, (3, n)) / 3.0
+    parts = [inside, fine, np.floor(inside), hi, np.zeros((3, 1))]
+    for axis in range(3):
+        for value in (0.0, hi[axis, 0]):
+            face = inside.copy()
+            face[axis] = value
+            parts += [face, np.floor(face)]
+    return np.concatenate(parts, axis=1)
+
+
+@pytest.mark.parametrize("dims", [(5, 6, 7), (17, 23, 31), (7, 6, 5)])
+@pytest.mark.parametrize("sign", ["positive", "negative", "mixed"])
+def test_trilinear_bit_identical_to_map_coordinates(dims, sign):
+    rng = np.random.default_rng(sum(dims))
+    data = rng.uniform(0.0, 100.0, dims)
+    if sign == "negative":
+        data = -data
+    elif sign == "mixed":
+        data -= 50.0
+    coords = boundary_coords(dims, rng)
+    padded = _pad_high(data)
+    want = ndimage.map_coordinates(data, coords, order=1)
+    assert np.array_equal(_trilinear(padded, coords), want)
+    # One point at a time too: a reduction over the corners may change its
+    # summation order with the number of points.
+    for k in range(0, coords.shape[1], 7):
+        assert np.array_equal(_trilinear(padded, coords[:, k:k + 1]), want[k:k + 1])
+
+
+def test_trilinear_blocks_match_one_block(monkeypatch):
+    rng = np.random.default_rng(9)
+    data = rng.uniform(-50.0, 50.0, (17, 23, 31))
+    coords = boundary_coords(data.shape, rng)
+    padded = _pad_high(data)
+    whole = _trilinear(padded, coords)
+    monkeypatch.setattr(registration, "_BLOCK", 100)
+    blocked = _trilinear(padded, coords)
+    assert np.array_equal(blocked, whole)
+    assert np.array_equal(blocked, ndimage.map_coordinates(data, coords, order=1))
+
+
+@pytest.mark.parametrize("dims", [(5, 6, 7), (17, 23, 31)])
+def test_overlap_samples_match_masked_map_coordinates(dims):
+    """Samples straddling each face keep the same (fixed bins, values) as
+    masking to the volume, then map_coordinates on what is left."""
+    rng = np.random.default_rng(5)
+    data = rng.uniform(-50.0, 50.0, dims)
+    nmax = np.asarray(dims, dtype=np.float64).reshape(3, 1) - 1.0
+    inside = boundary_coords(dims, rng)
+    cases = [inside, np.full((3, 8), -0.5)]
+    for axis in range(3):
+        for shift in (-0.5 * nmax[axis, 0], 0.5 * nmax[axis, 0]):
+            moved = inside.copy()
+            moved[axis] += shift
+            cases.append(moved)
+    padded = _pad_high(data)
+    for coords in cases:
+        fixed_bins = rng.integers(0, 32, coords.shape[1])
+        got_bins, got_vals = _overlap_samples(padded, coords, nmax, fixed_bins)
+        inb = np.all((coords >= 0.0) & (coords <= nmax), axis=0)
+        want_vals = ndimage.map_coordinates(data, coords[:, inb], order=1)
+        assert np.array_equal(got_bins, fixed_bins[inb])
+        assert np.array_equal(got_vals, want_vals)
 
 
 def test_config_validation():
