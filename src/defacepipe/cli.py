@@ -1,14 +1,18 @@
 """Batch command-line front end.
 
 Subcommands: deface, quickshear, qc, make-template-pack, phantom.
-deface processes its files on a worker pool of size --jobs; a failing
-file is reported on stderr and never blocks the rest of the batch.
+deface prepares the template side of registration once, then processes
+its files on a pool of --jobs worker processes forked from this one, so
+the workers inherit the pack and the prepared template. A Python exception
+fails only its own file; a worker that dies fails the files still pending
+in the pool. Each failure is reported on stderr as ``error: <path>: ...``.
 """
 
 import argparse
 import concurrent.futures
 import json
 import logging
+import multiprocessing
 import sys
 from pathlib import Path
 
@@ -25,7 +29,7 @@ from .defacing import (
 )
 from .errors import DefacepipeError, StageError
 from .evaluation import qc_report
-from .registration import RegistrationConfig
+from .registration import RegistrationConfig, prepare
 from .synthetic import nominal_head, random_subject
 from .volume import BinaryMask
 
@@ -60,24 +64,43 @@ def _brain_source(args) -> BrainMaskSource:
     return BrainMaskSource("fallback")
 
 
-def _deface_one(input_path: Path, pack: TemplatePack, source, config, output_dir):
+def _deface_one(input_path: Path, pack: TemplatePack, fixed, source, config, output_dir):
     try:
         volume, sidecar = nifti.read_nifti(input_path)
     except Exception as e:
         raise StageError(0, e) from e  # stage 0 = ingestion
-    result = deface(volume, pack, source, config)
+    result = deface(volume, pack, source, config, fixed)
     result.provenance["input"] = str(input_path)
     result.provenance["header_warnings"] = sidecar.warnings
 
+    # Provenance is written last, as the mark of a complete set; one left by
+    # an earlier run would mark a partly replaced set as complete.
+    prov_path = _out_path(input_path, output_dir, "_prov", ".json")
+    prov_path.unlink(missing_ok=True)
     out = _out_path(input_path, output_dir, "_defaced")
     nifti.write_nifti(result.defaced, sidecar, out)
     nifti.write_mask(result.brain_safe_mask, _out_path(input_path, output_dir, "_brainsafe"))
     geometry.save_transform(
         result.transform, _out_path(input_path, output_dir, "_xfm", ".txt")
     )
-    prov_path = _out_path(input_path, output_dir, "_prov", ".json")
-    prov_path.write_text(json.dumps(result.provenance, indent=2, sort_keys=True))
+    with nifti.atomic_file(prov_path) as f:
+        f.write(json.dumps(result.provenance, indent=2, sort_keys=True).encode())
     return out
+
+
+# What every worker of cmd_deface's pool needs besides the input path: the
+# arguments of _deface_one after it. The pool forks, so they are inherited,
+# never pickled.
+_batch: tuple = ()
+
+
+def _start_worker(*batch):
+    global _batch
+    _batch = batch
+
+
+def _deface_in_worker(input_path: Path):
+    return _deface_one(input_path, *_batch)
 
 
 def cmd_deface(args) -> int:
@@ -98,13 +121,19 @@ def cmd_deface(args) -> int:
     output_dir = Path(args.output_dir) if args.output_dir else None
     if output_dir:
         output_dir.mkdir(parents=True, exist_ok=True)
+    fixed = prepare(pack.template, config.registration)
 
     failures = []
-    with concurrent.futures.ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        futures = {
-            pool.submit(_deface_one, p, pack, source, config, output_dir): p
-            for p in inputs
-        }
+    # fork, not spawn: the workers inherit the pack and the prepared template
+    # instead of re-reading and re-preparing them, and this process starts
+    # no thread before the pool forks. The pool's exit joins every worker.
+    with concurrent.futures.ProcessPoolExecutor(
+        max_workers=min(args.jobs, len(inputs)),
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_start_worker,
+        initargs=(pack, fixed, source, config, output_dir),
+    ) as pool:
+        futures = {pool.submit(_deface_in_worker, p): p for p in inputs}
         for fut in concurrent.futures.as_completed(futures):
             p = futures[fut]
             try:
@@ -231,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bins", type=int, default=32)
     p.add_argument("--output-dir")
     p.add_argument(
-        "--jobs", type=_positive_int, default=1, help="parallel workers (>= 1)"
+        "--jobs", type=_positive_int, default=1, help="worker processes (>= 1)"
     )
     p.add_argument("--seed", type=int, default=0, help="registration RNG seed")
     p.set_defaults(func=cmd_deface)

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import __version__
 from . import geometry
-from .registration import RegistrationConfig, register_affine
+from .registration import FixedSide, RegistrationConfig, prepare, register_affine
 from .brain_extraction import BrainMaskSource, extract_brain, fallback_extract, otsu_threshold
 from .errors import (
     DegenerateHull,
@@ -72,14 +72,17 @@ class DefaceResult:
 
 
 @contextlib.contextmanager
-def _stage(n: int):
-    """Report any failure inside the block as a StageError of stage n."""
+def _stage(n: int, seconds: dict):
+    """Report any failure inside the block as a StageError of stage n, and
+    record its wall seconds under seconds[str(n)]."""
+    t0 = time.perf_counter()
     try:
         yield
     except StageError:
         raise
     except Exception as exc:
         raise StageError(n, exc) from exc
+    seconds[str(n)] = round(time.perf_counter() - t0, 6)
 
 
 def deface(
@@ -87,31 +90,38 @@ def deface(
     pack: TemplatePack,
     brain_source: BrainMaskSource,
     config: DefaceConfig | None = None,
+    fixed: FixedSide | None = None,
 ) -> DefaceResult:
-    """Run the nine-stage pipeline; output stays on the input's native grid."""
-    config = config or DefaceConfig()
-    t0 = time.time()
+    """Run the nine-stage pipeline; output stays on the input's native grid.
 
-    with _stage(1):
+    fixed is the pack's template prepared by ``registration.prepare`` under
+    config.registration; a batch passes the same one for every subject, and
+    without it stage 6 prepares the template itself.
+    """
+    config = config or DefaceConfig()
+    started = time.time()
+    t0 = time.perf_counter()
+    # Stage 3 (binarise) runs inside stage 2's extraction and is timed there.
+    seconds = {"3": 0.0}
+
+    with _stage(1, seconds):
         canon, perm = geometry.reorient_to_canonical(input_volume)
-    with _stage(2):
+    with _stage(2, seconds):
         brain = extract_brain(canon, brain_source, config.threshold)
-    with _stage(4):
+    with _stage(4, seconds):
         dilated = dilate(brain, config.margin_mm)
-    with _stage(5):
+    with _stage(5, seconds):
         loose = apply_mask(canon, dilated)
 
-    diagnostics: dict = {}
-    if config.transform_override is not None:
-        transform = np.asarray(config.transform_override, dtype=np.float64)
-        diagnostics["transform_override"] = True
-    else:
-        with _stage(6):
-            transform, diagnostics = register_affine(
-                pack.template, loose, config.registration
-            )
+    with _stage(6, seconds):
+        if config.transform_override is not None:
+            transform = np.asarray(config.transform_override, dtype=np.float64)
+            diagnostics = {"transform_override": True}
+        else:
+            fixed = fixed or prepare(pack.template, config.registration)
+            transform, diagnostics = register_affine(fixed, loose)
 
-    with _stage(7):
+    with _stage(7, seconds):
         keep_vol = geometry.resample(
             pack.keep_mask.to_volume(),
             canon.dims,
@@ -120,9 +130,9 @@ def deface(
             interp="nearest",
         )
         keep_reg = BinaryMask(keep_vol.data > 0, canon.affine.copy())
-    with _stage(8):
+    with _stage(8, seconds):
         safe_canon = union(keep_reg, dilated)
-    with _stage(9):
+    with _stage(9, seconds):
         safe_native = BinaryMask(
             perm.undo(safe_canon.data),
             input_volume.affine.copy(),
@@ -140,8 +150,9 @@ def deface(
         "reorientation": {"perm": list(perm.perm), "flips": list(perm.flips)},
         "removed_voxels": int((~safe_native.data).sum()),
         "timing": {
-            "started": time.strftime("%Y-%m-%dT%H:%M:%S%z", time.localtime(t0)),
-            "elapsed_s": round(time.time() - t0, 3),
+            "started": time.strftime("%Y-%m-%dT%H:%M:%S%z", time.localtime(started)),
+            "stages": seconds,
+            "elapsed_s": round(time.perf_counter() - t0, 6),
         },
     }
     return DefaceResult(defaced, safe_native, transform, provenance)

@@ -72,3 +72,8 @@ class StageError(DefacepipeError):
         self.stage = stage
         self.cause = cause
         super().__init__(f"stage {stage}: {cause}")
+
+    def __reduce__(self):
+        # The default rebuilds from self.args, the message alone; a process
+        # pool sends a failed file's error back to its parent this way.
+        return type(self), (self.stage, self.cause)

@@ -5,8 +5,10 @@ bytes ride along in a sidecar so unrelated metadata survives a round trip.
 descrip and aux_file are zeroed on write as a minimal anonymisation scrub.
 """
 
+import contextlib
 import gzip
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -254,14 +256,30 @@ def write_nifti(volume: Volume, sidecar: HeaderSidecar, path) -> None:
         payload = payload.astype(payload.dtype.newbyteorder(">"))
     blob = bytes(raw) + bytes(4) + payload.tobytes(order="F")
     try:
-        if path.suffix == ".gz":
-            with gzip.GzipFile(path, "wb", mtime=0) as f:
-                f.write(blob)
-        else:
-            with open(path, "wb") as f:
+        with atomic_file(path) as f:
+            if path.suffix == ".gz":
+                # The gzip header names the final file, not the temporary one.
+                with gzip.GzipFile(filename=path, mode="wb", fileobj=f, mtime=0) as gz:
+                    gz.write(blob)
+            else:
                 f.write(blob)
     except OSError as e:
         raise IoError(f"{path}: {e}") from e
+
+
+@contextlib.contextmanager
+def atomic_file(path: Path):
+    """Binary file for the new contents of path: a temporary file in the
+    same directory that replaces path when the block ends, and is removed
+    if the block raises. A reader sees the old file or the whole new one."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def write_mask(mask, path) -> None:

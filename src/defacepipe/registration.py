@@ -9,6 +9,11 @@ on in-bounds points of finite data, with less overhead per call.
 Optimization is Nelder-Mead per pyramid level, coarse to fine, over a
 12-parameter transform (translation, Euler rotation, log-scale, shear)
 centered on the fixed foreground centroid.
+
+``prepare`` computes the fixed image's side once (centroid, and per level
+the jittered foreground samples and their fixed bins); ``register_affine``
+solves for one moving image against it, so a batch against one template
+prepares the template once.
 """
 
 from dataclasses import dataclass
@@ -187,29 +192,41 @@ _BOUNDS = optimize.Bounds(
 )
 
 
-def register_affine(
-    fixed: Volume, moving: Volume, config: RegistrationConfig | None = None
-) -> tuple[np.ndarray, dict]:
-    """Find the world map taking moving coordinates into fixed coordinates
-    that locally maximizes MI.
+@dataclass(frozen=True)
+class _FixedLevel:
+    """One pyramid level of the fixed image, as the cost reads it."""
 
-    Returns (transform, diagnostics); non-convergence is reported in
-    diagnostics, not raised.
-    """
+    factor: int
+    sigma: float
+    affine: np.ndarray  # level voxel -> world
+    fgT: np.ndarray  # (3, n) jittered voxel coordinates of the samples
+    fixed_bins: np.ndarray  # fixed intensity bin of each sample
+
+
+@dataclass(frozen=True)
+class FixedSide:
+    """The fixed image of a registration prepared once, for any number of
+    moving images: its foreground centroid and, per pyramid level, the
+    sample coordinates and their fixed bins. Every array is read-only."""
+
+    config: RegistrationConfig
+    center: np.ndarray
+    levels: tuple[_FixedLevel, ...]
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def prepare(fixed: Volume, config: RegistrationConfig | None = None) -> FixedSide:
+    """Everything register_affine needs of the fixed image under config."""
     config = config or RegistrationConfig()
-    center = _foreground_centroid(fixed)
-    moving_centroid = _foreground_centroid(moving)
-    # Internal parameters (translation, rotation, log-scale, shear) map
-    # fixed-world -> moving-world.
-    theta = np.zeros(12)
-    theta[:3] = moving_centroid - center
-
-    diagnostics = {"levels": [], "converged": True, "seed": config.seed}
+    center = _frozen(_foreground_centroid(fixed))
+    levels = []
     for level, (factor, sigma) in enumerate(LEVELS):
         f_level = _downsample(fixed, factor, sigma)
-        m_level = _downsample(moving, factor, sigma)
         fixed_range = robust_range(f_level.data)
-        moving_range = robust_range(m_level.data)
 
         # Sample the eroded foreground interior: boundary samples pair a
         # crisp fixed edge with an interpolated moving edge and bias the
@@ -233,6 +250,35 @@ def register_affine(
         )
         fgT = fg.T
         fixed_vals = _trilinear(_pad_high(fixed_smoothed), fgT)
+        levels.append(_FixedLevel(
+            factor=factor,
+            sigma=sigma,
+            affine=_frozen(f_level.affine),
+            fgT=_frozen(fgT),
+            fixed_bins=_frozen(_bin_indices(fixed_vals, fixed_range, config.bins)),
+        ))
+    return FixedSide(config, center, tuple(levels))
+
+
+def register_affine(fixed: FixedSide, moving: Volume) -> tuple[np.ndarray, dict]:
+    """Find the world map taking moving coordinates into the coordinates of
+    the prepared fixed image that locally maximizes MI.
+
+    Returns (transform, diagnostics); non-convergence is reported in
+    diagnostics, not raised.
+    """
+    config = fixed.config
+    center = fixed.center
+    moving_centroid = _foreground_centroid(moving)
+    # Internal parameters (translation, rotation, log-scale, shear) map
+    # fixed-world -> moving-world.
+    theta = np.zeros(12)
+    theta[:3] = moving_centroid - center
+
+    diagnostics = {"levels": [], "converged": True, "seed": config.seed}
+    for level, f_level in enumerate(fixed.levels):
+        m_level = _downsample(moving, f_level.factor, f_level.sigma)
+        moving_range = robust_range(m_level.data)
 
         # The optimizer's cost interpolates the moving intensity before
         # binning instead of spreading partial-volume weights: PV weighting
@@ -240,9 +286,10 @@ def register_affine(
         # optimum by more than the recovery tolerance.
         bins = config.bins
         mpadded = _pad_high(m_level.data)
-        fbin_all = _bin_indices(fixed_vals, fixed_range, bins)
         m_inv = invert(m_level.affine)
         f_aff = f_level.affine
+        fgT = f_level.fgT
+        fbin_all = f_level.fixed_bins
         nmax = np.asarray(m_level.dims, dtype=np.float64).reshape(3, 1) - 1.0
 
         def cost(t):
@@ -278,7 +325,7 @@ def register_affine(
             level_iters += int(res.nit)
         diagnostics["levels"].append(
             {
-                "factor": int(factor),
+                "factor": int(f_level.factor),
                 "mi": float(-res.fun),
                 "iterations": level_iters,
                 "converged": bool(res.success),

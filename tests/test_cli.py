@@ -2,6 +2,8 @@
 
 import importlib
 import json
+import multiprocessing
+import os
 import shutil
 from pathlib import Path
 
@@ -13,6 +15,7 @@ from defacepipe import (
     cli,
     defacing,
     evaluation,
+    geometry,
     nifti,
     registration,
     synthetic,
@@ -352,23 +355,90 @@ def test_phantom_command(tmp_path):
     assert set(np.unique(mask.data)).issubset({0, 1})
 
 
-def test_jobs_parallel_matches_serial(workspace, tmp_path):
-    root, head, _subject = workspace
+ARTIFACTS = ("_defaced.nii.gz", "_brainsafe.nii.gz", "_xfm.txt", "_prov.json")
+
+
+def _subjects(head, directory, seeds):
     sc = nifti.sidecar_for_dtype(np.float32)
-    inputs = []
-    for seed in (11, 12):
-        s = synthetic.random_subject(head, seed=seed)
-        p = tmp_path / f"s{seed}.nii.gz"
-        nifti.write_nifti(s.volume, sc, p)
-        inputs.append(str(p))
+    paths = []
+    for seed in seeds:
+        p = directory / f"s{seed}.nii.gz"
+        nifti.write_nifti(synthetic.random_subject(head, seed=seed).volume, sc, p)
+        paths.append(p)
+    return paths
+
+
+def _artifact(path):
+    if path.name.endswith("_prov.json"):
+        prov = json.loads(path.read_text())
+        prov.pop("timing")
+        prov.pop("input")
+        return prov
+    return path.read_bytes()
+
+
+def test_jobs_parallel_matches_serial(workspace, tmp_path):
+    """Three inputs on two workers: one worker defaces two subjects against
+    the template prepared once, and every artifact matches the serial run."""
+    root, head, _subject = workspace
+    inputs = [str(p) for p in _subjects(head, tmp_path, (11, 12, 13))]
     out1 = tmp_path / "serial"
     out2 = tmp_path / "parallel"
     assert main(_deface_args(root, out1, inputs, extra=["--jobs", "1"])) == 0
     assert main(_deface_args(root, out2, inputs, extra=["--jobs", "2"])) == 0
-    for seed in (11, 12):
-        a = (out1 / f"s{seed}_defaced.nii.gz").read_bytes()
-        b = (out2 / f"s{seed}_defaced.nii.gz").read_bytes()
-        assert a == b
+    assert multiprocessing.active_children() == []  # workers joined on return
+    for seed in (11, 12, 13):
+        for suffix in ARTIFACTS:
+            name = f"s{seed}{suffix}"
+            assert _artifact(out1 / name) == _artifact(out2 / name), name
+
+
+def test_deface_dead_worker_fails_pending_files(workspace, tmp_path, monkeypatch, capsys):
+    root, head, _subject = workspace
+    paths = _subjects(head, tmp_path, (21, 22, 23))
+    doomed, _ = nifti.read_nifti(paths[1])
+    real_deface = cli.deface
+
+    def deface(volume, *args):
+        if np.array_equal(volume.data, doomed.data):
+            os._exit(3)
+        return real_deface(volume, *args)
+
+    monkeypatch.setattr(cli, "deface", deface)
+    out = tmp_path / "out"
+    code = main(_deface_args(root, out, [str(p) for p in paths], extra=["--jobs", "2"]))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"error: {paths[1]}:" in err
+    for p in paths:
+        finished = (out / f"{p.name[:-7]}_prov.json").exists()
+        assert finished != (f"error: {p}:" in err), p
+
+
+def test_deface_failed_subject_leaves_no_provenance(workspace, tmp_path, monkeypatch, capsys):
+    """Provenance is written last, so a subject that fails while writing its
+    artifacts has none, not even one left from an earlier run."""
+    root, head, _subject = workspace
+    good, bad = _subjects(head, tmp_path, (31, 32))
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "s32_prov.json").write_text("{}")  # an earlier run's marker
+    real_save = geometry.save_transform
+
+    def save_transform(t, path):
+        if Path(path).name == "s32_xfm.txt":
+            raise OSError("disk full")
+        real_save(t, path)
+
+    monkeypatch.setattr(geometry, "save_transform", save_transform)
+    code = main(_deface_args(root, out, [str(good), str(bad)], extra=["--jobs", "2"]))
+    assert code == 1
+    assert f"error: {bad}: disk full" in capsys.readouterr().err
+    assert not (out / "s32_prov.json").exists()
+    for suffix in ARTIFACTS:
+        assert (out / f"s31{suffix}").exists()
+    assert not [f for f in os.listdir(out) if f.startswith(".")]
 
 
 def test_benchmark_tracer_restores_every_patched_name(monkeypatch):

@@ -241,6 +241,15 @@ def test_deface_brain_safe_even_with_adversarial_transform(head, pack, tmp_path)
     assert result.provenance["registration"] == {"transform_override": True}
 
 
+def test_deface_records_stage_timings(head, pack, tmp_path):
+    cfg = DefaceConfig(transform_override=np.eye(4))
+    timing = deface(head.volume, pack, _source(head, tmp_path), cfg).provenance["timing"]
+    stages = timing["stages"]
+    assert sorted(stages) == [str(n) for n in range(1, 10)]
+    assert all(s >= 0 for s in stages.values())
+    assert sum(stages.values()) <= timing["elapsed_s"]
+
+
 def test_deface_keep_everything_mask_is_identity(head, tmp_path):
     stripped = apply_mask(head.volume, head.brain_mask)
     all_keep = TemplatePack(

@@ -255,3 +255,27 @@ def test_sform_qform_disagreement_warns(tmp_path):
     vol, sidecar = nifti.read_nifti(path)
     assert sidecar.warnings  # sform wins, disagreement recorded
     np.testing.assert_allclose(vol.affine, np.eye(4), atol=1e-6)
+
+
+def test_gzip_output_names_the_final_file(tmp_path):
+    """Written through a temporary file, a .nii.gz still carries its own
+    name and a zero mtime in the gzip header, and nothing else is left."""
+    path = tmp_path / "named.nii.gz"
+    vol = Volume(np.zeros((2, 2, 2), np.float32), np.eye(4))
+    nifti.write_nifti(vol, nifti.sidecar_for_dtype(np.float32), path)
+    raw = path.read_bytes()
+    assert raw[3] & 0x08  # FNAME flag
+    assert struct.unpack("<I", raw[4:8]) == (0,)  # mtime
+    assert raw[10:raw.index(b"\0", 10)] == b"named.nii"
+    assert [p.name for p in tmp_path.iterdir()] == ["named.nii.gz"]
+
+
+def test_failed_write_keeps_old_file(tmp_path):
+    path = tmp_path / "out.nii"
+    path.write_bytes(b"old")
+    with pytest.raises(RuntimeError):
+        with nifti.atomic_file(path) as f:
+            f.write(b"partial")
+            raise RuntimeError("interrupted")
+    assert path.read_bytes() == b"old"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.nii"]

@@ -14,6 +14,7 @@ from defacepipe.registration import (
     _trilinear,
     mutual_information,
     parzen_histogram,
+    prepare,
     register_affine,
     robust_range,
 )
@@ -210,7 +211,7 @@ def residual_errors(recovered, truth, center):
 
 
 def test_self_registration(head):
-    t, diag = register_affine(head.volume, head.volume)
+    t, diag = register_affine(prepare(head.volume), head.volume)
     trans, ang, scale = residual_errors(t, np.eye(4), np.full(3, 31.5))
     assert trans < 0.2 and ang < 0.2
     assert diag["levels"][-1]["mi"] > 0
@@ -219,7 +220,7 @@ def test_self_registration(head):
 def test_translation_recovery(head):
     truth = translation((5.0, -3.0, 2.0))
     subject = synthetic.transformed_phantom(head, truth)
-    t, _ = register_affine(head.volume, subject.volume)
+    t, _ = register_affine(prepare(head.volume), subject.volume)
     trans, ang, scale = residual_errors(t, truth, np.full(3, 31.5))
     assert trans < 0.5
 
@@ -230,7 +231,7 @@ def test_rotation_scale_recovery(head):
         np.zeros(3), (0.0, 0.0, np.deg2rad(5.0)), np.full(3, 1.05), np.zeros(3), c
     )
     subject = synthetic.transformed_phantom(head, rot)
-    t, _ = register_affine(head.volume, subject.volume)
+    t, _ = register_affine(prepare(head.volume), subject.volume)
     trans, ang, scale = residual_errors(t, rot, c)
     assert ang < 0.5
     assert scale < 0.01
@@ -238,7 +239,17 @@ def test_rotation_scale_recovery(head):
 
 def test_registration_deterministic(head):
     subject = synthetic.random_subject(head, seed=5)
-    t1, d1 = register_affine(head.volume, subject.volume)
-    t2, d2 = register_affine(head.volume, subject.volume)
+    t1, d1 = register_affine(prepare(head.volume), subject.volume)
+    t2, d2 = register_affine(prepare(head.volume), subject.volume)
     np.testing.assert_array_equal(t1, t2)
     assert d1 == d2
+
+
+def test_prepared_fixed_side_is_read_only(head):
+    fixed = prepare(head.volume, RegistrationConfig(seed=3))
+    assert fixed.config.seed == 3
+    assert len(fixed.levels) == len(registration.LEVELS)
+    arrays = [fixed.center] + [
+        a for lv in fixed.levels for a in (lv.affine, lv.fgT, lv.fixed_bins)
+    ]
+    assert not any(a.flags.writeable for a in arrays)
