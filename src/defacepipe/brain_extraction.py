@@ -1,10 +1,11 @@
 """Tight brain-mask production via a pluggable source.
 
 The accurate extractors used in practice are deep models run outside this
-package; their output is consumed through ``external_file`` or
-``external_stripped_volume``. The built-in fallback is a deterministic
-classical extractor (Otsu threshold, 2 mm closing, largest component,
-hole fill) adequate for phantoms and smoke tests.
+package; their output, a brain mask or a skull-stripped volume, is consumed
+through ``external_file``: every voxel above 0 is brain. The built-in
+fallback is a deterministic classical extractor (Otsu threshold, 2 mm
+closing, largest component, hole fill) adequate for phantoms and smoke
+tests.
 """
 
 from dataclasses import dataclass
@@ -22,11 +23,11 @@ CLOSING_MM = 2.0
 
 @dataclass
 class BrainMaskSource:
-    kind: str  # "external_file" | "external_stripped_volume" | "fallback"
+    kind: str  # "external_file" | "fallback"
     path: Path | None = None
 
     def __post_init__(self):
-        if self.kind not in ("external_file", "external_stripped_volume", "fallback"):
+        if self.kind not in ("external_file", "fallback"):
             raise ValueError(f"unknown brain mask source {self.kind!r}")
         if self.kind != "fallback" and self.path is None:
             raise ValueError(f"{self.kind} requires a path")
@@ -69,31 +70,21 @@ def fallback_extract(v: Volume) -> BinaryMask:
     return morphology.fill_holes(comp)
 
 
-def _load_reoriented(path: Path) -> Volume:
-    try:
-        vol, _ = nifti.read_nifti(path)
-    except Exception as e:
-        raise FileError(f"{path}: {e}") from e
-    canon, _ = reorient_to_canonical(vol)
-    return canon
-
-
-def extract_brain(
-    v: Volume, source: BrainMaskSource, threshold: float = 0.0
-) -> BinaryMask:
+def extract_brain(v: Volume, source: BrainMaskSource) -> BinaryMask:
     """Brain mask on v's grid. v must already be canonically oriented."""
     if source.kind == "fallback":
         mask = fallback_extract(v)
     else:
-        loaded = _load_reoriented(source.path)
+        try:
+            loaded, _ = nifti.read_nifti(source.path)
+        except Exception as e:
+            raise FileError(f"{source.path}: {e}") from e
+        loaded, _ = reorient_to_canonical(loaded)
         if not loaded.same_grid(v):
             raise GridMismatch(
                 f"{source.path}: grid does not match subject after reorientation"
             )
-        if source.kind == "external_file":
-            mask = BinaryMask.from_volume(loaded)
-        else:
-            mask = morphology.binarise(loaded, threshold)
+        mask = BinaryMask.from_volume(loaded)
     if not mask.data.any():
         raise EmptyMask("brain extraction produced an empty mask")
     return mask

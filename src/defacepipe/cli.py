@@ -21,7 +21,6 @@ import numpy as np
 from . import __version__, geometry, nifti
 from .brain_extraction import BrainMaskSource
 from .defacing import (
-    DefaceConfig,
     TemplatePack,
     deface,
     make_template_pack,
@@ -59,17 +58,15 @@ def _load_pack(template_path: Path, face_mask_path: Path) -> TemplatePack:
 def _brain_source(args) -> BrainMaskSource:
     if args.brain_mask:
         return BrainMaskSource("external_file", Path(args.brain_mask))
-    if args.stripped:
-        return BrainMaskSource("external_stripped_volume", Path(args.stripped))
     return BrainMaskSource("fallback")
 
 
-def _deface_one(input_path: Path, pack: TemplatePack, fixed, source, config, output_dir):
+def _deface_one(input_path: Path, pack: TemplatePack, fixed, source, margin_mm, output_dir):
     try:
         volume, sidecar = nifti.read_nifti(input_path)
     except Exception as e:
         raise StageError(0, e) from e  # stage 0 = ingestion
-    result = deface(volume, pack, source, config, fixed)
+    result = deface(volume, pack, fixed, source, margin_mm)
     result.provenance["input"] = str(input_path)
     result.provenance["header_warnings"] = sidecar.warnings
 
@@ -104,24 +101,22 @@ def _deface_in_worker(input_path: Path):
 
 
 def cmd_deface(args) -> int:
-    pack = _load_pack(Path(args.template), Path(args.face_mask))
     inputs = [Path(p) for p in args.inputs]
-    if (args.brain_mask or args.stripped) and len(inputs) != 1:
-        print(
-            "error: --brain-mask/--stripped apply to exactly one input",
-            file=sys.stderr,
-        )
+    if args.brain_mask and len(inputs) != 1:
+        print("error: --brain-mask applies to exactly one input", file=sys.stderr)
         return 2
-    source = _brain_source(args)
-    config = DefaceConfig(
-        margin_mm=args.margin_mm,
-        threshold=args.threshold,
-        registration=RegistrationConfig(seed=args.seed, bins=args.bins),
-    )
     output_dir = Path(args.output_dir) if args.output_dir else None
+    # Two inputs with one set of output paths would overwrite each other.
+    claimed = {}
+    for p in inputs:
+        first = claimed.setdefault(_out_path(p, output_dir, "_prov", ".json").resolve(), p)
+        if first is not p:
+            print(f"error: {first} and {p} would write the same output files", file=sys.stderr)
+            return 2
+    pack = _load_pack(Path(args.template), Path(args.face_mask))
     if output_dir:
         output_dir.mkdir(parents=True, exist_ok=True)
-    fixed = prepare(pack.template, config.registration)
+    fixed = prepare(pack.template, RegistrationConfig(seed=args.seed, bins=args.bins))
 
     failures = []
     # fork, not spawn: the workers inherit the pack and the prepared template
@@ -131,7 +126,7 @@ def cmd_deface(args) -> int:
         max_workers=min(args.jobs, len(inputs)),
         mp_context=multiprocessing.get_context("fork"),
         initializer=_start_worker,
-        initargs=(pack, fixed, source, config, output_dir),
+        initargs=(pack, fixed, _brain_source(args), args.margin_mm, output_dir),
     ) as pool:
         futures = {pool.submit(_deface_in_worker, p): p for p in inputs}
         for fut in concurrent.futures.as_completed(futures):
@@ -230,14 +225,19 @@ def cmd_phantom(args) -> int:
     return 0
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
-    return value
+def _int_at_least(minimum: int):
+    """argparse type: an integer no smaller than minimum."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = minimum - 1
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {minimum}, got {text!r}")
+        return value
+
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -253,14 +253,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("inputs", nargs="+", help="input NIfTI file(s)")
     p.add_argument("--template", required=True, help="skull-stripped template NIfTI")
     p.add_argument("--face-mask", required=True, help="template keep-mask (1=keep)")
-    p.add_argument("--brain-mask", help="externally computed brain mask NIfTI")
-    p.add_argument("--stripped", help="externally skull-stripped volume NIfTI")
+    p.add_argument(
+        "--brain-mask",
+        help="external brain mask or skull-stripped volume NIfTI (voxels above 0)",
+    )
     p.add_argument("--margin-mm", type=float, default=7.0)
-    p.add_argument("--threshold", type=float, default=0.0)
-    p.add_argument("--bins", type=int, default=32)
+    p.add_argument(
+        "--bins", type=_int_at_least(2), default=32, help="MI histogram bins (>= 2)"
+    )
     p.add_argument("--output-dir")
     p.add_argument(
-        "--jobs", type=_positive_int, default=1, help="worker processes (>= 1)"
+        "--jobs", type=_int_at_least(1), default=1, help="worker processes (>= 1)"
     )
     p.add_argument("--seed", type=int, default=0, help="registration RNG seed")
     p.set_defaults(func=cmd_deface)
@@ -283,7 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("template")
     p.add_argument("--brain-mask")
-    p.add_argument("--stripped")
     p.add_argument("--buffer-mm", type=float, default=5.0)
     p.add_argument("--face-dilate-mm", type=float, default=3.0)
     p.add_argument("--output-dir")

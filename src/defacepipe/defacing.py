@@ -10,13 +10,13 @@ import contextlib
 import functools
 import hashlib
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import __version__
 from . import geometry
-from .registration import FixedSide, RegistrationConfig, prepare, register_affine
+from .registration import FixedSide, register_affine
 from .brain_extraction import BrainMaskSource, extract_brain, fallback_extract, otsu_threshold
 from .errors import (
     DegenerateHull,
@@ -55,15 +55,6 @@ class TemplatePack:
 
 
 @dataclass
-class DefaceConfig:
-    margin_mm: float = 7.0
-    threshold: float = 0.0
-    registration: RegistrationConfig = field(default_factory=RegistrationConfig)
-    # Test/diagnostic hook: skip stage 6 and use this subject->template map.
-    transform_override: np.ndarray | None = None
-
-
-@dataclass
 class DefaceResult:
     defaced: Volume
     brain_safe_mask: BinaryMask
@@ -88,17 +79,16 @@ def _stage(n: int, seconds: dict):
 def deface(
     input_volume: Volume,
     pack: TemplatePack,
+    fixed: FixedSide,
     brain_source: BrainMaskSource,
-    config: DefaceConfig | None = None,
-    fixed: FixedSide | None = None,
+    margin_mm: float = 7.0,
 ) -> DefaceResult:
     """Run the nine-stage pipeline; output stays on the input's native grid.
 
-    fixed is the pack's template prepared by ``registration.prepare`` under
-    config.registration; a batch passes the same one for every subject, and
-    without it stage 6 prepares the template itself.
+    fixed is pack.template prepared by ``registration.prepare``; its config
+    holds every registration setting, and a batch passes the same one for
+    every subject.
     """
-    config = config or DefaceConfig()
     started = time.time()
     t0 = time.perf_counter()
     # Stage 3 (binarise) runs inside stage 2's extraction and is timed there.
@@ -107,19 +97,14 @@ def deface(
     with _stage(1, seconds):
         canon, perm = geometry.reorient_to_canonical(input_volume)
     with _stage(2, seconds):
-        brain = extract_brain(canon, brain_source, config.threshold)
+        brain = extract_brain(canon, brain_source)
     with _stage(4, seconds):
-        dilated = dilate(brain, config.margin_mm)
+        dilated = dilate(brain, margin_mm)
     with _stage(5, seconds):
         loose = apply_mask(canon, dilated)
 
     with _stage(6, seconds):
-        if config.transform_override is not None:
-            transform = np.asarray(config.transform_override, dtype=np.float64)
-            diagnostics = {"transform_override": True}
-        else:
-            fixed = fixed or prepare(pack.template, config.registration)
-            transform, diagnostics = register_affine(fixed, loose)
+        transform, diagnostics = register_affine(fixed, loose)
 
     with _stage(7, seconds):
         keep_vol = geometry.resample(
@@ -143,8 +128,7 @@ def deface(
         "tool": "defacepipe",
         "version": __version__,
         "template_sha256": pack.sha256,
-        "margin_mm": config.margin_mm,
-        "threshold": config.threshold,
+        "margin_mm": margin_mm,
         "brain_source": brain_source.kind,
         "registration": diagnostics,
         "reorientation": {"perm": list(perm.perm), "flips": list(perm.flips)},

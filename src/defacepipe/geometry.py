@@ -1,11 +1,13 @@
 """Affine algebra, canonical (RAS-like) reorientation, and grid resampling."""
 
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 from scipy import ndimage
 
 from .errors import AmbiguousOrientation, SingularTransform
+from .nifti import atomic_file
 from .volume import Volume
 
 DET_EPS = 1e-12
@@ -47,8 +49,10 @@ def invert(t: np.ndarray) -> np.ndarray:
 
 
 def save_transform(t: np.ndarray, path) -> None:
-    """4-line whitespace-separated 4x4 world-to-world matrix (mm)."""
-    np.savetxt(path, np.asarray(t), fmt="%.12g")
+    """4-line whitespace-separated 4x4 world-to-world matrix (mm), written
+    whole or not at all."""
+    with atomic_file(Path(path)) as f:
+        np.savetxt(f, np.asarray(t), fmt="%.12g")
 
 
 def load_transform(path) -> np.ndarray:

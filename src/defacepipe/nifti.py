@@ -10,6 +10,7 @@ import gzip
 import math
 import os
 import struct
+import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -28,6 +29,9 @@ from .volume import DTYPE_TO_CODE, SUPPORTED_DTYPES, Volume
 HEADER_SIZE = 348
 VOX_OFFSET = 352
 GZIP_MAGIC = b"\x1f\x8b"
+# Deflate expands its input at most about 1032-fold, so a gzip file of n
+# bytes holds fewer than n * GZIP_MAX_RATIO uncompressed bytes.
+GZIP_MAX_RATIO = 1032
 NIFTI1_MAGIC = b"n+1\x00"  # single file; "ni1" marks a .hdr/.img pair
 
 
@@ -50,7 +54,12 @@ def _is_gzipped(path: Path) -> bool:
 
 
 def _open(path: Path):
-    return gzip.open(path, "rb") if _is_gzipped(path) else open(path, "rb")
+    """Binary stream of the file's NIfTI bytes, and an upper bound on how
+    many it holds."""
+    size = path.stat().st_size
+    if _is_gzipped(path):
+        return gzip.open(path, "rb"), size * GZIP_MAX_RATIO
+    return open(path, "rb"), size
 
 
 def _unpack(fmt, raw, offset):
@@ -102,7 +111,8 @@ def read_nifti(path) -> tuple[Volume, HeaderSidecar]:
     if not path.is_file():
         raise IoError(f"no such file: {path}")
     try:
-        with _open(path) as f:
+        f, available = _open(path)
+        with f:
             raw = f.read(HEADER_SIZE)
             if len(raw) < HEADER_SIZE:
                 raise NotNifti(f"{path}: file shorter than a NIfTI-1 header")
@@ -141,16 +151,20 @@ def read_nifti(path) -> tuple[Volume, HeaderSidecar]:
                 raise UnsupportedDatatype(f"{path}: datatype code {datatype}")
             dtype = np.dtype(SUPPORTED_DTYPES[datatype]).newbyteorder(bo)
 
-            f.seek(int(vox_offset) if vox_offset >= HEADER_SIZE else VOX_OFFSET)
-            nvox = int(np.prod(shape))
-            payload = f.read(nvox * dtype.itemsize)
-            if len(payload) != nvox * dtype.itemsize:
-                raise CorruptFile(
-                    f"{path}: expected {nvox * dtype.itemsize} voxel bytes, "
-                    f"got {len(payload)}"
-                )
+            if not math.isfinite(vox_offset):
+                raise CorruptFile(f"{path}: vox_offset {vox_offset}")
+            offset = int(vox_offset) if vox_offset >= HEADER_SIZE else VOX_OFFSET
+            nbytes = math.prod(shape) * dtype.itemsize
+            if offset + nbytes > available:  # checked first: the read allocates nbytes
+                raise CorruptFile(f"{path}: {nbytes} voxel bytes at {offset} exceed the file")
+            f.seek(offset)
+            payload = f.read(nbytes)
+            if len(payload) != nbytes:
+                raise CorruptFile(f"{path}: expected {nbytes} voxel bytes, got {len(payload)}")
             data = np.frombuffer(payload, dtype=dtype).reshape(shape, order="F")
             data = data.astype(data.dtype.newbyteorder("="))
+    except (EOFError, zlib.error) as e:
+        raise CorruptFile(f"{path}: {e}") from e
     except OSError as e:
         raise IoError(f"{path}: {e}") from e
 
@@ -173,6 +187,8 @@ def read_nifti(path) -> tuple[Volume, HeaderSidecar]:
     else:
         affine = np.diag([abs(pixdim[1]) or 1.0, abs(pixdim[2]) or 1.0,
                           abs(pixdim[3]) or 1.0, 1.0])
+    if not np.isfinite(affine).all():
+        raise CorruptFile(f"{path}: non-finite voxel-to-world affine")
 
     sidecar = HeaderSidecar(
         raw=raw,

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from defacepipe import synthetic
+from defacepipe import defacing, synthetic
 from defacepipe.defacing import make_template_pack
+from defacepipe.registration import prepare
 
 
 @pytest.fixture(scope="session")
@@ -13,6 +14,26 @@ def head():
 @pytest.fixture(scope="session")
 def pack(head):
     return make_template_pack(head.volume)
+
+
+@pytest.fixture(scope="session")
+def fixed(pack):
+    """pack's template prepared for registration, as a CLI batch does once."""
+    return prepare(pack.template)
+
+
+@pytest.fixture
+def register_as(monkeypatch):
+    """Call register_as(t) to make deface's stage 6 return the
+    subject-to-template transform t instead of registering."""
+
+    def install(transform):
+        def register_affine(fixed, moving):
+            return np.asarray(transform, dtype=np.float64), {"injected": True}
+
+        monkeypatch.setattr(defacing, "register_affine", register_affine)
+
+    return install
 
 
 @pytest.fixture

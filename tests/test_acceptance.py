@@ -15,10 +15,8 @@ from defacepipe import nifti, synthetic
 from defacepipe.brain_extraction import BrainMaskSource, fallback_extract
 from defacepipe.cli import main
 from defacepipe.defacing import (
-    DefaceConfig,
     convex_hull_2d,
     deface,
-    make_template_pack,
     quickshear,
 )
 from defacepipe.errors import DegenerateHull
@@ -37,43 +35,33 @@ def _report(n, label, ok):
 
 
 @pytest.fixture(scope="module")
-def base():
-    return synthetic.nominal_head()
-
-
-@pytest.fixture(scope="module")
-def base_pack(base):
-    return make_template_pack(base.volume)
-
-
-@pytest.fixture(scope="module")
-def registered_batch(base, base_pack):
+def registered_batch(head, pack, fixed):
     """50 randomized subjects defaced with real registration (criteria 2, 3),
     against one prepared template as in a CLI batch."""
-    fixed = prepare(base_pack.template)
     out = []
     for seed in range(100, 150):
-        subject = synthetic.random_subject(base, seed=seed)
-        result = deface(subject.volume, base_pack, FALLBACK, fixed=fixed)
+        subject = synthetic.random_subject(head, seed=seed)
+        result = deface(subject.volume, pack, fixed, FALLBACK)
         out.append((seed, subject, result))
     return out
 
 
-def test_criterion_1_brain_safety_under_adversarial_transforms(base, base_pack):
+def test_criterion_1_brain_safety_under_adversarial_transforms(
+    head, pack, fixed, register_as
+):
     """Zero brain voxels altered, even with corrupted stage-7 transforms."""
     t0 = time.time()
     rng = np.random.default_rng(2024)
     ok = True
     for seed in range(200, 250):
-        subject = synthetic.random_subject(base, seed=seed)
+        subject = synthetic.random_subject(head, seed=seed)
         # adversarial registration outcome: wildly wrong but invertible
         bad = synthetic.random_rigid_affine(
             rng, np.full(3, 31.5), max_translation_mm=300.0, max_rotation_deg=180.0,
             scale_range=(0.5, 2.0),
         )
-        result = deface(
-            subject.volume, base_pack, FALLBACK, DefaceConfig(transform_override=bad)
-        )
+        register_as(bad)
+        result = deface(subject.volume, pack, fixed, FALLBACK)
         extracted = fallback_extract(subject.volume)
         protected = dilate(extracted, 7.0).data
         if not np.array_equal(
@@ -121,10 +109,10 @@ def _residual_errors(recovered, truth, center):
     return trans, ang, scale
 
 
-def test_criterion_4_registration_recovery(base):
+def test_criterion_4_registration_recovery(head):
     """<=0.5 mm / 0.5 deg / 0.01 scale over 20 seeded misalignments."""
     center = np.full(3, 31.5)
-    fixed = prepare(base.volume)
+    fixed = prepare(head.volume)
     ok = True
     worst = (0.0, 0.0, 0.0)
     for seed in range(20):
@@ -133,7 +121,7 @@ def test_criterion_4_registration_recovery(base):
             rng, center, max_translation_mm=15.0, max_rotation_deg=10.0,
             scale_range=(0.95, 1.05),
         )
-        subject = synthetic.transformed_phantom(base, truth)
+        subject = synthetic.transformed_phantom(head, truth)
         t0 = time.time()
         recovered, _diag = register_affine(fixed, subject.volume)
         elapsed = time.time() - t0
@@ -258,12 +246,12 @@ def test_criterion_8_quickshear_never_cuts_brain():
     _report(8, "QuickShear removed zero brain voxels in 100 masks", ok)
 
 
-def test_criterion_9_cli_determinism(base, base_pack, tmp_path):
+def test_criterion_9_cli_determinism(head, pack, tmp_path):
     """Two seeded cmd_deface runs byte-identical modulo timestamps."""
     sc = nifti.sidecar_for_dtype(np.float32)
-    nifti.write_nifti(base_pack.template, sc, tmp_path / "template.nii.gz")
-    nifti.write_mask(base_pack.keep_mask, tmp_path / "keep.nii.gz")
-    subject = synthetic.random_subject(base, seed=9)
+    nifti.write_nifti(pack.template, sc, tmp_path / "template.nii.gz")
+    nifti.write_mask(pack.keep_mask, tmp_path / "keep.nii.gz")
+    subject = synthetic.random_subject(head, seed=9)
     nifti.write_nifti(subject.volume, sc, tmp_path / "subj.nii.gz")
 
     outs = []

@@ -1,4 +1,4 @@
-"""Brain-mask sources: external file, stripped volume, classical fallback."""
+"""Brain-mask sources: external file and classical fallback."""
 
 import numpy as np
 import pytest
@@ -21,6 +21,8 @@ def test_source_validation():
         BrainMaskSource("guesswork")
     with pytest.raises(ValueError):
         BrainMaskSource("external_file")  # path required
+    with pytest.raises(ValueError):  # a stripped volume is an external_file
+        BrainMaskSource("external_stripped_volume", "stripped.nii")
     BrainMaskSource("fallback")  # fine without a path
 
 
@@ -50,8 +52,8 @@ def test_external_stripped_volume_support(head, tmp_path):
     stripped = apply_mask(head.volume, head.brain_mask)
     path = tmp_path / "stripped.nii"
     nifti.write_nifti(stripped, nifti.sidecar_for_dtype(np.float32), path)
-    src = BrainMaskSource("external_stripped_volume", path)
-    out = extract_brain(head.volume, src, threshold=0.0)
+    src = BrainMaskSource("external_file", path)
+    out = extract_brain(head.volume, src)
     # stage-3 semantics: the stripped volume's nonzero support
     np.testing.assert_array_equal(out.data, stripped.data > 0)
 

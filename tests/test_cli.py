@@ -1,10 +1,12 @@
 """Exit codes, output artifacts, and batch behavior of the command line."""
 
+import gzip
 import importlib
 import json
 import multiprocessing
 import os
 import shutil
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -156,23 +158,26 @@ def test_quickshear_degenerate_mask_exits_1(workspace, tmp_path, capsys):
 
 
 def test_probabilistic_mask_file_reads_alike_everywhere(workspace, tmp_path):
-    """A mask file marks every voxel above 0, whichever command reads it."""
+    """A mask file marks every voxel above 0, whichever command reads it; a
+    probabilistic mask and a skull-stripped volume both give the brain."""
     root, head, subject = workspace
     prob = Volume(subject.brain_mask.data * np.float32(0.3), subject.volume.affine)
-    path = tmp_path / "prob_brain.nii.gz"
-    nifti.write_nifti(prob, nifti.sidecar_for_dtype(np.float32), path)
+    stripped = apply_mask(subject.volume, subject.brain_mask)
+    for name, brain in (("prob", prob), ("stripped", stripped)):
+        path = tmp_path / f"{name}_brain.nii.gz"
+        nifti.write_nifti(brain, nifti.sidecar_for_dtype(np.float32), path)
 
-    mask = extract_brain(subject.volume, BrainMaskSource("external_file", path))
-    np.testing.assert_array_equal(mask.data, subject.brain_mask.data)
+        mask = extract_brain(subject.volume, BrainMaskSource("external_file", path))
+        np.testing.assert_array_equal(mask.data, subject.brain_mask.data)
 
-    out = tmp_path / "out"
-    code = main([
-        "quickshear", str(root / "subj.nii.gz"),
-        "--brain-mask", str(path), "--output-dir", str(out),
-    ])
-    assert code == 0
-    sheared, _ = nifti.read_nifti(out / "subj_quickshear.nii.gz")
-    np.testing.assert_array_equal(sheared.data, quickshear(subject.volume, mask).data)
+        out = tmp_path / name
+        code = main([
+            "quickshear", str(root / "subj.nii.gz"),
+            "--brain-mask", str(path), "--output-dir", str(out),
+        ])
+        assert code == 0
+        sheared, _ = nifti.read_nifti(out / "subj_quickshear.nii.gz")
+        np.testing.assert_array_equal(sheared.data, quickshear(subject.volume, mask).data)
 
 
 def test_qc_identical_pairs_exit_0(workspace, tmp_path, capsys):
@@ -225,6 +230,23 @@ def test_qc_unreadable_pair_keeps_manifest_position(workspace, tmp_path, capsys)
     assert payload["n"] == 2
 
 
+def test_qc_corrupt_header_is_a_failed_row(workspace, tmp_path, capsys):
+    """A file whose header cannot be read fails its own pair only."""
+    root, _head, _subject = workspace
+    subj = root / "subj.nii.gz"
+    corrupt = tmp_path / "corrupt.nii"
+    raw = bytearray(gzip.decompress(subj.read_bytes()))
+    struct.pack_into("<f", raw, 108, float("inf"))  # vox_offset
+    corrupt.write_bytes(raw)
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text(f"{corrupt} {subj}\n{subj} {subj}\n")
+    assert main(["qc", str(manifest)]) == 1
+    captured = capsys.readouterr()
+    rows = [r.split() for r in captured.out.splitlines()[1:3]]
+    assert [r[2] for r in rows] == ["FAILED", "ok"]
+    assert "vox_offset" in captured.err and "Traceback" not in captured.err
+
+
 def test_qc_all_pairs_unreadable_exit_1(tmp_path, capsys):
     manifest = tmp_path / "manifest.txt"
     manifest.write_text(f"{tmp_path / 'a.nii'} {tmp_path / 'b.nii'}\n")
@@ -265,6 +287,33 @@ def test_jobs_below_one_is_usage_error(workspace, tmp_path, capsys, jobs):
     assert "--jobs" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bins", ["1", "0", "-3"])
+def test_bins_below_two_is_usage_error(workspace, tmp_path, capsys, bins):
+    root, _head, _subject = workspace
+    with pytest.raises(SystemExit) as exc:
+        main(_deface_args(root, tmp_path, [str(root / "subj.nii.gz")],
+                          extra=["--bins", bins]))
+    assert exc.value.code == 2
+    assert "--bins" in capsys.readouterr().err
+
+
+def test_deface_inputs_sharing_outputs_fail_before_any_work(workspace, tmp_path, capsys):
+    """Two inputs whose outputs would land on the same paths, from two
+    directories into one --output-dir or one input listed twice, are a
+    usage error that names both, and nothing is written."""
+    root, _head, _subject = workspace
+    for d in ("a", "b"):
+        (tmp_path / d).mkdir()
+        shutil.copy(root / "subj.nii.gz", tmp_path / d / "subj.nii.gz")
+    a, b = str(tmp_path / "a" / "subj.nii.gz"), str(tmp_path / "b" / "subj.nii.gz")
+    for inputs in ([a, b], [a, a]):
+        argv = _deface_args(root, tmp_path / "out", inputs, extra=["--jobs", "2"])
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"error: {inputs[0]} and {inputs[1]} would write" in err
+    assert not (tmp_path / "out").exists()
+
+
 _MINIMAL_ARGV = {
     "deface": ["deface", "in.nii", "--template", "t.nii", "--face-mask", "k.nii"],
     "quickshear": ["quickshear", "in.nii", "--brain-mask", "m.nii"],
@@ -281,6 +330,9 @@ _MINIMAL_ARGV = {
     ("qc", "--seed", False),
     ("qc", "--brain-mask", False),
     ("qc", "--stripped", False),
+    ("deface", "--threshold", False),
+    ("deface", "--stripped", False),
+    ("make-template-pack", "--stripped", False),
     ("make-template-pack", "--jobs", False),
     ("make-template-pack", "--seed", False),
     ("phantom", "--jobs", False),

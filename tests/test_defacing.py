@@ -3,10 +3,9 @@
 import numpy as np
 import pytest
 
-from defacepipe import synthetic
+from defacepipe import defacing, registration, synthetic
 from defacepipe.brain_extraction import BrainMaskSource
 from defacepipe.defacing import (
-    DefaceConfig,
     TemplatePack,
     convex_hull_2d,
     deface,
@@ -202,10 +201,10 @@ def _source(head, tmp_path):
     return BrainMaskSource("external_file", path)
 
 
-def test_deface_phantom_end_to_end(head, pack, tmp_path):
+def test_deface_phantom_end_to_end(head, pack, fixed, tmp_path):
     subject = synthetic.random_subject(head, seed=1)
     src = _source(subject, tmp_path)
-    result = deface(subject.volume, pack, src)
+    result = deface(subject.volume, pack, fixed, src)
 
     # native space preserved
     assert result.defaced.dims == subject.volume.dims
@@ -226,54 +225,81 @@ def test_deface_phantom_end_to_end(head, pack, tmp_path):
     assert prov["removed_voxels"] == int((~result.brain_safe_mask.data).sum())
 
 
-def test_deface_brain_safe_even_with_adversarial_transform(head, pack, tmp_path):
+def test_deface_brain_safe_even_with_adversarial_transform(
+    head, pack, fixed, register_as, tmp_path
+):
     subject = synthetic.random_subject(head, seed=2)
     src = _source(subject, tmp_path)
     # worst case: registration claims the subject sits 500 mm away
     bad = np.eye(4)
     bad[:3, 3] = (500.0, -500.0, 500.0)
-    cfg = DefaceConfig(transform_override=bad)
-    result = deface(subject.volume, pack, src, cfg)
+    register_as(bad)
+    result = deface(subject.volume, pack, fixed, src)
     dil = dilate(subject.brain_mask, 7.0)
     np.testing.assert_array_equal(
         result.defaced.data[dil.data], subject.volume.data[dil.data]
     )
-    assert result.provenance["registration"] == {"transform_override": True}
+    np.testing.assert_array_equal(result.transform, bad)
+    assert result.provenance["registration"] == {"injected": True}
 
 
-def test_deface_records_stage_timings(head, pack, tmp_path):
-    cfg = DefaceConfig(transform_override=np.eye(4))
-    timing = deface(head.volume, pack, _source(head, tmp_path), cfg).provenance["timing"]
+def test_deface_registers_once_against_the_given_fixed_side(
+    head, pack, monkeypatch, tmp_path
+):
+    """Stage 6 is one register_affine call on the caller's prepared template,
+    whose config is the only home of the registration settings."""
+    fixed = registration.prepare(pack.template, registration.RegistrationConfig(seed=7))
+    calls = []
+
+    def register_affine(fixed_side, moving):
+        calls.append(fixed_side)
+        return np.eye(4), {"seed": fixed_side.config.seed}
+
+    def prepare(*args):
+        raise AssertionError("deface prepared the template itself")
+
+    monkeypatch.setattr(defacing, "register_affine", register_affine)
+    monkeypatch.setattr(registration, "prepare", prepare)
+    monkeypatch.setattr(defacing, "prepare", prepare, raising=False)
+    result = deface(head.volume, pack, fixed, _source(head, tmp_path))
+    assert calls == [fixed]
+    assert result.provenance["registration"] == {"seed": 7}
+    assert "threshold" not in result.provenance
+
+
+def test_deface_records_stage_timings(head, pack, fixed, register_as, tmp_path):
+    register_as(np.eye(4))
+    timing = deface(head.volume, pack, fixed, _source(head, tmp_path)).provenance["timing"]
     stages = timing["stages"]
     assert sorted(stages) == [str(n) for n in range(1, 10)]
     assert all(s >= 0 for s in stages.values())
     assert sum(stages.values()) <= timing["elapsed_s"]
 
 
-def test_deface_keep_everything_mask_is_identity(head, tmp_path):
+def test_deface_keep_everything_mask_is_identity(head, fixed, register_as, tmp_path):
     stripped = apply_mask(head.volume, head.brain_mask)
     all_keep = TemplatePack(
         template=stripped,
         keep_mask=BinaryMask(np.ones(stripped.dims, bool), stripped.affine),
     )
-    cfg = DefaceConfig(transform_override=np.eye(4))
-    result = deface(head.volume, all_keep, _source(head, tmp_path), cfg)
+    register_as(np.eye(4))
+    result = deface(head.volume, all_keep, fixed, _source(head, tmp_path))
     np.testing.assert_array_equal(result.defaced.data, head.volume.data)
 
 
-def test_deface_full_dilated_mask_is_identity(head, pack, tmp_path):
+def test_deface_full_dilated_mask_is_identity(head, pack, fixed, register_as, tmp_path):
     # a margin large enough to cover the whole grid makes the union full
-    cfg = DefaceConfig(margin_mm=200.0, transform_override=np.eye(4))
-    result = deface(head.volume, pack, _source(head, tmp_path), cfg)
+    register_as(np.eye(4))
+    result = deface(head.volume, pack, fixed, _source(head, tmp_path), margin_mm=200.0)
     np.testing.assert_array_equal(result.defaced.data, head.volume.data)
 
 
-def test_deface_idempotent_on_brain_safe_region(head, pack, tmp_path):
+def test_deface_idempotent_on_brain_safe_region(head, pack, fixed, register_as, tmp_path):
     subject = synthetic.random_subject(head, seed=3)
     src = _source(subject, tmp_path)
-    cfg = DefaceConfig(transform_override=subject.true_transform)
-    first = deface(subject.volume, pack, src, cfg)
-    second = deface(first.defaced, pack, src, cfg)
+    register_as(subject.true_transform)
+    first = deface(subject.volume, pack, fixed, src)
+    second = deface(first.defaced, pack, fixed, src)
     np.testing.assert_array_equal(
         second.defaced.data[first.brain_safe_mask.data],
         first.defaced.data[first.brain_safe_mask.data],
@@ -282,9 +308,9 @@ def test_deface_idempotent_on_brain_safe_region(head, pack, tmp_path):
     assert np.all(second.defaced.data[~first.brain_safe_mask.data] == 0)
 
 
-def test_deface_stage_errors_tagged(pack):
+def test_deface_stage_errors_tagged(pack, fixed):
     empty = Volume(np.zeros((16, 16, 16), dtype=np.float32), np.eye(4))
     with pytest.raises(StageError) as exc:
-        deface(empty, pack, BrainMaskSource("fallback"))
+        deface(empty, pack, fixed, BrainMaskSource("fallback"))
     assert exc.value.stage == 2
     assert "stage 2" in str(exc.value)

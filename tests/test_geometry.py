@@ -96,6 +96,20 @@ def test_transform_text_round_trip(tmp_path):
     loaded = geometry.load_transform(path)
     assert loaded.shape == (4, 4)
     np.testing.assert_allclose(loaded, m, rtol=1e-10)
+    np.savetxt(tmp_path / "plain.txt", m, fmt="%.12g")
+    assert path.read_bytes() == (tmp_path / "plain.txt").read_bytes()
+
+
+def test_save_transform_failing_midway_keeps_old_file(tmp_path):
+    path = tmp_path / "xfm.txt"
+    geometry.save_transform(np.eye(4), path)
+    old = path.read_bytes()
+    # the last row cannot be formatted, so the write fails after three rows
+    bad = np.array([[1.0, 0, 0, 5], [0, 1, 0, 6], [0, 0, 1, 7], [0, 0, 0, "x"]], object)
+    with pytest.raises(TypeError):
+        geometry.save_transform(bad, path)
+    assert path.read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == ["xfm.txt"]
 
 
 def _world_coords(vol):

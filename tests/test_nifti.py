@@ -10,11 +10,14 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from defacepipe import nifti
 from defacepipe.errors import (
     CorruptFile,
     DatatypeOverflow,
+    DefacepipeError,
     NotNifti,
     UnsupportedDatatype,
     UnsupportedDims,
@@ -148,6 +151,97 @@ def test_read_truncated_payload(tmp_path, identity_2x2x2):
     bad.write_bytes(path.read_bytes()[:-8])
     with pytest.raises(CorruptFile):
         nifti.read_nifti(bad)
+    # a gzip stream cut short
+    zipped = gzip.compress(path.read_bytes())
+    bad = tmp_path / "short.nii.gz"
+    bad.write_bytes(zipped[: len(zipped) // 2])
+    with pytest.raises(CorruptFile):
+        nifti.read_nifti(bad)
+
+
+@pytest.mark.parametrize("offset", [np.inf, -np.inf, np.nan, 1e30])
+def test_read_unusable_vox_offset_is_corrupt(tmp_path, identity_2x2x2, offset):
+    path, _ = identity_2x2x2
+    raw = bytearray(path.read_bytes())
+    struct.pack_into("<f", raw, 108, offset)
+    bad = tmp_path / "offset.nii"
+    bad.write_bytes(raw)
+    with pytest.raises(CorruptFile):
+        nifti.read_nifti(bad)
+
+
+@pytest.mark.parametrize("compress", [False, True])
+def test_read_declared_size_beyond_file_is_corrupt(tmp_path, identity_2x2x2, compress):
+    """30000^3 float32 voxels declared in a file of a few hundred bytes fail
+    before the declared size is allocated."""
+    path, _ = identity_2x2x2
+    raw = bytearray(path.read_bytes())
+    struct.pack_into("<8h", raw, 40, 3, 30000, 30000, 30000, 1, 1, 1, 1)
+    bad = tmp_path / "huge.nii"
+    bad.write_bytes(gzip.compress(bytes(raw)) if compress else raw)
+    with pytest.raises(CorruptFile, match="exceed the file"):
+        nifti.read_nifti(bad)
+
+
+@pytest.mark.parametrize("field, offset, codes", [
+    ("sform", 280, (0, 1)),
+    ("qform quaternion", 256, (1, 0)),
+    ("pixdim", 80, (0, 0)),
+])
+def test_read_nonfinite_affine_is_corrupt(tmp_path, identity_2x2x2, field, offset, codes):
+    path, _ = identity_2x2x2
+    for value in (np.nan, np.inf):
+        raw = bytearray(path.read_bytes())
+        struct.pack_into("<2h", raw, 252, *codes)  # qform_code, sform_code
+        struct.pack_into("<f", raw, offset, value)
+        bad = tmp_path / "affine.nii"
+        bad.write_bytes(raw)
+        with pytest.raises(CorruptFile, match="affine"):
+            nifti.read_nifti(bad)
+
+
+_FLOAT32 = st.floats(width=32)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    byte_order=st.sampled_from("<>"),
+    dim=st.lists(st.one_of(st.integers(-2, 5), st.just(30000)), min_size=8, max_size=8),
+    datatype=st.sampled_from([0, 1, 2, 4, 8, 16, 64, 128, 256, 512, 768, 1024, -1]),
+    vox_offset=st.one_of(_FLOAT32, st.sampled_from([0.0, 348.0, 352.0, 356.0, 1e30])),
+    codes=st.tuples(st.integers(-1, 4), st.integers(-1, 4)),
+    geometry=st.lists(_FLOAT32, min_size=26, max_size=26),
+    payload=st.binary(max_size=200),
+    compress=st.booleans(),
+)
+def test_read_fuzzed_header_reads_or_raises_typed_error(
+    tmp_path, byte_order, dim, datatype, vox_offset, codes, geometry, payload, compress
+):
+    """Every header field the reader interprets, fuzzed: the file either
+    reads into a volume with a finite affine and the declared 3D shape, or
+    fails with a DefacepipeError."""
+    bo = byte_order
+    hdr = bytearray(348)
+    struct.pack_into(bo + "i", hdr, 0, 348)
+    struct.pack_into(bo + "8h", hdr, 40, *dim)
+    struct.pack_into(bo + "h", hdr, 70, datatype)
+    struct.pack_into(bo + "f", hdr, 108, vox_offset)
+    struct.pack_into(bo + "2h", hdr, 252, *codes)
+    struct.pack_into(bo + "8f", hdr, 76, *geometry[:8])  # pixdim
+    struct.pack_into(bo + "6f", hdr, 256, *geometry[8:14])  # quaternion, offsets
+    struct.pack_into(bo + "12f", hdr, 280, *geometry[14:])  # srow_x, _y, _z
+    struct.pack_into("<4s", hdr, 344, b"n+1\x00")
+    blob = bytes(hdr) + bytes(4) + payload
+    path = tmp_path / "fuzz.nii"
+    path.write_bytes(gzip.compress(blob) if compress else blob)
+    try:
+        vol, _ = nifti.read_nifti(path)
+    except DefacepipeError:
+        return
+    assert vol.data.ndim == 3
+    assert vol.data.size * vol.data.itemsize <= len(payload)
+    assert np.isfinite(vol.affine).all()
 
 
 def test_read_4d_multivolume_rejected(tmp_path):
