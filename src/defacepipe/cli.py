@@ -12,6 +12,7 @@ import argparse
 import concurrent.futures
 import json
 import logging
+import math
 import multiprocessing
 import sys
 from pathlib import Path
@@ -240,6 +241,22 @@ def _int_at_least(minimum: int):
     return parse
 
 
+def _finite_float(low: float, high: float = math.inf):
+    """argparse type: a finite number in [low, high]."""
+    wanted = f"in [{low:g}, {high:g}]" if math.isfinite(high) else f">= {low:g}"
+
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if not (math.isfinite(value) and low <= value <= high):
+            raise argparse.ArgumentTypeError(f"expected a finite number {wanted}, got {text!r}")
+        return value
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="defacepipe",
@@ -257,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--brain-mask",
         help="external brain mask or skull-stripped volume NIfTI (voxels above 0)",
     )
-    p.add_argument("--margin-mm", type=float, default=7.0)
+    p.add_argument("--margin-mm", type=_finite_float(0.0), default=7.0)
     p.add_argument(
         "--bins", type=_int_at_least(2), default=32, help="MI histogram bins (>= 2)"
     )
@@ -271,13 +288,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("quickshear", help="geometric baseline defacing")
     p.add_argument("input")
     p.add_argument("--brain-mask", required=True)
-    p.add_argument("--buffer-mm", type=float, default=5.0)
+    p.add_argument("--buffer-mm", type=_finite_float(0.0), default=5.0)
     p.add_argument("--output-dir")
     p.set_defaults(func=cmd_quickshear)
 
     p = sub.add_parser("qc", help="Dice QC over (original, defaced) pairs")
     p.add_argument("manifest", help="two whitespace-separated paths per line")
-    p.add_argument("--threshold", type=float, default=0.99)
+    p.add_argument(
+        "--threshold", type=_finite_float(0.0, 1.0), default=0.99,
+        help="flag a pair whose Dice is below this (in [0, 1])",
+    )
     p.add_argument("--json", help="also write the report as JSON here")
     p.set_defaults(func=cmd_qc)
 
@@ -286,8 +306,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("template")
     p.add_argument("--brain-mask")
-    p.add_argument("--buffer-mm", type=float, default=5.0)
-    p.add_argument("--face-dilate-mm", type=float, default=3.0)
+    p.add_argument("--buffer-mm", type=_finite_float(0.0), default=5.0)
+    p.add_argument("--face-dilate-mm", type=_finite_float(0.0), default=3.0)
     p.add_argument("--output-dir")
     p.set_defaults(func=cmd_make_template_pack)
 

@@ -177,7 +177,12 @@ def _shear_plane(brain: BinaryMask, buffer_mm: float) -> np.ndarray:
 
     The plane is fitted in the (anterior, superior) mm plane of the
     mid-sagittal slice and extruded along x; it is offset so no brain voxel
-    (in any slice) lies on the face side."""
+    (in any slice) lies on the face side, and buffer_mm beyond it.
+
+    A negative or non-finite buffer_mm raises ValueError: a negative one
+    would move the plane into the brain, and NaN would mark nothing."""
+    if not (np.isfinite(buffer_mm) and buffer_mm >= 0):
+        raise ValueError(f"buffer_mm must be finite and >= 0, got {buffer_mm}")
     xs = np.flatnonzero(brain.data.any(axis=(1, 2)))
     if len(xs) == 0:
         raise EmptyMask("empty brain mask")

@@ -5,10 +5,17 @@ Mattes et al. (IEEE TMI 2003): each moving intensity, interpolated at a
 sampled fixed-image foreground point, is spread linearly across its two
 nearest bins. The moving image is interpolated trilinearly by an in-module
 kernel that is bit-identical to ``scipy.ndimage.map_coordinates(order=1)``
-on in-bounds points of finite data, with less overhead per call.
-Optimization is Nelder-Mead per pyramid level, coarse to fine, over a
+on in-bounds points of finite data, with less overhead per call; the same
+kernel returns the image's voxel gradient at each point.
+
+Optimization is L-BFGS-B per pyramid level, coarse to fine, over a
 12-parameter transform (translation, Euler rotation, log-scale, shear)
-centered on the fixed foreground centroid.
+centered on the fixed foreground centroid, driven by the analytic gradient
+of the Parzen-window MI (Mattes et al.; Thevenaz & Unser, IEEE TIP 2000):
+the chain of the histogram's derivative in each moving value, the moving
+image's voxel gradient and the derivative of the sample positions in each
+parameter. Each level stops on L-BFGS-B's own tests, and its diagnostics
+say which one it met.
 
 ``prepare`` computes the fixed image's side once (centroid, and per level
 the jittered foreground samples and their fixed bins); ``register_affine``
@@ -22,21 +29,25 @@ import numpy as np
 from scipy import ndimage, optimize
 
 from .errors import NoOverlap
-from .geometry import affine_matrix, invert
+from .geometry import affine_matrix, affine_matrix_derivatives, invert
 from .volume import Volume
 
 
-# (pyramid factor, smoothing sigma in mm) per level, coarse to fine; the
-# last level is full resolution. Every level samples the whole eroded
-# foreground: at desk-scale volumes the metric bias from subsampling exceeds
-# the recovery tolerance.
-LEVELS = ((4, 4.0), (2, 2.0), (1, 0.0))
-# Nelder-Mead iteration cap of each simplex restart.
-MAX_ITERS = 200
+# (pyramid factor, smoothing sigma in mm, L-BFGS-B relative-reduction
+# tolerance ftol) per level, coarse to fine; the last level is full
+# resolution. Every level samples the whole eroded foreground: at
+# desk-scale volumes the metric bias from subsampling exceeds the recovery
+# tolerance. The coarse levels only need to land in the fine level's basin,
+# so they stop earlier.
+LEVELS = ((4, 4.0, 1e-6), (2, 2.0, 1e-7), (1, 0.0, 1e-9))
 
 
 @dataclass
 class RegistrationConfig:
+    """bins: MI histogram bins per axis. convergence_tol: L-BFGS-B's
+    projected-gradient stopping tolerance (gtol), in nats of MI per
+    optimizer unit (see ``_UNITS``). seed: sample jitter seed."""
+
     bins: int = 32
     convergence_tol: float = 1e-5
     seed: int = 0
@@ -60,6 +71,27 @@ def _bin_indices(values, rng, bins):
     return np.clip(idx, 0, bins - 1)
 
 
+def _parzen_window(moving_values, moving_range, bins):
+    """Per moving value: the lower of its two bins b0, the weight w1 of the
+    upper one (1 - w1 goes to b0), and whether the value lies strictly
+    inside the window's range, where w1 moves with it (outside, it is
+    clamped to an end bin)."""
+    mlo, mhi = moving_range
+    raw = (moving_values - mlo) / (mhi - mlo) * bins - 0.5
+    pos = np.clip(raw, 0.0, bins - 1.0)
+    b0 = np.minimum(pos.astype(np.intp), bins - 2)
+    return b0, pos - b0, (raw > 0.0) & (raw < bins - 1.0)
+
+
+def _joint_counts(cells, w1, bins):
+    """bins x bins counts of samples at flat cells (fixed bin * bins + b0),
+    each with weight 1 - w1 there and w1 in the next moving bin."""
+    n = bins * bins
+    counts = np.bincount(cells, weights=1.0 - w1, minlength=n)
+    counts += np.bincount(cells + 1, weights=w1, minlength=n)
+    return counts.reshape(bins, bins)
+
+
 def parzen_histogram(fixed_bins, moving_values, moving_range, bins) -> np.ndarray:
     """Joint counts (bins x bins) of fixed bin index against moving
     intensity, with each moving value spread by a linear Parzen window
@@ -69,15 +101,8 @@ def parzen_histogram(fixed_bins, moving_values, moving_range, bins) -> np.ndarra
     The window keeps the count continuous in the moving value, and so the
     MI continuous in the transform parameters.
     """
-    mlo, mhi = moving_range
-    pos = np.clip((moving_values - mlo) / (mhi - mlo) * bins - 0.5, 0.0, bins - 1.0)
-    b0 = np.minimum(pos.astype(np.intp), bins - 2)
-    w1 = pos - b0
-    fb = fixed_bins * bins
-    counts = np.bincount(
-        fb + b0, weights=1.0 - w1, minlength=bins * bins
-    ) + np.bincount(fb + b0 + 1, weights=w1, minlength=bins * bins)
-    return counts.reshape(bins, bins)
+    b0, w1, _ = _parzen_window(moving_values, moving_range, bins)
+    return _joint_counts(fixed_bins * bins + b0, w1, bins)
 
 
 def mutual_information(counts: np.ndarray) -> float:
@@ -119,25 +144,31 @@ def _pad_high(data: np.ndarray) -> np.ndarray:
 _BLOCK = 1 << 15
 
 
-def _trilinear(padded: np.ndarray, coords: np.ndarray) -> np.ndarray:
-    """Trilinear values of the volume that ``_pad_high`` padded at voxel
-    coordinates (3, n), each within [0, dims - 1].
+def _trilinear(padded: np.ndarray, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Trilinear values (n,) and voxel gradients (3, n) of the volume that
+    ``_pad_high`` padded, at voxel coordinates (3, n), each within
+    [0, dims - 1].
 
-    The floating-point operations are those of map_coordinates(order=1),
-    in the same order, so on finite data the result is bit-identical (on
-    the last voxel planes scipy reads a zero-weight corner from inside the
-    volume, so an inf or NaN there spreads differently): scipy's weights
-    (low 1 - t, high 1 - (1 - t)), the 8 corners x-major with z fastest,
-    each multiplied by its x, then y, then z weight and added to zero.
-    Each step runs on all 8 corners at once, because every NumPy call on a
-    large array releases the interpreter lock and must take it back, which
-    costs CPU time when threads run registrations side by side.
+    The floating-point operations of the values are those of
+    map_coordinates(order=1), in the same order, so on finite data they are
+    bit-identical (on the last voxel planes scipy reads a zero-weight
+    corner from inside the volume, so an inf or NaN there spreads
+    differently): scipy's weights (low 1 - t, high 1 - (1 - t)), the 8
+    corners x-major with z fastest, each multiplied by its x, then y, then
+    z weight and added to zero. Each step runs on all 8 corners at once,
+    because every NumPy call on a large array releases the interpreter lock
+    and must take it back, which costs CPU time when threads run
+    registrations side by side.
+
+    The gradient along an axis is the interpolant's derivative there: the
+    high-minus-low corner differences along it, weighted by the other two
+    axes' weights. On a voxel plane it is the one toward higher indices.
     """
     n = coords.shape[1]
     if n > _BLOCK:
-        return np.concatenate([
-            _trilinear(padded, coords[:, i:i + _BLOCK]) for i in range(0, n, _BLOCK)
-        ])
+        parts = [_trilinear(padded, coords[:, i:i + _BLOCK]) for i in range(0, n, _BLOCK)]
+        return (np.concatenate([v for v, _ in parts]),
+                np.concatenate([g for _, g in parts], axis=1))
     _, ny, nz = padded.shape
     lo = coords.astype(np.intp)  # truncation is floor: coords >= 0
     w = np.empty((2,) + coords.shape)  # low and high weight per axis
@@ -148,24 +179,31 @@ def _trilinear(padded: np.ndarray, coords: np.ndarray) -> np.ndarray:
                         for dx in (0, 1) for dy in (0, 1) for dz in (0, 1)])
     corners = np.take(padded.ravel(), base + offsets[:, None])
     by_axis = corners.reshape(2, 2, 2, -1)
+    grad = np.empty(coords.shape)
+    for axis, (a, b) in enumerate(((1, 2), (0, 2), (0, 1))):
+        step = np.diff(by_axis, axis=axis).reshape(4, -1)  # rows: corners of axes a, b
+        weight = (w[:, None, a] * w[None, :, b]).reshape(4, -1)
+        grad[axis] = np.einsum("kn,kn->n", step, weight)
     by_axis *= w[:, None, None, 0]
     by_axis *= w[None, :, None, 1]
     by_axis *= w[None, None, :, 2]
     # Row by row, not np.add.reduce: that sums a single sample pairwise.
-    out = np.zeros(coords.shape[1])
+    out = np.zeros(n)
     for corner in corners:
         out += corner
-    return out
+    return out, grad
 
 
-def _overlap_samples(padded, coords, nmax, fixed_bins):
-    """(fixed bins, moving values) of the samples whose voxel coordinates
-    (3, n) fall inside the moving volume, nmax (3, 1) being its dims - 1."""
+def _overlap_samples(padded, coords, nmax, fixed_bins, fgT):
+    """(fixed bins, fixed voxel coordinates, moving values, moving voxel
+    gradients) of the samples whose moving voxel coordinates (3, n) fall
+    inside the moving volume, nmax (3, 1) being its dims - 1."""
     if coords.min() >= 0.0 and np.all(coords.max(axis=1, keepdims=True) <= nmax):
-        return fixed_bins, _trilinear(padded, coords)
+        return (fixed_bins, fgT, *_trilinear(padded, coords))
     inb = np.all((coords >= 0.0) & (coords <= nmax), axis=0)
     # compress copies the kept columns several times faster than coords[:, inb]
-    return fixed_bins[inb], _trilinear(padded, coords.compress(inb, axis=1))
+    return (fixed_bins[inb], fgT.compress(inb, axis=1),
+            *_trilinear(padded, coords.compress(inb, axis=1)))
 
 
 def _downsample(v: Volume, factor: int, sigma_mm: float) -> Volume:
@@ -181,15 +219,18 @@ def _downsample(v: Volume, factor: int, sigma_mm: float) -> Volume:
     return Volume(np.ascontiguousarray(data), aff)
 
 
-_SIMPLEX_STEPS = np.concatenate(
-    [np.full(3, 10.0), np.full(3, 0.1), np.full(3, 0.1), np.full(3, 0.05)]
-)
 _BOUNDS = optimize.Bounds(
     np.concatenate([np.full(3, -150.0), np.full(3, -np.pi / 2),
                     np.full(3, -0.5), np.full(3, -0.5)]),
     np.concatenate([np.full(3, 150.0), np.full(3, np.pi / 2),
                     np.full(3, 0.5), np.full(3, 0.5)]),
 )
+# Internal parameters per optimizer unit: 1 mm of translation, and 1/60 of
+# rotation (rad), log-scale and shear, so that one unit of any parameter
+# moves a point 60 mm from the center, about the head's edge, by about 1 mm,
+# and the gradient and the stopping tolerances weigh them alike.
+_UNITS = np.concatenate([np.ones(3), np.full(9, 1.0 / 60.0)])
+_UNIT_BOUNDS = optimize.Bounds(_BOUNDS.lb / _UNITS, _BOUNDS.ub / _UNITS)
 
 
 @dataclass(frozen=True)
@@ -198,6 +239,7 @@ class _FixedLevel:
 
     factor: int
     sigma: float
+    ftol: float  # L-BFGS-B relative-reduction tolerance
     affine: np.ndarray  # level voxel -> world
     fgT: np.ndarray  # (3, n) jittered voxel coordinates of the samples
     fixed_bins: np.ndarray  # fixed intensity bin of each sample
@@ -224,7 +266,7 @@ def prepare(fixed: Volume, config: RegistrationConfig | None = None) -> FixedSid
     config = config or RegistrationConfig()
     center = _frozen(_foreground_centroid(fixed))
     levels = []
-    for level, (factor, sigma) in enumerate(LEVELS):
+    for level, (factor, sigma, ftol) in enumerate(LEVELS):
         f_level = _downsample(fixed, factor, sigma)
         fixed_range = robust_range(f_level.data)
 
@@ -249,10 +291,11 @@ def prepare(fixed: Volume, config: RegistrationConfig | None = None) -> FixedSid
             np.asarray(f_level.data, dtype=np.float64), 0.45
         )
         fgT = fg.T
-        fixed_vals = _trilinear(_pad_high(fixed_smoothed), fgT)
+        fixed_vals, _ = _trilinear(_pad_high(fixed_smoothed), fgT)
         levels.append(_FixedLevel(
             factor=factor,
             sigma=sigma,
+            ftol=ftol,
             affine=_frozen(f_level.affine),
             fgT=_frozen(fgT),
             fixed_bins=_frozen(_bin_indices(fixed_vals, fixed_range, config.bins)),
@@ -260,83 +303,122 @@ def prepare(fixed: Volume, config: RegistrationConfig | None = None) -> FixedSid
     return FixedSide(config, center, tuple(levels))
 
 
+def _level_cost(f_level: _FixedLevel, m_level: Volume, center: np.ndarray, bins: int):
+    """(value, gradient): the cost -MI of one pyramid level and its
+    gradient, as functions of the optimizer-unit parameters x (internal
+    parameters x * _UNITS). Both come from one pass over the samples, and
+    the last point is kept, because L-BFGS-B asks for the value and the
+    gradient of each point in separate calls. The cost is 1.0, with a zero
+    gradient, when no sample falls inside the moving volume.
+    """
+    moving_range = robust_range(m_level.data)
+    # The cost interpolates the moving intensity before binning instead of
+    # spreading partial-volume weights: PV weighting couples the histogram
+    # to the sampling grid and displaces the MI optimum by more than the
+    # recovery tolerance.
+    mpadded = _pad_high(m_level.data)
+    m_inv = invert(m_level.affine)
+    f_aff = f_level.affine
+    nmax = np.asarray(m_level.dims, dtype=np.float64).reshape(3, 1) - 1.0
+    # d(bin position) / d(moving value) inside the window's range
+    slope = bins / (moving_range[1] - moving_range[0])
+    last = {}
+
+    def evaluate(x):
+        if "x" in last and np.array_equal(last["x"], x):
+            return last["value"], last["gradient"]
+        theta = x * _UNITS
+        scale = np.exp(theta[6:9])
+        m = affine_matrix(theta[0:3], theta[3:6], scale, theta[9:12], center)
+        vox_map = m_inv @ m @ f_aff
+        coords = vox_map[:3, :3] @ f_level.fgT + vox_map[:3, 3:4]
+        fbins, fg, vals, vgrad = _overlap_samples(
+            mpadded, coords, nmax, f_level.fixed_bins, f_level.fgT)
+        if vals.size == 0:
+            value, gradient = 1.0, np.zeros(12)
+        else:
+            b0, w1, sloped = _parzen_window(vals, moving_range, bins)
+            cells = fbins * bins + b0
+            counts = _joint_counts(cells, w1, bins)
+            value = -mutual_information(counts)
+            # The fixed marginal does not move, so dMI/dp_ab = log(p_ab/p_b)
+            # up to a constant that cancels; a sample moves weight from its
+            # cell to the next one at the rate of w1.
+            column = np.broadcast_to(counts.sum(axis=0), counts.shape)
+            nz = counts > 0
+            log_ratio = np.zeros(counts.size)
+            log_ratio[nz.ravel()] = np.log(counts[nz] / column[nz])
+            dmi_dv = (log_ratio[cells + 1] - log_ratio[cells]) * sloped * (slope / counts.sum())
+            # dMI/d(vox_map) as a 3 x 4 matrix: sum over samples of the
+            # moving-voxel gradient of MI times the homogeneous fixed voxel.
+            u = vgrad * dmi_dv
+            moment = np.empty((3, 4))
+            moment[:, :3] = u @ fg.T
+            moment[:, 3] = u.sum(axis=1)
+            d_m = affine_matrix_derivatives(theta[3:6], scale, theta[9:12], center)
+            d_m[6:9] *= scale[:, None, None]  # by log-scale
+            d_vox = m_inv @ d_m @ f_aff
+            gradient = -np.einsum("kij,ij->k", d_vox[:, :3, :], moment) * _UNITS
+        last.update(x=x.copy(), value=value, gradient=gradient)
+        return value, gradient
+
+    return (lambda x: evaluate(x)[0]), (lambda x: evaluate(x)[1])
+
+
+def _stop_reason(message: str) -> str:
+    """L-BFGS-B's message, lower case and without its tolerance condition:
+    "convergence: relative reduction of f", "abnormal", ..."""
+    return message.split("<=")[0].strip(" :").lower()
+
+
 def register_affine(fixed: FixedSide, moving: Volume) -> tuple[np.ndarray, dict]:
     """Find the world map taking moving coordinates into the coordinates of
     the prepared fixed image that locally maximizes MI.
 
-    Returns (transform, diagnostics); non-convergence is reported in
-    diagnostics, not raised.
+    Returns (transform, diagnostics). Each level records its final MI, its
+    iterations and cost evaluations, the optimizer's stop reason and
+    whether that stop is a convergence; the top-level ``converged`` holds
+    only if every level converged. Non-convergence is reported, not raised.
     """
     config = fixed.config
     center = fixed.center
     moving_centroid = _foreground_centroid(moving)
     # Internal parameters (translation, rotation, log-scale, shear) map
-    # fixed-world -> moving-world.
+    # fixed-world -> moving-world; x is them in optimizer units.
     theta = np.zeros(12)
     theta[:3] = moving_centroid - center
+    x = theta / _UNITS
 
-    diagnostics = {"levels": [], "converged": True, "seed": config.seed}
-    for level, f_level in enumerate(fixed.levels):
+    diagnostics = {"levels": [], "seed": config.seed}
+    for f_level in fixed.levels:
         m_level = _downsample(moving, f_level.factor, f_level.sigma)
-        moving_range = robust_range(m_level.data)
-
-        # The optimizer's cost interpolates the moving intensity before
-        # binning instead of spreading partial-volume weights: PV weighting
-        # couples the histogram to the sampling grid and displaces the MI
-        # optimum by more than the recovery tolerance.
-        bins = config.bins
-        mpadded = _pad_high(m_level.data)
-        m_inv = invert(m_level.affine)
-        f_aff = f_level.affine
-        fgT = f_level.fgT
-        fbin_all = f_level.fixed_bins
-        nmax = np.asarray(m_level.dims, dtype=np.float64).reshape(3, 1) - 1.0
-
-        def cost(t):
-            m = affine_matrix(t[0:3], t[3:6], np.exp(t[6:9]), t[9:12], center)
-            vox_map = m_inv @ m @ f_aff
-            coords = vox_map[:3, :3] @ fgT + vox_map[:3, 3:4]
-            fbins, vals = _overlap_samples(mpadded, coords, nmax, fbin_all)
-            if vals.size == 0:
-                return 1.0
-            counts = parzen_histogram(fbins, vals, moving_range, bins)
-            return -mutual_information(counts)
-
-        # Simplex restarts with shrinking steps: a single Nelder-Mead run
-        # stalls well short of the optimum in 12 dimensions.
-        level_iters = 0
-        for restart in range(3):
-            steps = _SIMPLEX_STEPS / (2 ** (level + 2 * restart))
-            simplex = np.vstack([theta, theta + np.diag(steps)])
-            res = optimize.minimize(
-                cost,
-                theta,
-                method="Nelder-Mead",
-                bounds=_BOUNDS,
-                options={
-                    "initial_simplex": simplex,
-                    "maxiter": MAX_ITERS,
-                    "xatol": 1e-4,
-                    "fatol": config.convergence_tol,
-                    "adaptive": True,
-                },
-            )
-            theta = res.x
-            level_iters += int(res.nit)
+        value, gradient = _level_cost(f_level, m_level, center, config.bins)
+        res = optimize.minimize(
+            value,
+            x,
+            jac=gradient,
+            method="L-BFGS-B",
+            bounds=_UNIT_BOUNDS,
+            # maxcor: corrections kept for the inverse-Hessian estimate
+            options={"ftol": f_level.ftol, "gtol": config.convergence_tol, "maxcor": 12},
+        )
+        x = res.x
         diagnostics["levels"].append(
             {
                 "factor": int(f_level.factor),
                 "mi": float(-res.fun),
-                "iterations": level_iters,
+                "iterations": int(res.nit),
+                "evaluations": int(res.nfev),
+                "stop": _stop_reason(res.message),
                 "converged": bool(res.success),
             }
         )
-        if not res.success:
-            diagnostics["converged"] = False
+    diagnostics["converged"] = all(lv["converged"] for lv in diagnostics["levels"])
 
+    if res.fun >= 1.0:  # never found overlap at the final level
+        raise NoOverlap("registration found no overlapping support")
+    theta = x * _UNITS
     fixed_to_moving = affine_matrix(
         theta[0:3], theta[3:6], np.exp(theta[6:9]), theta[9:12], center
     )
-    if cost(theta) >= 1.0:  # never found overlap at the final level
-        raise NoOverlap("registration found no overlapping support")
     return invert(fixed_to_moving), diagnostics

@@ -323,6 +323,34 @@ _MINIMAL_ARGV = {
 }
 
 
+@pytest.mark.parametrize("command, flag, value", [
+    *(("deface", "--margin-mm", v) for v in ("-5", "nan", "inf")),
+    *(("quickshear", "--buffer-mm", v) for v in ("-5", "nan", "-inf")),
+    *(("make-template-pack", "--buffer-mm", v) for v in ("-0.5", "nan", "inf")),
+    *(("make-template-pack", "--face-dilate-mm", v) for v in ("-3", "nan", "inf")),
+    *(("qc", "--threshold", v) for v in ("-0.1", "1.5", "nan", "inf")),
+])
+def test_unsafe_geometry_value_is_usage_error(capsys, command, flag, value):
+    """A negative or non-finite distance, or a Dice threshold outside
+    [0, 1], exits 2 before any file is read."""
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args([*_MINIMAL_ARGV[command], f"{flag}={value}"])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("deface", "--margin-mm", 0.0),
+    ("quickshear", "--buffer-mm", 0.0),
+    ("make-template-pack", "--face-dilate-mm", 0.0),
+    ("qc", "--threshold", 0.0),
+    ("qc", "--threshold", 1.0),
+])
+def test_geometry_value_at_its_limit_parses(command, flag, value):
+    args = build_parser().parse_args([*_MINIMAL_ARGV[command], flag, str(value)])
+    assert getattr(args, flag[2:].replace("-", "_")) == value
+
+
 @pytest.mark.parametrize("command, flag, parses", [
     ("quickshear", "--jobs", False),
     ("quickshear", "--seed", False),

@@ -114,6 +114,14 @@ def test_quickshear_removes_face_blobs(head):
     assert (out.data[nose] == 0).mean() > 0.5
 
 
+@pytest.mark.parametrize("buffer_mm", [-5.0, -1e-9, np.nan, np.inf])
+def test_quickshear_rejects_unsafe_buffer(head, buffer_mm):
+    """A negative buffer would move the plane into the brain and NaN would
+    keep the whole face; both raise instead."""
+    with pytest.raises(ValueError, match="buffer_mm"):
+        quickshear(head.volume, head.brain_mask, buffer_mm=buffer_mm)
+
+
 def test_quickshear_full_grid_mask_noop():
     data = np.full((10, 10, 10), 50.0, dtype=np.float32)
     v = Volume(data, np.eye(4))

@@ -9,9 +9,12 @@ from defacepipe.errors import NoOverlap
 from defacepipe.geometry import affine_matrix, invert, translation
 from defacepipe.registration import (
     RegistrationConfig,
+    _downsample,
+    _level_cost,
     _overlap_samples,
     _pad_high,
     _trilinear,
+    _UNITS,
     mutual_information,
     parzen_histogram,
     prepare,
@@ -148,11 +151,35 @@ def test_trilinear_bit_identical_to_map_coordinates(dims, sign):
     coords = boundary_coords(dims, rng)
     padded = _pad_high(data)
     want = ndimage.map_coordinates(data, coords, order=1)
-    assert np.array_equal(_trilinear(padded, coords), want)
+    assert np.array_equal(_trilinear(padded, coords)[0], want)
     # One point at a time too: a reduction over the corners may change its
     # summation order with the number of points.
     for k in range(0, coords.shape[1], 7):
-        assert np.array_equal(_trilinear(padded, coords[:, k:k + 1]), want[k:k + 1])
+        assert np.array_equal(_trilinear(padded, coords[:, k:k + 1])[0], want[k:k + 1])
+
+
+def test_trilinear_gradient_matches_finite_differences():
+    """Within a voxel cell the interpolant is linear along each axis, so a
+    central difference that stays in the cell is exact up to rounding; on a
+    voxel plane the gradient is the one toward higher indices."""
+    rng = np.random.default_rng(31)
+    dims = (9, 11, 13)
+    data = rng.uniform(-50.0, 50.0, dims)
+    padded = _pad_high(data)
+    hi = np.asarray(dims, dtype=np.float64).reshape(3, 1) - 1.0
+    coords = np.floor(rng.uniform(0.0, 1.0, (3, 500)) * hi) + rng.uniform(0.1, 0.9, (3, 500))
+    on_plane = np.floor(coords[:, :100])
+    on_plane[:, 0] = 0.0
+    h = 1e-3
+    for points, offset in ((coords, (-h, h)), (on_plane, (0.0, h))):
+        _, grad = _trilinear(padded, points)
+        for axis in range(3):
+            step = np.zeros((3, 1))
+            step[axis] = 1.0
+            below, _ = _trilinear(padded, points + offset[0] * step)
+            above, _ = _trilinear(padded, points + offset[1] * step)
+            fd = (above - below) / (offset[1] - offset[0])
+            np.testing.assert_allclose(grad[axis], fd, rtol=1e-6, atol=1e-6)
 
 
 def test_trilinear_blocks_match_one_block(monkeypatch):
@@ -160,17 +187,19 @@ def test_trilinear_blocks_match_one_block(monkeypatch):
     data = rng.uniform(-50.0, 50.0, (17, 23, 31))
     coords = boundary_coords(data.shape, rng)
     padded = _pad_high(data)
-    whole = _trilinear(padded, coords)
+    whole, whole_grad = _trilinear(padded, coords)
     monkeypatch.setattr(registration, "_BLOCK", 100)
-    blocked = _trilinear(padded, coords)
+    blocked, blocked_grad = _trilinear(padded, coords)
     assert np.array_equal(blocked, whole)
+    assert np.array_equal(blocked_grad, whole_grad)
     assert np.array_equal(blocked, ndimage.map_coordinates(data, coords, order=1))
 
 
 @pytest.mark.parametrize("dims", [(5, 6, 7), (17, 23, 31)])
 def test_overlap_samples_match_masked_map_coordinates(dims):
-    """Samples straddling each face keep the same (fixed bins, values) as
-    masking to the volume, then map_coordinates on what is left."""
+    """Samples straddling each face keep the same (fixed bins, fixed
+    coordinates, values) as masking to the volume, then map_coordinates on
+    what is left, and the kernel's gradients of the kept points."""
     rng = np.random.default_rng(5)
     data = rng.uniform(-50.0, 50.0, dims)
     nmax = np.asarray(dims, dtype=np.float64).reshape(3, 1) - 1.0
@@ -184,11 +213,15 @@ def test_overlap_samples_match_masked_map_coordinates(dims):
     padded = _pad_high(data)
     for coords in cases:
         fixed_bins = rng.integers(0, 32, coords.shape[1])
-        got_bins, got_vals = _overlap_samples(padded, coords, nmax, fixed_bins)
+        fgT = rng.uniform(0.0, 10.0, coords.shape)
+        got_bins, got_fg, got_vals, got_grad = _overlap_samples(
+            padded, coords, nmax, fixed_bins, fgT)
         inb = np.all((coords >= 0.0) & (coords <= nmax), axis=0)
         want_vals = ndimage.map_coordinates(data, coords[:, inb], order=1)
         assert np.array_equal(got_bins, fixed_bins[inb])
+        assert np.array_equal(got_fg, fgT[:, inb])
         assert np.array_equal(got_vals, want_vals)
+        assert np.array_equal(got_grad, _trilinear(padded, coords[:, inb])[1])
 
 
 def test_config_validation():
@@ -218,11 +251,20 @@ def test_self_registration(head):
 
 
 def test_translation_recovery(head):
+    """Also: this clean whole-head registration stops on a convergence test
+    at every level, and the levels' evaluations add up to well under the
+    thousands a fixed iteration cap spent."""
     truth = translation((5.0, -3.0, 2.0))
     subject = synthetic.transformed_phantom(head, truth)
-    t, _ = register_affine(prepare(head.volume), subject.volume)
+    t, diag = register_affine(prepare(head.volume), subject.volume)
     trans, ang, scale = residual_errors(t, truth, np.full(3, 31.5))
     assert trans < 0.5
+    levels = diag["levels"]
+    assert diag["converged"] is True
+    assert all(lv["converged"] for lv in levels)
+    assert levels[-1]["stop"].startswith("convergence")
+    assert sum(lv["evaluations"] for lv in levels) < 1000
+    assert all(lv["iterations"] <= lv["evaluations"] for lv in levels)
 
 
 def test_rotation_scale_recovery(head):
@@ -235,6 +277,27 @@ def test_rotation_scale_recovery(head):
     trans, ang, scale = residual_errors(t, rot, c)
     assert ang < 0.5
     assert scale < 0.01
+
+
+def test_cost_gradient_matches_central_differences(head):
+    """The analytic gradient of every level's cost agrees with central
+    differences of the cost, away from the optimum where it is not small.
+    The step is small because the cost jumps where a sample crosses the
+    moving volume's edge, which the gradient leaves out."""
+    fixed = prepare(head.volume)
+    subject = synthetic.random_subject(head, seed=3).volume
+    rng = np.random.default_rng(8)
+    theta = np.zeros(12)
+    theta[:3] = registration._foreground_centroid(subject) - fixed.center
+    for f_level in fixed.levels:
+        m_level = _downsample(subject, f_level.factor, f_level.sigma)
+        value, gradient = _level_cost(f_level, m_level, fixed.center, 32)
+        x = theta / _UNITS + rng.normal(0.0, 0.5, 12)
+        h = 1e-4
+        fd = np.array([(value(x + h * e) - value(x - h * e)) / (2 * h) for e in np.eye(12)])
+        g = gradient(x)
+        assert np.abs(g).max() > 0.05
+        np.testing.assert_allclose(g, fd, rtol=0, atol=0.01 * np.abs(g).max())
 
 
 def test_registration_deterministic(head):
