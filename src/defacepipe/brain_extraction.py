@@ -5,7 +5,8 @@ package; their output, a brain mask or a skull-stripped volume, is consumed
 through ``external_file``: every voxel above 0 is brain. The built-in
 fallback is a deterministic classical extractor (Otsu threshold, 2 mm
 closing, largest component, hole fill) adequate for phantoms and smoke
-tests.
+tests. Its morphology runs on the foreground's bounding box, and it reads
+non-finite voxels as background.
 """
 
 from dataclasses import dataclass
@@ -34,8 +35,14 @@ class BrainMaskSource:
 
 
 def otsu_threshold(data: np.ndarray) -> float:
-    """Classic maximum between-class variance threshold."""
+    """Classic maximum between-class variance threshold over the finite
+    values; 0.0 when there are none."""
     flat = np.asarray(data, dtype=np.float64).ravel()
+    finite = np.isfinite(flat)
+    if not finite.all():
+        flat = flat[finite]
+        if flat.size == 0:
+            return 0.0
     lo, hi = flat.min(), flat.max()
     if hi <= lo:
         return lo
@@ -52,6 +59,12 @@ def otsu_threshold(data: np.ndarray) -> float:
 
 
 def fallback_extract(v: Volume) -> BinaryMask:
+    """Otsu threshold, 2 mm closing, largest component, hole fill. A
+    non-finite voxel is background."""
+    finite = np.isfinite(v.data)
+    if not finite.all():
+        # NaN compares False with every threshold, so the voxel is below it.
+        v = Volume(np.where(finite, v.data, np.nan), v.affine)
     t = otsu_threshold(v.data)
     upper = v.data[v.data > t]
     if upper.size:

@@ -101,7 +101,11 @@ def deface(
     with _stage(4, seconds):
         dilated = dilate(brain, margin_mm)
     with _stage(5, seconds):
-        loose = apply_mask(canon, dilated)
+        # Registration reads a non-finite voxel as background 0; the output
+        # keeps it as it is wherever stage 8 keeps the voxel.
+        finite = np.isfinite(canon.data)
+        keep = dilated if finite.all() else BinaryMask(dilated.data & finite, dilated.affine)
+        loose = apply_mask(canon, keep)
 
     with _stage(6, seconds):
         transform, diagnostics = register_affine(fixed, loose)

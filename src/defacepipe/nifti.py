@@ -67,9 +67,13 @@ def _unpack(fmt, raw, offset):
 
 
 def _quaternion_affine(raw: bytes, bo: str) -> np.ndarray:
+    """The qform affine; all NaN when a quaternion, offset or spacing field
+    is not finite, which the caller rejects or ignores."""
     b, c, d = _unpack(bo + "3f", raw, 256)
     ox, oy, oz = _unpack(bo + "3f", raw, 268)
     pixdim = _unpack(bo + "8f", raw, 76)
+    if not all(map(math.isfinite, (b, c, d, ox, oy, oz, *pixdim[1:4]))):
+        return np.full((4, 4), np.nan)
     qfac = -1.0 if pixdim[0] < 0 else 1.0
     a2 = 1.0 - (b * b + c * c + d * d)
     a = np.sqrt(max(a2, 0.0))

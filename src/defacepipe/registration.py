@@ -155,10 +155,11 @@ def _trilinear(padded: np.ndarray, coords: np.ndarray) -> tuple[np.ndarray, np.n
     corner from inside the volume, so an inf or NaN there spreads
     differently): scipy's weights (low 1 - t, high 1 - (1 - t)), the 8
     corners x-major with z fastest, each multiplied by its x, then y, then
-    z weight and added to zero. Each step runs on all 8 corners at once,
-    because every NumPy call on a large array releases the interpreter lock
-    and must take it back, which costs CPU time when threads run
-    registrations side by side.
+    z weight and added to zero. Each step runs on all 8 corners at once, in
+    one (8, n) array, because the gradient below takes differences between
+    corners. For the values alone that is not the cheapest order: in one
+    process a loop over the corners computes them in about 60% of the time
+    (2.2 ms against 3.7 ms for 32,768 samples, one Xeon vCPU).
 
     The gradient along an axis is the interpolant's derivative there: the
     high-minus-low corner differences along it, weighted by the other two

@@ -93,6 +93,37 @@ def test_deface_writes_four_artifacts(workspace, tmp_path):
     assert prov["registration"]["levels"]
 
 
+def test_nonfinite_voxels_are_background_and_kept(workspace, tmp_path):
+    """A NaN and an inf voxel in the brain and in the face: deface and qc
+    succeed on the fallback extractor, the face is zeroed and the brain,
+    non-finite voxels included, is unchanged."""
+    root, _head, subject = workspace
+    data = subject.volume.data.copy()
+    brain_vox = np.argwhere(subject.brain_mask.data)
+    face_vox = np.argwhere(subject.face_mask.data)
+    for vox, value in zip((brain_vox[0], brain_vox[len(brain_vox) // 2],
+                           face_vox[0], face_vox[-1]),
+                          (np.nan, np.inf, np.nan, np.inf)):
+        data[tuple(vox)] = value
+    src = tmp_path / "nonfinite.nii.gz"
+    nifti.write_nifti(Volume(data, subject.volume.affine),
+                      nifti.sidecar_for_dtype(np.float32), src)
+
+    out = tmp_path / "out"
+    assert main(_deface_args(root, out, [str(src)])) == 0
+    defaced, _ = nifti.read_nifti(out / "nonfinite_defaced.nii.gz")
+    assert np.all(defaced.data[subject.face_mask.data] == 0)
+    brain = subject.brain_mask.data
+    np.testing.assert_array_equal(defaced.data[brain], data[brain])  # NaN equals NaN
+    assert np.isnan(defaced.data[tuple(brain_vox[0])])
+
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text(f"{src} {out / 'nonfinite_defaced.nii.gz'}\n")
+    assert main(["qc", str(manifest), "--json", str(tmp_path / "report.json")]) == 0
+    payload = json.loads((tmp_path / "report.json").read_text())
+    assert payload["n"] == 1 and payload["failed"] == []
+
+
 def test_deface_brain_mask_with_many_inputs_exits_2(workspace, tmp_path, capsys):
     root, _head, _subject = workspace
     code = main(_deface_args(

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import ndimage
 
 from defacepipe import morphology
 from defacepipe.errors import EmptyMask, GridMismatch
@@ -185,3 +186,91 @@ def test_fill_holes():
     out = morphology.fill_holes(BinaryMask(data, np.eye(4)))
     assert out.data[3, 3, 3]
     assert out.count() == 125
+
+
+# ---------------------------------------------------------------------------
+# The bounding-box crop against full-grid scipy
+
+
+def full_grid_largest_component(mask):
+    labels, _ = ndimage.label(mask, structure=morphology.SIX_CONNECTED)
+    sizes = np.bincount(labels.ravel())
+    sizes[0] = 0
+    candidates = np.flatnonzero(sizes == sizes.max())
+    flat = labels.ravel(order="F")
+    return labels == min(candidates, key=lambda lab: np.flatnonzero(flat == lab)[0])
+
+
+@st.composite
+def masks(draw):
+    """Random, box-shaped (often touching the array's faces), single-voxel
+    and empty masks on small anisotropic grids."""
+    dims = draw(st.tuples(*[st.integers(3, 19)] * 3))
+    spacing = draw(st.tuples(*[st.sampled_from([0.5, 0.8, 1.0, 1.5, 2.0, 3.0])] * 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["random", "box", "single", "empty"]))
+    mask = np.zeros(dims, bool)
+    if kind == "random":
+        mask = rng.random(dims) < draw(st.floats(0.02, 0.6))
+    elif kind == "box":
+        lo = [int(rng.integers(0, n)) for n in dims]
+        hi = [int(rng.integers(a, n)) + 1 for a, n in zip(lo, dims)]
+        box = tuple(slice(a, b) for a, b in zip(lo, hi))
+        mask[box] = rng.random(mask[box].shape) < 0.85
+    elif kind == "single":
+        mask[tuple(int(rng.integers(0, n)) for n in dims)] = True
+    return BinaryMask(mask, np.diag([*spacing, 1.0]))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(m=masks(), radius=st.one_of(st.floats(0.0, 7.0), st.sampled_from([1.0, 2.0, 3.0, 7.0])))
+def test_cropped_operations_equal_full_grid(m, radius):
+    """Both sides of the 125-voxel ball/distance-transform switch included."""
+    data = m.data
+    ball = morphology.ball_structure(radius, m.spacing)
+    want_dilated = ndimage.binary_dilation(data, structure=ball) if radius > 0 else data
+    want_eroded = ndimage.binary_erosion(data, structure=ball) if radius > 0 else data
+    np.testing.assert_array_equal(morphology.dilate(m, radius).data, want_dilated)
+    np.testing.assert_array_equal(morphology.erode(m, radius).data, want_eroded)
+    np.testing.assert_array_equal(
+        morphology.fill_holes(m).data,
+        ndimage.binary_fill_holes(data, structure=morphology.SIX_CONNECTED),
+    )
+    if data.any():
+        np.testing.assert_array_equal(
+            morphology.largest_connected_component(m).data,
+            full_grid_largest_component(data),
+        )
+
+
+def _fill(data):
+    out = morphology.fill_holes(BinaryMask(data, np.eye(4))).data
+    want = ndimage.binary_fill_holes(data, structure=morphology.SIX_CONNECTED)
+    np.testing.assert_array_equal(out, want)
+    return out
+
+
+def test_fill_holes_cavity_open_through_bounding_box_face_stays():
+    data = np.zeros((9, 9, 9), bool)
+    data[2:7, 2:7, 2:7] = True
+    data[3:6, 3:6, 3:7] = False  # a cup: the cavity reaches the box's top face
+    np.testing.assert_array_equal(_fill(data), data)
+
+
+def test_fill_holes_island_inside_cavity_stays():
+    data = np.zeros((13, 13, 13), bool)
+    data[1:12, 1:12, 1:12] = True
+    data[2:11, 2:11, 2:11] = False  # the cavity
+    data[5:8, 5:8, 5:8] = True      # an island in it, with a hole of its own
+    data[6, 6, 6] = False
+    out = _fill(data)
+    assert out[1:12, 1:12, 1:12].all()
+    assert out.sum() == 11**3
+
+
+def test_fill_holes_cavity_touching_array_border_stays():
+    data = np.zeros((8, 8, 8), bool)
+    data[0:5, 0:5, 0:5] = True
+    data[0:2, 1:4, 1:4] = False  # enclosed inside the array, open to its x = 0 face
+    np.testing.assert_array_equal(_fill(data), data)
+

@@ -183,6 +183,7 @@ def test_read_declared_size_beyond_file_is_corrupt(tmp_path, identity_2x2x2, com
         nifti.read_nifti(bad)
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("field, offset, codes", [
     ("sform", 280, (0, 1)),
     ("qform quaternion", 256, (1, 0)),
