@@ -5,8 +5,13 @@ Mattes et al. (IEEE TMI 2003): each moving intensity, interpolated at a
 sampled fixed-image foreground point, is spread linearly across its two
 nearest bins. The moving image is interpolated trilinearly by an in-module
 kernel that is bit-identical to ``scipy.ndimage.map_coordinates(order=1)``
-on in-bounds points of finite data, with less overhead per call; the same
+on in-volume points of finite data, with less overhead per call; the same
 kernel returns the image's voxel gradient at each point.
+
+Every sample counts at every transform: the kernel reads the volume
+zero-padded by ``_MARGIN`` voxels per side, where a sample that has left
+the volume reads 0 with a zero gradient. The sample count never changes,
+so the cost and its gradient are continuous and L-BFGS-B's stop is true.
 
 Optimization is L-BFGS-B per pyramid level, coarse to fine, over a
 12-parameter transform (translation, Euler rotation, log-scale, shear)
@@ -120,21 +125,28 @@ def mutual_information(counts: np.ndarray) -> float:
 
 
 def _foreground_centroid(v: Volume) -> np.ndarray:
+    """Intensity-weighted world centroid of the positive voxels, from each
+    axis's marginal sums (no per-voxel index array)."""
     w = np.asarray(v.data, dtype=np.float64)
     w = np.where(w > 0, w, 0.0)
     total = w.sum()
     if total <= 0:
         raise NoOverlap("image has no positive foreground")
-    idx = np.indices(v.dims, dtype=np.float64)
-    cvox = np.array([float((idx[i] * w).sum() / total) for i in range(3)])
+    cvox = np.array([
+        w.sum(axis=tuple(a for a in range(3) if a != i)) @ np.arange(n, dtype=np.float64)
+        for i, n in enumerate(v.dims)
+    ]) / total
     return v.affine[:3, :3] @ cvox + v.affine[:3, 3]
 
 
-def _pad_high(data: np.ndarray) -> np.ndarray:
-    """data as float64 with one zero voxel appended on the high side of each
-    axis: a point on the last voxel plane then reads its upper corner, at
-    weight 0, from inside the array."""
-    return np.pad(np.asarray(data, dtype=np.float64), ((0, 1),) * 3)
+# Zero voxels padded per side: two, so that a point clamped onto either
+# face of the padded array reads padding only (see _trilinear).
+_MARGIN = 2
+
+
+def _pad(data: np.ndarray) -> np.ndarray:
+    """data as float64 with _MARGIN zero voxels on each side of each axis."""
+    return np.pad(np.asarray(data, dtype=np.float64), _MARGIN)
 
 
 # Samples per _trilinear block, so that each (8, block) float64 temporary
@@ -146,20 +158,22 @@ _BLOCK = 1 << 15
 
 def _trilinear(padded: np.ndarray, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Trilinear values (n,) and voxel gradients (3, n) of the volume that
-    ``_pad_high`` padded, at voxel coordinates (3, n), each within
-    [0, dims - 1].
+    ``_pad`` padded, at voxel coordinates (3, n) of the unpadded volume,
+    each clamped into the margin, [-2, dims]. Below -1 and from dims up both
+    corners along an axis are padding, so a point there reads 0 with a zero
+    gradient; between, the image falls linearly to 0 over one voxel.
 
-    The floating-point operations of the values are those of
-    map_coordinates(order=1), in the same order, so on finite data they are
-    bit-identical (on the last voxel planes scipy reads a zero-weight
-    corner from inside the volume, so an inf or NaN there spreads
-    differently): scipy's weights (low 1 - t, high 1 - (1 - t)), the 8
-    corners x-major with z fastest, each multiplied by its x, then y, then
-    z weight and added to zero. Each step runs on all 8 corners at once, in
-    one (8, n) array, because the gradient below takes differences between
-    corners. For the values alone that is not the cheapest order: in one
-    process a loop over the corners computes them in about 60% of the time
-    (2.2 ms against 3.7 ms for 32,768 samples, one Xeon vCPU).
+    On points within [0, dims - 1] the floating-point operations of the
+    values are those of map_coordinates(order=1), in the same order, so on
+    finite data they are bit-identical (on the last voxel planes scipy
+    reads a zero-weight corner from inside the volume, so an inf or NaN
+    there spreads differently): scipy's weights (low 1 - t, high
+    1 - (1 - t)), the 8 corners x-major with z fastest, each multiplied by
+    its x, then y, then z weight and added to zero. Each step runs on all 8
+    corners at once, in one (8, n) array, because the gradient below takes
+    differences between corners. For the values alone a loop over the
+    corners is cheaper, about 60% of the time in one process (2.2 ms
+    against 3.7 ms for 32,768 samples, one Xeon vCPU).
 
     The gradient along an axis is the interpolant's derivative there: the
     high-minus-low corner differences along it, weighted by the other two
@@ -171,12 +185,17 @@ def _trilinear(padded: np.ndarray, coords: np.ndarray) -> tuple[np.ndarray, np.n
         return (np.concatenate([v for v, _ in parts]),
                 np.concatenate([g for _, g in parts], axis=1))
     _, ny, nz = padded.shape
-    lo = coords.astype(np.intp)  # truncation is floor: coords >= 0
     w = np.empty((2,) + coords.shape)  # low and high weight per axis
-    np.subtract(1.0, coords - lo, out=w[0])
+    top = np.reshape(padded.shape, (3, 1)) - (_MARGIN + 2.0)
+    clamped = np.clip(coords, -_MARGIN, top, out=w[1])
+    floor = np.floor(clamped)
+    np.subtract(clamped, floor, out=w[0])
+    np.subtract(1.0, w[0], out=w[0])
     np.subtract(1.0, w[0], out=w[1])
+    lo = floor.astype(np.intp)
     base = (lo[0] * ny + lo[1]) * nz + lo[2]
-    offsets = np.array([(dx * ny + dy) * nz + dz
+    # corner offsets, from the low corner's unpadded index into padded
+    offsets = np.array([((dx + _MARGIN) * ny + dy + _MARGIN) * nz + dz + _MARGIN
                         for dx in (0, 1) for dy in (0, 1) for dz in (0, 1)])
     corners = np.take(padded.ravel(), base + offsets[:, None])
     by_axis = corners.reshape(2, 2, 2, -1)
@@ -195,43 +214,30 @@ def _trilinear(padded: np.ndarray, coords: np.ndarray) -> tuple[np.ndarray, np.n
     return out, grad
 
 
-def _overlap_samples(padded, coords, nmax, fixed_bins, fgT):
-    """(fixed bins, fixed voxel coordinates, moving values, moving voxel
-    gradients) of the samples whose moving voxel coordinates (3, n) fall
-    inside the moving volume, nmax (3, 1) being its dims - 1."""
-    if coords.min() >= 0.0 and np.all(coords.max(axis=1, keepdims=True) <= nmax):
-        return (fixed_bins, fgT, *_trilinear(padded, coords))
-    inb = np.all((coords >= 0.0) & (coords <= nmax), axis=0)
-    # compress copies the kept columns several times faster than coords[:, inb]
-    return (fixed_bins[inb], fgT.compress(inb, axis=1),
-            *_trilinear(padded, coords.compress(inb, axis=1)))
-
-
 def _downsample(v: Volume, factor: int, sigma_mm: float) -> Volume:
+    """v smoothed by sigma_mm, then every factor-th voxel from voxel 0 of
+    each axis, edge-padded on the high side to factor * k + 1 voxels so
+    that the coarse grid reaches the last voxel plane."""
     data = np.asarray(v.data, dtype=np.float64)
     if sigma_mm > 0:
         data = ndimage.gaussian_filter(data, sigma=sigma_mm / v.spacing)
+    aff = v.affine.copy()
     if factor > 1:
+        extra = [(-(n - 1)) % factor for n in data.shape]
+        data = np.pad(data, [(0, e) for e in extra], mode="edge")
         data = data[::factor, ::factor, ::factor]
-        aff = v.affine.copy()
         aff[:3, :3] *= factor
-    else:
-        aff = v.affine.copy()
     return Volume(np.ascontiguousarray(data), aff)
 
 
-_BOUNDS = optimize.Bounds(
-    np.concatenate([np.full(3, -150.0), np.full(3, -np.pi / 2),
-                    np.full(3, -0.5), np.full(3, -0.5)]),
-    np.concatenate([np.full(3, 150.0), np.full(3, np.pi / 2),
-                    np.full(3, 0.5), np.full(3, 0.5)]),
-)
+# Bounds of |translation| (mm), |rotation| (rad), |log-scale| and |shear|
+_LIMITS = np.repeat([150.0, np.pi / 2, 0.5, 0.5], 3)
 # Internal parameters per optimizer unit: 1 mm of translation, and 1/60 of
 # rotation (rad), log-scale and shear, so that one unit of any parameter
 # moves a point 60 mm from the center, about the head's edge, by about 1 mm,
 # and the gradient and the stopping tolerances weigh them alike.
 _UNITS = np.concatenate([np.ones(3), np.full(9, 1.0 / 60.0)])
-_UNIT_BOUNDS = optimize.Bounds(_BOUNDS.lb / _UNITS, _BOUNDS.ub / _UNITS)
+_UNIT_BOUNDS = optimize.Bounds(-_LIMITS / _UNITS, _LIMITS / _UNITS)
 
 
 @dataclass(frozen=True)
@@ -276,8 +282,7 @@ def prepare(fixed: Volume, config: RegistrationConfig | None = None) -> FixedSid
         # optimum toward transforms that push them out of bounds.
         support = f_level.data > 0
         interior = ndimage.binary_erosion(support, iterations=2)
-        fg = np.argwhere(interior if interior.sum() >= 512 else support)
-        fg = fg.astype(np.float64)
+        fg = np.argwhere(interior if interior.sum() >= 512 else support).astype(np.float64)
         if fg.shape[0] < 16:
             fg = np.indices(f_level.dims).reshape(3, -1).T.astype(np.float64)
         rng = np.random.default_rng(config.seed + level)
@@ -288,39 +293,46 @@ def prepare(fixed: Volume, config: RegistrationConfig | None = None) -> FixedSid
         fg = np.clip(fg, 0.0, np.asarray(f_level.dims, dtype=np.float64) - 1.0)
         # Slight smoothing of the fixed intensities matches the blur the
         # moving image picks up from interpolation.
-        fixed_smoothed = ndimage.gaussian_filter(
-            np.asarray(f_level.data, dtype=np.float64), 0.45
-        )
-        fgT = fg.T
-        fixed_vals, _ = _trilinear(_pad_high(fixed_smoothed), fgT)
+        fixed_smoothed = ndimage.gaussian_filter(f_level.data, 0.45)
+        fixed_vals, _ = _trilinear(_pad(fixed_smoothed), fg.T)
         levels.append(_FixedLevel(
             factor=factor,
             sigma=sigma,
             ftol=ftol,
             affine=_frozen(f_level.affine),
-            fgT=_frozen(fgT),
+            fgT=_frozen(fg.T),
             fixed_bins=_frozen(_bin_indices(fixed_vals, fixed_range, config.bins)),
         ))
     return FixedSide(config, center, tuple(levels))
 
 
+def _fixed_to_moving(x: np.ndarray, center: np.ndarray) -> np.ndarray:
+    """The fixed-world -> moving-world map of optimizer-unit parameters x."""
+    theta = x * _UNITS
+    return affine_matrix(theta[0:3], theta[3:6], np.exp(theta[6:9]), theta[9:12], center)
+
+
+def _moving_voxels(f_level: _FixedLevel, m_inv: np.ndarray, center, x) -> np.ndarray:
+    """Moving voxel coordinates (3, n) of the level's samples at x, m_inv
+    being the moving level's world -> voxel map."""
+    vox_map = m_inv @ _fixed_to_moving(x, center) @ f_level.affine
+    return vox_map[:3, :3] @ f_level.fgT + vox_map[:3, 3:4]
+
+
 def _level_cost(f_level: _FixedLevel, m_level: Volume, center: np.ndarray, bins: int):
     """(value, gradient): the cost -MI of one pyramid level and its
     gradient, as functions of the optimizer-unit parameters x (internal
-    parameters x * _UNITS). Both come from one pass over the samples, and
+    parameters x * _UNITS). Both come from one pass over every sample, and
     the last point is kept, because L-BFGS-B asks for the value and the
-    gradient of each point in separate calls. The cost is 1.0, with a zero
-    gradient, when no sample falls inside the moving volume.
+    gradient of each point in separate calls.
     """
     moving_range = robust_range(m_level.data)
     # The cost interpolates the moving intensity before binning instead of
     # spreading partial-volume weights: PV weighting couples the histogram
     # to the sampling grid and displaces the MI optimum by more than the
     # recovery tolerance.
-    mpadded = _pad_high(m_level.data)
+    mpadded = _pad(m_level.data)
     m_inv = invert(m_level.affine)
-    f_aff = f_level.affine
-    nmax = np.asarray(m_level.dims, dtype=np.float64).reshape(3, 1) - 1.0
     # d(bin position) / d(moving value) inside the window's range
     slope = bins / (moving_range[1] - moving_range[0])
     last = {}
@@ -328,38 +340,31 @@ def _level_cost(f_level: _FixedLevel, m_level: Volume, center: np.ndarray, bins:
     def evaluate(x):
         if "x" in last and np.array_equal(last["x"], x):
             return last["value"], last["gradient"]
+        vals, vgrad = _trilinear(mpadded, _moving_voxels(f_level, m_inv, center, x))
+        b0, w1, sloped = _parzen_window(vals, moving_range, bins)
+        cells = f_level.fixed_bins * bins + b0
+        counts = _joint_counts(cells, w1, bins)
+        value = -mutual_information(counts)
+        # The fixed marginal does not move, so dMI/dp_ab = log(p_ab/p_b)
+        # up to a constant that cancels; a sample moves weight from its
+        # cell to the next one at the rate of w1.
+        column = np.broadcast_to(counts.sum(axis=0), counts.shape)
+        nz = counts > 0
+        log_ratio = np.zeros(counts.size)
+        log_ratio[nz.ravel()] = np.log(counts[nz] / column[nz])
+        dmi_dv = (log_ratio[cells + 1] - log_ratio[cells]) * sloped * (slope / counts.sum())
+        # dMI/d(vox_map) as a 3 x 4 matrix: sum over samples of the
+        # moving-voxel gradient of MI times the homogeneous fixed voxel.
+        u = vgrad * dmi_dv
+        moment = np.empty((3, 4))
+        moment[:, :3] = u @ f_level.fgT.T
+        moment[:, 3] = u.sum(axis=1)
         theta = x * _UNITS
         scale = np.exp(theta[6:9])
-        m = affine_matrix(theta[0:3], theta[3:6], scale, theta[9:12], center)
-        vox_map = m_inv @ m @ f_aff
-        coords = vox_map[:3, :3] @ f_level.fgT + vox_map[:3, 3:4]
-        fbins, fg, vals, vgrad = _overlap_samples(
-            mpadded, coords, nmax, f_level.fixed_bins, f_level.fgT)
-        if vals.size == 0:
-            value, gradient = 1.0, np.zeros(12)
-        else:
-            b0, w1, sloped = _parzen_window(vals, moving_range, bins)
-            cells = fbins * bins + b0
-            counts = _joint_counts(cells, w1, bins)
-            value = -mutual_information(counts)
-            # The fixed marginal does not move, so dMI/dp_ab = log(p_ab/p_b)
-            # up to a constant that cancels; a sample moves weight from its
-            # cell to the next one at the rate of w1.
-            column = np.broadcast_to(counts.sum(axis=0), counts.shape)
-            nz = counts > 0
-            log_ratio = np.zeros(counts.size)
-            log_ratio[nz.ravel()] = np.log(counts[nz] / column[nz])
-            dmi_dv = (log_ratio[cells + 1] - log_ratio[cells]) * sloped * (slope / counts.sum())
-            # dMI/d(vox_map) as a 3 x 4 matrix: sum over samples of the
-            # moving-voxel gradient of MI times the homogeneous fixed voxel.
-            u = vgrad * dmi_dv
-            moment = np.empty((3, 4))
-            moment[:, :3] = u @ fg.T
-            moment[:, 3] = u.sum(axis=1)
-            d_m = affine_matrix_derivatives(theta[3:6], scale, theta[9:12], center)
-            d_m[6:9] *= scale[:, None, None]  # by log-scale
-            d_vox = m_inv @ d_m @ f_aff
-            gradient = -np.einsum("kij,ij->k", d_vox[:, :3, :], moment) * _UNITS
+        d_m = affine_matrix_derivatives(theta[3:6], scale, theta[9:12], center)
+        d_m[6:9] *= scale[:, None, None]  # by log-scale
+        d_vox = m_inv @ d_m @ f_level.affine
+        gradient = -np.einsum("kij,ij->k", d_vox[:, :3, :], moment) * _UNITS
         last.update(x=x.copy(), value=value, gradient=gradient)
         return value, gradient
 
@@ -377,49 +382,43 @@ def register_affine(fixed: FixedSide, moving: Volume) -> tuple[np.ndarray, dict]
     the prepared fixed image that locally maximizes MI.
 
     Returns (transform, diagnostics). Each level records its final MI, its
-    iterations and cost evaluations, the optimizer's stop reason and
-    whether that stop is a convergence; the top-level ``converged`` holds
-    only if every level converged. Non-convergence is reported, not raised.
+    iterations and cost evaluations, the optimizer's stop reason, whether
+    that stop is a convergence, and ``inside``, the fraction of its samples
+    inside the moving volume at its solution; the top-level ``converged``
+    holds only if every level converged. Non-convergence is reported, not
+    raised; NoOverlap is raised when no sample of the final level is inside.
     """
     config = fixed.config
     center = fixed.center
-    moving_centroid = _foreground_centroid(moving)
     # Internal parameters (translation, rotation, log-scale, shear) map
-    # fixed-world -> moving-world; x is them in optimizer units.
-    theta = np.zeros(12)
-    theta[:3] = moving_centroid - center
-    x = theta / _UNITS
+    # fixed-world -> moving-world; x is them in optimizer units, which are
+    # mm for translation. The start aligns the foreground centroids.
+    x = np.zeros(12)
+    x[:3] = _foreground_centroid(moving) - center
 
     diagnostics = {"levels": [], "seed": config.seed}
     for f_level in fixed.levels:
         m_level = _downsample(moving, f_level.factor, f_level.sigma)
         value, gradient = _level_cost(f_level, m_level, center, config.bins)
         res = optimize.minimize(
-            value,
-            x,
-            jac=gradient,
-            method="L-BFGS-B",
-            bounds=_UNIT_BOUNDS,
+            value, x, jac=gradient, method="L-BFGS-B", bounds=_UNIT_BOUNDS,
             # maxcor: corrections kept for the inverse-Hessian estimate
             options={"ftol": f_level.ftol, "gtol": config.convergence_tol, "maxcor": 12},
         )
         x = res.x
-        diagnostics["levels"].append(
-            {
-                "factor": int(f_level.factor),
-                "mi": float(-res.fun),
-                "iterations": int(res.nit),
-                "evaluations": int(res.nfev),
-                "stop": _stop_reason(res.message),
-                "converged": bool(res.success),
-            }
-        )
+        coords = _moving_voxels(f_level, invert(m_level.affine), center, x)
+        nmax = np.reshape(m_level.dims, (3, 1)) - 1
+        diagnostics["levels"].append({
+            "factor": int(f_level.factor),
+            "mi": float(-res.fun),
+            "iterations": int(res.nit),
+            "evaluations": int(res.nfev),
+            "stop": _stop_reason(res.message),
+            "converged": bool(res.success),
+            "inside": float(np.all((coords >= 0) & (coords <= nmax), axis=0).mean()),
+        })
     diagnostics["converged"] = all(lv["converged"] for lv in diagnostics["levels"])
 
-    if res.fun >= 1.0:  # never found overlap at the final level
+    if diagnostics["levels"][-1]["inside"] == 0.0:
         raise NoOverlap("registration found no overlapping support")
-    theta = x * _UNITS
-    fixed_to_moving = affine_matrix(
-        theta[0:3], theta[3:6], np.exp(theta[6:9]), theta[9:12], center
-    )
-    return invert(fixed_to_moving), diagnostics
+    return invert(_fixed_to_moving(x, center)), diagnostics

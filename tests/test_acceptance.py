@@ -79,12 +79,21 @@ def test_criterion_1_brain_safety_under_adversarial_transforms(
 
 
 def test_criterion_2_face_removal_on_phantoms(registered_batch):
-    """All nose/eye blob voxels set to background, 50/50 phantoms."""
+    """All nose/eye blob voxels set to background, 50/50 phantoms; every
+    level of every registration stopped on a convergence test."""
     clean = sum(
         np.all(result.defaced.data[subject.face_mask.data] == 0)
         for _seed, subject, result in registered_batch
     )
-    _report(2, f"face blobs zeroed on {clean}/50 phantoms", clean == 50)
+    converged = sum(
+        all(lv["converged"] for lv in result.provenance["registration"]["levels"])
+        for _seed, _subject, result in registered_batch
+    )
+    _report(
+        2,
+        f"face blobs zeroed on {clean}/50 phantoms, {converged}/50 converged",
+        clean == 50 and converged == 50,
+    )
 
 
 def test_criterion_3_brain_mask_dice(registered_batch):
@@ -110,11 +119,13 @@ def _residual_errors(recovered, truth, center):
 
 
 def test_criterion_4_registration_recovery(head):
-    """<=0.5 mm / 0.5 deg / 0.01 scale over 20 seeded misalignments."""
+    """<=0.5 mm / 0.5 deg / 0.01 scale over 20 seeded misalignments, each
+    registration converged."""
     center = np.full(3, 31.5)
     fixed = prepare(head.volume)
     ok = True
     worst = (0.0, 0.0, 0.0)
+    unconverged = 0
     for seed in range(20):
         rng = np.random.default_rng(seed)
         truth = synthetic.random_rigid_affine(
@@ -123,16 +134,19 @@ def test_criterion_4_registration_recovery(head):
         )
         subject = synthetic.transformed_phantom(head, truth)
         t0 = time.time()
-        recovered, _diag = register_affine(fixed, subject.volume)
+        recovered, diag = register_affine(fixed, subject.volume)
         elapsed = time.time() - t0
         trans, ang, scale = _residual_errors(recovered, truth, center)
         worst = tuple(max(a, b) for a, b in zip(worst, (trans, ang, scale)))
         if trans > 0.5 or ang > 0.5 or scale > 0.01 or elapsed > 60.0:
             ok = False
+        if not diag["converged"]:
+            ok = False
+            unconverged += 1
     _report(
         4,
         f"registration recovery, worst {worst[0]:.3f} mm / "
-        f"{worst[1]:.3f} deg / {worst[2]:.4f} scale",
+        f"{worst[1]:.3f} deg / {worst[2]:.4f} scale, {unconverged} not converged",
         ok,
     )
 

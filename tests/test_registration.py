@@ -7,12 +7,12 @@ from scipy import ndimage
 from defacepipe import registration, synthetic
 from defacepipe.errors import NoOverlap
 from defacepipe.geometry import affine_matrix, invert, translation
+from defacepipe.volume import Volume
 from defacepipe.registration import (
     RegistrationConfig,
     _downsample,
     _level_cost,
-    _overlap_samples,
-    _pad_high,
+    _pad,
     _trilinear,
     _UNITS,
     mutual_information,
@@ -149,7 +149,7 @@ def test_trilinear_bit_identical_to_map_coordinates(dims, sign):
     elif sign == "mixed":
         data -= 50.0
     coords = boundary_coords(dims, rng)
-    padded = _pad_high(data)
+    padded = _pad(data)
     want = ndimage.map_coordinates(data, coords, order=1)
     assert np.array_equal(_trilinear(padded, coords)[0], want)
     # One point at a time too: a reduction over the corners may change its
@@ -165,7 +165,7 @@ def test_trilinear_gradient_matches_finite_differences():
     rng = np.random.default_rng(31)
     dims = (9, 11, 13)
     data = rng.uniform(-50.0, 50.0, dims)
-    padded = _pad_high(data)
+    padded = _pad(data)
     hi = np.asarray(dims, dtype=np.float64).reshape(3, 1) - 1.0
     coords = np.floor(rng.uniform(0.0, 1.0, (3, 500)) * hi) + rng.uniform(0.1, 0.9, (3, 500))
     on_plane = np.floor(coords[:, :100])
@@ -186,7 +186,7 @@ def test_trilinear_blocks_match_one_block(monkeypatch):
     rng = np.random.default_rng(9)
     data = rng.uniform(-50.0, 50.0, (17, 23, 31))
     coords = boundary_coords(data.shape, rng)
-    padded = _pad_high(data)
+    padded = _pad(data)
     whole, whole_grad = _trilinear(padded, coords)
     monkeypatch.setattr(registration, "_BLOCK", 100)
     blocked, blocked_grad = _trilinear(padded, coords)
@@ -196,32 +196,69 @@ def test_trilinear_blocks_match_one_block(monkeypatch):
 
 
 @pytest.mark.parametrize("dims", [(5, 6, 7), (17, 23, 31)])
-def test_overlap_samples_match_masked_map_coordinates(dims):
-    """Samples straddling each face keep the same (fixed bins, fixed
-    coordinates, values) as masking to the volume, then map_coordinates on
-    what is left, and the kernel's gradients of the kept points."""
+def test_trilinear_reads_zero_outside_the_volume(dims):
+    """Points below -1 or from dims up on any axis, in the margin or far
+    beyond it (clamped into it), read exactly 0 with an all-zero gradient."""
     rng = np.random.default_rng(5)
-    data = rng.uniform(-50.0, 50.0, dims)
-    nmax = np.asarray(dims, dtype=np.float64).reshape(3, 1) - 1.0
+    data = rng.uniform(1.0, 100.0, dims)
+    hi = np.asarray(dims, dtype=np.float64)
     inside = boundary_coords(dims, rng)
-    cases = [inside, np.full((3, 8), -0.5)]
+    cases = [np.full((3, 8), -1e6), np.full((3, 8), 1e6)]
     for axis in range(3):
-        for shift in (-0.5 * nmax[axis, 0], 0.5 * nmax[axis, 0]):
-            moved = inside.copy()
-            moved[axis] += shift
-            cases.append(moved)
-    padded = _pad_high(data)
+        for value in (-1.0 - 1e-9, -1.5, -2.0, -3.0, -1e9):
+            face = inside.copy()
+            face[axis] = value
+            cases.append(face)
+        for value in (hi[axis], hi[axis] + 0.5, hi[axis] + 1.0, hi[axis] + 7.25, 1e9):
+            face = inside.copy()
+            face[axis] = value
+            cases.append(face)
+    padded = _pad(data)
     for coords in cases:
-        fixed_bins = rng.integers(0, 32, coords.shape[1])
-        fgT = rng.uniform(0.0, 10.0, coords.shape)
-        got_bins, got_fg, got_vals, got_grad = _overlap_samples(
-            padded, coords, nmax, fixed_bins, fgT)
-        inb = np.all((coords >= 0.0) & (coords <= nmax), axis=0)
-        want_vals = ndimage.map_coordinates(data, coords[:, inb], order=1)
-        assert np.array_equal(got_bins, fixed_bins[inb])
-        assert np.array_equal(got_fg, fgT[:, inb])
-        assert np.array_equal(got_vals, want_vals)
-        assert np.array_equal(got_grad, _trilinear(padded, coords[:, inb])[1])
+        values, grad = _trilinear(padded, coords)
+        assert np.array_equal(values, np.zeros(coords.shape[1]))
+        assert np.array_equal(grad, np.zeros(coords.shape))
+
+
+def test_trilinear_is_continuous_across_the_edge():
+    """Between the last voxel plane and one voxel beyond it, the image falls
+    linearly to 0: no jump at the volume's edge, on either side."""
+    data = np.full((4, 5, 6), 10.0)
+    padded = _pad(data)
+    t = np.linspace(0.0, 1.0, 11)
+    for axis, n in enumerate(data.shape):
+        for edge, outward in ((0.0, -1.0), (n - 1.0, 1.0)):
+            coords = np.full((3, t.size), 1.5)
+            coords[axis] = edge + outward * t
+            values, _ = _trilinear(padded, coords)
+            np.testing.assert_allclose(values, 10.0 * (1.0 - t), atol=1e-12)
+
+
+@pytest.mark.parametrize("factor", [4, 2])
+def test_downsample_grid_reaches_last_voxel_plane(head, factor):
+    coarse = _downsample(head.volume, factor, float(factor))
+    last = coarse.affine @ np.append(np.asarray(coarse.dims) - 1.0, 1.0)
+    assert np.all(last[:3] >= 63.0)
+    # the grid still starts at voxel 0 with spacing factor
+    np.testing.assert_array_equal(coarse.affine[:3, 3], head.volume.affine[:3, 3])
+    assert np.all(coarse.spacing == factor)
+
+
+def test_foreground_centroid_matches_index_formula():
+    """Marginal sums give the np.indices centroid on an anisotropic, oblique
+    volume with negative and zero voxels."""
+    rng = np.random.default_rng(12)
+    dims = (13, 7, 22)
+    data = rng.uniform(-20.0, 100.0, dims)
+    rot = affine_matrix(np.zeros(3), (0.3, -0.2, 0.5), np.ones(3), np.zeros(3), np.zeros(3))
+    aff = rot @ np.diag([0.8, 1.7, 3.1, 1.0])
+    aff[:3, 3] = (-40.0, 12.5, 95.0)
+    w = np.where(data > 0, data, 0.0)
+    idx = np.indices(dims, dtype=np.float64)
+    cvox = np.array([(idx[i] * w).sum() / w.sum() for i in range(3)])
+    want = aff[:3, :3] @ cvox + aff[:3, 3]
+    got = registration._foreground_centroid(Volume(data, aff))
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
 
 
 def test_config_validation():
@@ -263,8 +300,27 @@ def test_translation_recovery(head):
     assert diag["converged"] is True
     assert all(lv["converged"] for lv in levels)
     assert levels[-1]["stop"].startswith("convergence")
+    assert levels[-1]["inside"] == 1.0
     assert sum(lv["evaluations"] for lv in levels) < 1000
     assert all(lv["iterations"] <= lv["evaluations"] for lv in levels)
+
+
+def test_no_overlap_raises(head):
+    """A subject 1000 mm away lies beyond the translation bounds: no sample
+    of the final level lands inside it."""
+    affine = head.volume.affine.copy()
+    affine[:3, 3] += 1000.0
+    with pytest.raises(NoOverlap):
+        register_affine(prepare(head.volume), Volume(head.volume.data, affine))
+
+
+def test_partial_overlap_records_inside_fraction(head):
+    """A head pushed partly out of its field of view keeps some template
+    samples outside the moving volume on every level, and still converges."""
+    subject = synthetic.transformed_phantom(head, translation((25.0, -20.0, 18.0)))
+    _, diag = register_affine(prepare(head.volume), subject.volume)
+    assert all(0.0 < lv["inside"] < 1.0 for lv in diag["levels"])
+    assert diag["converged"] is True
 
 
 def test_rotation_scale_recovery(head):
@@ -281,9 +337,7 @@ def test_rotation_scale_recovery(head):
 
 def test_cost_gradient_matches_central_differences(head):
     """The analytic gradient of every level's cost agrees with central
-    differences of the cost, away from the optimum where it is not small.
-    The step is small because the cost jumps where a sample crosses the
-    moving volume's edge, which the gradient leaves out."""
+    differences of the cost, away from the optimum where it is not small."""
     fixed = prepare(head.volume)
     subject = synthetic.random_subject(head, seed=3).volume
     rng = np.random.default_rng(8)
@@ -293,7 +347,7 @@ def test_cost_gradient_matches_central_differences(head):
         m_level = _downsample(subject, f_level.factor, f_level.sigma)
         value, gradient = _level_cost(f_level, m_level, fixed.center, 32)
         x = theta / _UNITS + rng.normal(0.0, 0.5, 12)
-        h = 1e-4
+        h = 1e-3
         fd = np.array([(value(x + h * e) - value(x - h * e)) / (2 * h) for e in np.eye(12)])
         g = gradient(x)
         assert np.abs(g).max() > 0.05
