@@ -62,6 +62,12 @@ def _brain_source(args) -> BrainMaskSource:
     return BrainMaskSource("fallback")
 
 
+def _artifacts(input_path: Path, output_dir: Path | None) -> list[Path]:
+    """deface's outputs for one input: defaced volume, brain-safe mask, transform, provenance."""
+    return [_out_path(input_path, output_dir, suffix, ext) for suffix, ext in (
+        ("_defaced", None), ("_brainsafe", None), ("_xfm", ".txt"), ("_prov", ".json"))]
+
+
 def _deface_one(input_path: Path, pack: TemplatePack, fixed, source, margin_mm, output_dir):
     try:
         volume, sidecar = nifti.read_nifti(input_path)
@@ -73,14 +79,11 @@ def _deface_one(input_path: Path, pack: TemplatePack, fixed, source, margin_mm, 
 
     # Provenance is written last, as the mark of a complete set; one left by
     # an earlier run would mark a partly replaced set as complete.
-    prov_path = _out_path(input_path, output_dir, "_prov", ".json")
+    out, brainsafe_path, xfm_path, prov_path = _artifacts(input_path, output_dir)
     prov_path.unlink(missing_ok=True)
-    out = _out_path(input_path, output_dir, "_defaced")
     nifti.write_nifti(result.defaced, sidecar, out)
-    nifti.write_mask(result.brain_safe_mask, _out_path(input_path, output_dir, "_brainsafe"))
-    geometry.save_transform(
-        result.transform, _out_path(input_path, output_dir, "_xfm", ".txt")
-    )
+    nifti.write_mask(result.brain_safe_mask, brainsafe_path)
+    geometry.save_transform(result.transform, xfm_path)
     with nifti.atomic_file(prov_path) as f:
         f.write(json.dumps(result.provenance, indent=2, sort_keys=True).encode())
     return out
@@ -110,7 +113,7 @@ def cmd_deface(args) -> int:
     # Two inputs with one set of output paths would overwrite each other.
     claimed = {}
     for p in inputs:
-        first = claimed.setdefault(_out_path(p, output_dir, "_prov", ".json").resolve(), p)
+        first = claimed.setdefault(_artifacts(p, output_dir)[3].resolve(), p)
         if first is not p:
             print(f"error: {first} and {p} would write the same output files", file=sys.stderr)
             return 2
@@ -138,6 +141,9 @@ def cmd_deface(args) -> int:
             except Exception as e:
                 failures.append(p)
                 print(f"error: {p}: {e}", file=sys.stderr)
+    for p in failures:  # a worker killed mid-write leaves its temporary file
+        for path in _artifacts(p, output_dir):
+            nifti.remove_temporary_files(path)
     return 1 if failures else 0
 
 
@@ -175,16 +181,18 @@ def cmd_qc(args) -> int:
     except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    items = []
-    for item_id, orig_path, defaced_path in entries:
-        try:
-            orig, _ = nifti.read_nifti(orig_path)
-            defaced, _ = nifti.read_nifti(defaced_path)
-        except DefacepipeError as e:
-            print(f"error: {orig_path}: {e}", file=sys.stderr)
-            orig = defaced = None  # qc_report records the pair as failed
-        items.append((item_id, orig, defaced))
-    report = qc_report(items, threshold=args.threshold)
+
+    def pairs():  # read as qc_report asks, one pair at a time
+        for item_id, orig_path, defaced_path in entries:
+            try:
+                orig, _ = nifti.read_nifti(orig_path)
+                defaced, _ = nifti.read_nifti(defaced_path)
+            except DefacepipeError as e:
+                print(f"error: {orig_path}: {e}", file=sys.stderr)
+                orig = defaced = None  # qc_report records the pair as failed
+            yield item_id, orig, defaced
+
+    report = qc_report(pairs(), threshold=args.threshold)
     print(report.to_table())
     if args.json:
         Path(args.json).write_text(report.to_json())
@@ -282,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--jobs", type=_int_at_least(1), default=1, help="worker processes (>= 1)"
     )
-    p.add_argument("--seed", type=int, default=0, help="registration RNG seed")
+    p.add_argument("--seed", type=_int_at_least(0), default=0, help="registration RNG seed")
     p.set_defaults(func=cmd_deface)
 
     p = sub.add_parser("quickshear", help="geometric baseline defacing")
@@ -312,9 +320,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_make_template_pack)
 
     p = sub.add_parser("phantom", help="write a synthetic head phantom")
-    p.add_argument("--size", type=int, default=64)
+    p.add_argument("--size", type=_int_at_least(2), default=64, help="edge in voxels (>= 2)")
     p.add_argument("--output-dir", default=".")
-    p.add_argument("--seed", type=int, default=0, help="0 = the nominal head")
+    p.add_argument("--seed", type=_int_at_least(0), default=0, help="0 = the nominal head")
     p.set_defaults(func=cmd_phantom)
 
     for p in sub.choices.values():

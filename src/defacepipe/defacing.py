@@ -111,21 +111,14 @@ def deface(
         transform, diagnostics = register_affine(fixed, loose)
 
     with _stage(7, seconds):
-        keep_vol = geometry.resample(
-            pack.keep_mask.to_volume(),
-            canon.dims,
-            canon.affine,
-            transform,  # subject-world -> template-world pullback
-            interp="nearest",
+        keep_vol = geometry.resample(  # transform: subject-world -> template-world pullback
+            pack.keep_mask.to_volume(), canon.dims, canon.affine, transform, interp="nearest"
         )
         keep_reg = BinaryMask(keep_vol.data > 0, canon.affine.copy())
     with _stage(8, seconds):
         safe_canon = union(keep_reg, dilated)
     with _stage(9, seconds):
-        safe_native = BinaryMask(
-            perm.undo(safe_canon.data),
-            input_volume.affine.copy(),
-        )
+        safe_native = BinaryMask(perm.undo(safe_canon.data), input_volume.affine.copy())
         defaced = apply_mask(input_volume, safe_native)
 
     provenance = {
@@ -191,11 +184,8 @@ def _shear_plane(brain: BinaryMask, buffer_mm: float) -> np.ndarray:
     if len(xs) == 0:
         raise EmptyMask("empty brain mask")
     mid = int((xs[0] + xs[-1]) // 2)
-    sl = brain.data[mid]
-    pts_vox = np.argwhere(sl)
     sp = brain.spacing
-    pts = pts_vox * sp[1:3]
-    hull = convex_hull_2d(pts)
+    hull = convex_hull_2d(np.argwhere(brain.data[mid]) * sp[1:3])
 
     # Outward normal per CCW edge; pick the edge facing anterior-inferior.
     target = np.array([1.0, -1.0]) / np.sqrt(2.0)
@@ -212,13 +202,13 @@ def _shear_plane(brain: BinaryMask, buffer_mm: float) -> np.ndarray:
             best, best_score = normal, score
     normal = best
 
-    all_pts = np.argwhere(brain.data)[:, 1:3] * sp[1:3]
-    offset = float((all_pts @ normal).max()) + buffer_mm
-    yy, zz = np.meshgrid(
-        np.arange(brain.dims[1]) * sp[1], np.arange(brain.dims[2]) * sp[2],
-        indexing="ij",
-    )
-    return np.broadcast_to((normal[0] * yy + normal[1] * zz) > offset, brain.dims)
+    # One plane value per (y, z) column decides both the offset and the face
+    # side, so no brain voxel can round past the offset.
+    yy = (np.arange(brain.dims[1]) * sp[1])[:, None]
+    zz = (np.arange(brain.dims[2]) * sp[2])[None, :]
+    plane = normal[0] * yy + normal[1] * zz
+    offset = plane[brain.data.any(axis=0)].max() + buffer_mm
+    return np.broadcast_to(plane > offset, brain.dims)
 
 
 def quickshear(input_volume: Volume, brain: BinaryMask, buffer_mm: float = 5.0) -> Volume:

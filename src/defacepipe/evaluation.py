@@ -101,12 +101,11 @@ def propagate_labels(
 
 
 def qc_report(items, threshold: float = 0.99) -> DiceReport:
-    """For each (id, original Volume, defaced Volume), re-extract brain masks
-    on both with the fallback extractor and Dice them. Per-item errors are
-    recorded, not fatal; a pair whose original or defaced volume is None (it
-    could not be read) is recorded as failed in its place."""
-    if not items:
-        raise ValueError("qc_report requires at least one item")
+    """For each (id, original Volume, defaced Volume) of items, an iterable
+    taken one item at a time, re-extract brain masks on both with the
+    fallback extractor and Dice them. Per-item errors are recorded, not
+    fatal; a pair whose original or defaced volume is None (it could not be
+    read) is recorded as failed in its place."""
     source = BrainMaskSource("fallback")
     per_item = []
     failed = []
@@ -125,6 +124,8 @@ def qc_report(items, threshold: float = 0.99) -> DiceReport:
         except Exception as e:
             per_item.append((item_id, None, True, str(e)))
             failed.append(item_id)
+    if not per_item:
+        raise ValueError("qc_report requires at least one item")
     mean = std = None
     if values:
         mean = float(np.mean(values))

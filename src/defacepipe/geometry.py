@@ -162,32 +162,24 @@ def resample(
     """Sample source onto the target grid.
 
     world_map sends a target voxel's world position to the position in
-    source-world at which to sample; out-of-bounds samples are 0. Voxel
-    indices refer to voxel centers.
+    source-world at which to sample. Voxel indices refer to voxel centers.
+    At source voxel coordinate c, "nearest" reads voxel floor(c + 0.5), or 0
+    when that voxel is outside the volume; "trilinear" interpolates where c
+    lies within [0, n - 1] on every axis and reads 0 elsewhere.
     """
     if interp not in ("nearest", "trilinear"):
         raise ValueError(f"unknown interpolation {interp!r}")
     vox_map = invert(source.affine) @ np.asarray(world_map) @ np.asarray(target_affine)
-
-    idx = np.indices(target_dims, dtype=np.float64).reshape(3, -1)
-    coords = vox_map[:3, :3] @ idx + vox_map[:3, 3:4]
-
-    n = np.array(source.dims, dtype=np.float64).reshape(3, 1)
-    if interp == "nearest":
-        valid = np.all((coords > -0.5) & (coords < n - 0.5), axis=0)
-        order = 0
-    else:
-        valid = np.all((coords >= 0.0) & (coords <= n - 1.0), axis=0)
-        order = 1
-
-    src = np.asarray(source.data, dtype=np.float64)
-    out = ndimage.map_coordinates(
-        src, coords, order=order, mode="grid-constant", cval=0.0
+    out = ndimage.affine_transform(
+        source.data,
+        vox_map,
+        output_shape=tuple(target_dims),
+        output=np.float64,
+        order=0 if interp == "nearest" else 1,
+        mode="grid-constant" if interp == "nearest" else "constant",
     )
-    out[~valid] = 0.0
-    out = out.reshape(target_dims)
     if np.issubdtype(source.data.dtype, np.integer):
-        out = np.rint(out)
+        np.rint(out, out=out)
     return Volume(
         out.astype(source.data.dtype), np.asarray(target_affine, float).copy()
     )

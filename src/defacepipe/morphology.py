@@ -21,9 +21,7 @@ def ball_structure(radius_mm: float, spacing) -> np.ndarray:
     sp = np.asarray(spacing, dtype=np.float64)
     r = np.floor(radius_mm / sp + 1e-9).astype(int)
     r = np.maximum(r, 0)
-    dx, dy, dz = np.meshgrid(
-        *(np.arange(-ri, ri + 1) for ri in r), indexing="ij"
-    )
+    dx, dy, dz = np.ix_(*(np.arange(-ri, ri + 1) for ri in r))
     d2 = (dx * sp[0]) ** 2 + (dy * sp[1]) ** 2 + (dz * sp[2]) ** 2
     return d2 <= radius_mm**2
 

@@ -6,6 +6,7 @@ descrip and aux_file are zeroed on write as a minimal anonymisation scrub.
 """
 
 import contextlib
+import glob
 import gzip
 import math
 import os
@@ -300,6 +301,12 @@ def atomic_file(path: Path):
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def remove_temporary_files(path: Path) -> None:
+    """Remove what atomic_file(path) left when its process died in the block."""
+    for tmp in path.parent.glob(f".{glob.escape(path.name)}.*.tmp"):
+        tmp.unlink(missing_ok=True)
 
 
 def write_mask(mask, path) -> None:

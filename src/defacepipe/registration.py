@@ -60,6 +60,8 @@ class RegistrationConfig:
     def __post_init__(self):
         if self.bins < 2:
             raise ValueError("bins must be >= 2")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 def robust_range(data: np.ndarray) -> tuple[float, float]:

@@ -9,6 +9,7 @@ is known by construction.
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import ndimage
 
 from . import geometry
 from .volume import BinaryMask, Volume
@@ -35,7 +36,7 @@ def nominal_head(size: int = 64) -> HeadPhantom:
     """Deterministic head on a 1 mm grid: bright textured brain, dim scalp
     shell, nose and eye blobs protruding anterior-inferior, background zero."""
     affine = np.eye(4)
-    grid = np.indices((size, size, size), dtype=np.float64)
+    grid = np.indices((size, size, size), dtype=np.float64, sparse=True)
     s = size / 64.0  # scale geometry with grid extent
 
     brain_c = (32 * s, 30 * s, 38 * s)
@@ -55,8 +56,6 @@ def nominal_head(size: int = 64) -> HeadPhantom:
     # profile would leave scale unobservable to MI (any radial remapping
     # keeps the intensity relation functional), so structure must
     # decorrelate in every direction.
-    from scipy import ndimage
-
     rng = np.random.default_rng(20240817)
     noise = ndimage.gaussian_filter(rng.standard_normal((size, size, size)), 2.5 / s)
     lo, hi = noise.min(), noise.max()
@@ -96,12 +95,8 @@ def transformed_phantom(base: HeadPhantom, transform: np.ndarray) -> HeadPhantom
     dims = base.volume.dims
     aff = base.volume.affine
     vol = geometry.resample(base.volume, dims, aff, transform, interp="trilinear")
-    brain = geometry.resample(
-        base.brain_mask.to_volume(), dims, aff, transform, interp="nearest"
-    )
-    face = geometry.resample(
-        base.face_mask.to_volume(), dims, aff, transform, interp="nearest"
-    )
+    brain = geometry.resample(base.brain_mask.to_volume(), dims, aff, transform, interp="nearest")
+    face = geometry.resample(base.face_mask.to_volume(), dims, aff, transform, interp="nearest")
     return HeadPhantom(
         volume=vol,
         brain_mask=BinaryMask(brain.data > 0, aff.copy()),
@@ -124,7 +119,7 @@ def random_ellipsoid_mask(
     """Random interior ellipsoid, nonempty; used for shear-safety property tests."""
     dims = tuple(dims)
     spacing = np.linalg.norm(np.asarray(affine, float)[:3, :3], axis=0)
-    grid = np.indices(dims, dtype=np.float64) * spacing.reshape(3, 1, 1, 1)
+    grid = [g * s for g, s in zip(np.indices(dims, dtype=np.float64, sparse=True), spacing)]
     extent = (np.array(dims) - 1) * spacing
     center = rng.uniform(0.3, 0.7, 3) * extent
     radii = rng.uniform(0.1, 0.3, 3) * extent

@@ -295,6 +295,34 @@ def test_qc_all_pairs_unreadable_exit_1(tmp_path, capsys):
     assert payload["mean"] is None and payload["std"] is None
 
 
+def test_qc_reads_each_pair_after_scoring_the_last(workspace, tmp_path, monkeypatch):
+    """qc holds one pair at a time: pair k + 1 is read after pair k's Dice."""
+    root, _head, _subject = workspace
+    subj = root / "subj.nii.gz"
+    copies = [shutil.copy(subj, tmp_path / f"s{k}.nii.gz") for k in range(3)]
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text("".join(f"{c} {subj}\n" for c in copies))
+    events = []
+    real_read, real_dice = nifti.read_nifti, evaluation.dice
+
+    def read_nifti(path):
+        events.append(("read", Path(path).name))
+        return real_read(path)
+
+    def dice(a, b):
+        events.append(("dice", None))
+        return real_dice(a, b)
+
+    monkeypatch.setattr(nifti, "read_nifti", read_nifti)
+    monkeypatch.setattr(evaluation, "dice", dice)
+    assert main(["qc", str(manifest)]) == 0
+    assert events == [
+        event
+        for k in range(3)
+        for event in (("read", f"s{k}.nii.gz"), ("read", "subj.nii.gz"), ("dice", None))
+    ]
+
+
 def test_qc_empty_manifest_exit_2(tmp_path, capsys):
     manifest = tmp_path / "empty.txt"
     manifest.write_text("# nothing but comments\n\n")
@@ -360,10 +388,14 @@ _MINIMAL_ARGV = {
     *(("make-template-pack", "--buffer-mm", v) for v in ("-0.5", "nan", "inf")),
     *(("make-template-pack", "--face-dilate-mm", v) for v in ("-3", "nan", "inf")),
     *(("qc", "--threshold", v) for v in ("-0.1", "1.5", "nan", "inf")),
+    ("deface", "--seed", "-1"),
+    ("phantom", "--seed", "-1"),
+    *(("phantom", "--size", v) for v in ("0", "-3", "1")),
 ])
 def test_unsafe_geometry_value_is_usage_error(capsys, command, flag, value):
-    """A negative or non-finite distance, or a Dice threshold outside
-    [0, 1], exits 2 before any file is read."""
+    """A negative or non-finite distance, a Dice threshold outside [0, 1],
+    a negative seed or a phantom edge below 2 voxels exits 2 before any
+    file is read or written."""
     with pytest.raises(SystemExit) as exc:
         build_parser().parse_args([*_MINIMAL_ARGV[command], f"{flag}={value}"])
     assert exc.value.code == 2
@@ -376,6 +408,9 @@ def test_unsafe_geometry_value_is_usage_error(capsys, command, flag, value):
     ("make-template-pack", "--face-dilate-mm", 0.0),
     ("qc", "--threshold", 0.0),
     ("qc", "--threshold", 1.0),
+    ("deface", "--seed", 0),
+    ("phantom", "--seed", 0),
+    ("phantom", "--size", 2),
 ])
 def test_geometry_value_at_its_limit_parses(command, flag, value):
     args = build_parser().parse_args([*_MINIMAL_ARGV[command], flag, str(value)])
@@ -525,6 +560,30 @@ def test_deface_dead_worker_fails_pending_files(workspace, tmp_path, monkeypatch
     for p in paths:
         finished = (out / f"{p.name[:-7]}_prov.json").exists()
         assert finished != (f"error: {p}:" in err), p
+
+
+def test_deface_worker_killed_mid_write_leaves_no_temporary_file(
+    workspace, tmp_path, monkeypatch, capsys
+):
+    """A worker that dies inside atomic_file fails its input, and the
+    hidden temporary file it was writing is removed after the pool joins."""
+    root, head, _subject = workspace
+    good, doomed = _subjects(head, tmp_path, (41, 42))
+    out = tmp_path / "out"
+    real_save = geometry.save_transform
+
+    def save_transform(t, path):
+        if Path(path).name == "s42_xfm.txt":
+            with nifti.atomic_file(Path(path)) as f:
+                f.write(b"half a transform")
+                os._exit(3)
+        real_save(t, path)
+
+    monkeypatch.setattr(geometry, "save_transform", save_transform)
+    code = main(_deface_args(root, out, [str(good), str(doomed)], extra=["--jobs", "1"]))
+    assert code == 1
+    assert f"error: {doomed}:" in capsys.readouterr().err
+    assert not [f for f in os.listdir(out) if f.startswith(".")]
 
 
 def test_deface_failed_subject_leaves_no_provenance(workspace, tmp_path, monkeypatch, capsys):

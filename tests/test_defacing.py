@@ -144,14 +144,21 @@ def test_quickshear_empty_mask():
         quickshear(v, BinaryMask(np.zeros((5, 5, 5), bool), np.eye(4)), 1.0)
 
 
-def test_quickshear_never_cuts_random_ellipsoids():
+@pytest.mark.parametrize("buffer_mm", [2.0, 0.0])
+@pytest.mark.parametrize("affine", [
+    pytest.param(np.eye(4), id="iso"),
+    pytest.param(np.diag([1.0, 0.9375, 1.2, 1.0]), id="aniso"),
+])
+def test_quickshear_never_cuts_random_ellipsoids(affine, buffer_mm):
+    """Even with no buffer, the plane offset and the face side come from
+    one computation, so rounding cannot put a brain voxel past the plane."""
     rng = np.random.default_rng(123)
     dims = (24, 24, 24)
-    vol = Volume(np.full(dims, 10.0, dtype=np.float32), np.eye(4))
+    vol = Volume(np.full(dims, 10.0, dtype=np.float32), affine)
     for _ in range(25):
-        brain = synthetic.random_ellipsoid_mask(dims, np.eye(4), rng)
+        brain = synthetic.random_ellipsoid_mask(dims, affine, rng)
         try:
-            out = quickshear(vol, brain, buffer_mm=2.0)
+            out = quickshear(vol, brain, buffer_mm=buffer_mm)
         except DegenerateHull:
             continue
         assert np.all(out.data[brain.data] == 10.0)

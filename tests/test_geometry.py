@@ -1,7 +1,10 @@
 """Affine algebra, canonical reorientation, resampling."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from defacepipe import geometry
 from defacepipe.errors import AmbiguousOrientation, SingularTransform
@@ -248,6 +251,11 @@ def test_resample_integer_shift_nearest():
     expected = np.zeros_like(data)
     expected[:3] = data[1:]  # target voxel x samples source voxel x+1
     np.testing.assert_array_equal(out.data, expected)
+    # A half-voxel tie reads the voxel above it, at the edge too: target
+    # voxel x samples source x - 0.5, which reads voxel x.
+    half = geometry.translation((-0.5, 0.0, 0.0))
+    out = geometry.resample(v, v.dims, v.affine, half, interp="nearest")
+    np.testing.assert_array_equal(out.data, data)
 
 
 def test_resample_half_voxel_shift_on_ramp():
@@ -293,3 +301,78 @@ def test_resample_background_fill():
             v, v.dims, v.affine, geometry.translation((100.0, 0, 0)), interp=interp
         )
         assert np.all(out.data == 0.0)
+
+
+def _dense_resample(source, target_dims, target_affine, world_map, interp):
+    """Reference: the source coordinate of every target voxel, read by
+    map_coordinates and zeroed outside the valid range ("nearest": within
+    half a voxel of the volume, open at both ends; "trilinear": [0, n - 1])."""
+    vox_map = geometry.invert(source.affine) @ world_map @ target_affine
+    idx = np.indices(target_dims, dtype=np.float64).reshape(3, -1)
+    coords = vox_map[:3, :3] @ idx + vox_map[:3, 3:4]
+    n = np.array(source.dims, dtype=np.float64).reshape(3, 1)
+    if interp == "nearest":
+        valid = np.all((coords > -0.5) & (coords < n - 0.5), axis=0)
+    else:
+        valid = np.all((coords >= 0.0) & (coords <= n - 1.0), axis=0)
+    out = ndimage.map_coordinates(
+        np.asarray(source.data, dtype=np.float64), coords,
+        order=0 if interp == "nearest" else 1, mode="grid-constant",
+    )
+    out[~valid] = 0.0
+    out = out.reshape(target_dims)
+    if np.issubdtype(source.data.dtype, np.integer):
+        out = np.rint(out)
+    return out.astype(source.data.dtype)
+
+
+def _random_grid(rng, dims):
+    """Affine of a grid with permuted, flipped, anisotropic and slightly
+    oblique axes, centred near the world origin."""
+    lin = np.eye(3)[:, rng.permutation(3)] * rng.choice([-1.0, 1.0], 3)
+    lin = lin * rng.uniform(0.6, 2.0, 3) + rng.uniform(-0.15, 0.15, (3, 3))
+    aff = np.eye(4)
+    aff[:3, :3] = lin
+    aff[:3, 3] = -lin @ ((np.asarray(dims) - 1) / 2) + rng.uniform(-1.0, 1.0, 3)
+    return aff
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.int16, np.int32, np.float32, np.float64])
+@pytest.mark.parametrize("interp", ["nearest", "trilinear"])
+def test_resample_matches_dense_reference(dtype, interp):
+    """On random oblique, permuted and anisotropic grids, resample equals
+    the dense per-voxel formula: exactly, except float64 trilinear, which
+    may sum the interpolation weights in another order."""
+    rng = np.random.default_rng(61)
+    for _ in range(60):
+        src_dims = tuple(int(d) for d in rng.integers(2, 9, 3))
+        tgt_dims = tuple(int(d) for d in rng.integers(2, 9, 3))
+        data = (rng.random(src_dims) * 200).astype(dtype)
+        source = Volume(data, _random_grid(rng, src_dims))
+        target_affine = _random_grid(rng, tgt_dims)
+        world_map = geometry.affine_matrix(
+            rng.uniform(-1.5, 1.5, 3), rng.uniform(-0.4, 0.4, 3),
+            rng.uniform(0.8, 1.25, 3), rng.uniform(-0.1, 0.1, 3), np.zeros(3),
+        )
+        out = geometry.resample(source, tgt_dims, target_affine, world_map, interp)
+        want = _dense_resample(source, tgt_dims, target_affine, world_map, interp)
+        assert out.data.dtype == want.dtype
+        if dtype == np.float64 and interp == "trilinear":
+            np.testing.assert_allclose(out.data, want, rtol=1e-12, atol=0)
+        else:
+            np.testing.assert_array_equal(out.data, want)
+
+
+def test_resample_allocates_no_per_voxel_coordinates():
+    """A nearest resample of a 64^3 mask allocates well under the 24 bytes
+    per target voxel that one float64 coordinate array per axis would take."""
+    dims = (64, 64, 64)
+    mask = Volume(np.ones(dims, dtype=np.uint8), np.eye(4))
+    world_map = _z_turn(0.1) @ geometry.translation((0.3, -0.2, 0.1))
+    tracemalloc.start()
+    try:
+        geometry.resample(mask, dims, mask.affine, world_map, interp="nearest")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * np.prod(dims)

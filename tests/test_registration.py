@@ -264,6 +264,8 @@ def test_foreground_centroid_matches_index_formula():
 def test_config_validation():
     with pytest.raises(ValueError):
         RegistrationConfig(bins=1)
+    with pytest.raises(ValueError):
+        RegistrationConfig(seed=-1)
 
 
 def residual_errors(recovered, truth, center):
