@@ -8,13 +8,17 @@ seed 0, ``quickshear --brain-mask`` on each subject (seeds 1-3), one
 ``deface --jobs 1`` over the three subjects, and one ``qc --json`` over the
 (original, defaced) and (original, sheared) pairs. Prints one
 ``sha256  path`` line per output file, paths relative to OUTDIR. A
-``_prov.json`` is hashed without its ``timing`` and ``input`` keys, which
-hold wall times and the absolute input path; the qc manifest, an input
-holding absolute paths, is not hashed. Run it at two commits and diff
-the output: an empty diff means the seeded outputs are byte-identical.
+``.nii.gz`` is hashed by its decompressed stream, so a change to the
+compression alone (level, deflate stream, gzip header) leaves its hash
+unchanged. A ``_prov.json`` is hashed without its ``timing`` and
+``input`` keys, which hold wall times and the absolute input path; the qc
+manifest, an input holding absolute paths, is not hashed. Run it at two
+commits and diff the output: an empty diff means the seeded outputs are
+byte-identical once decompressed.
 """
 
 import contextlib
+import gzip
 import hashlib
 import json
 import sys
@@ -36,6 +40,8 @@ def _run(argv):
 
 def _digest(path: Path) -> str:
     data = path.read_bytes()
+    if path.name.endswith(".gz"):
+        data = gzip.decompress(data)
     if path.name.endswith("_prov.json"):
         prov = json.loads(data)
         prov.pop("timing", None)

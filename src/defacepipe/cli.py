@@ -182,17 +182,17 @@ def cmd_qc(args) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
 
-    def pairs():  # read as qc_report asks, one pair at a time
-        for item_id, orig_path, defaced_path in entries:
-            try:
-                orig, _ = nifti.read_nifti(orig_path)
-                defaced, _ = nifti.read_nifti(defaced_path)
-            except DefacepipeError as e:
-                print(f"error: {orig_path}: {e}", file=sys.stderr)
-                orig = defaced = None  # qc_report records the pair as failed
-            yield item_id, orig, defaced
+    def read_pair(orig_path, defaced_path):
+        try:
+            return nifti.read_nifti(orig_path)[0], nifti.read_nifti(defaced_path)[0]
+        except DefacepipeError as e:
+            print(f"error: {orig_path}: {e}", file=sys.stderr)
+            return None, None  # qc_report records the pair as failed
 
-    report = qc_report(pairs(), threshold=args.threshold)
+    # Read as qc_report asks, one pair at a time; the generator keeps no
+    # reference to a pair it has handed out.
+    pairs = ((item_id, *read_pair(orig, defaced)) for item_id, orig, defaced in entries)
+    report = qc_report(pairs, threshold=args.threshold)
     print(report.to_table())
     if args.json:
         Path(args.json).write_text(report.to_json())

@@ -53,6 +53,12 @@ class TemplatePack:
         h.update(np.ascontiguousarray(self.keep_mask.data).tobytes())
         return h.hexdigest()
 
+    @functools.cached_property
+    def keep_volume(self) -> Volume:
+        """The keep-mask as the uint8 volume stage 7 resamples, built once
+        per pack."""
+        return self.keep_mask.to_volume()
+
 
 @dataclass
 class DefaceResult:
@@ -112,7 +118,7 @@ def deface(
 
     with _stage(7, seconds):
         keep_vol = geometry.resample(  # transform: subject-world -> template-world pullback
-            pack.keep_mask.to_volume(), canon.dims, canon.affine, transform, interp="nearest"
+            pack.keep_volume, canon.dims, canon.affine, transform, interp="nearest"
         )
         keep_reg = BinaryMask(keep_vol.data > 0, canon.affine.copy())
     with _stage(8, seconds):

@@ -100,30 +100,33 @@ def propagate_labels(
     )
 
 
+def _pair_dice(original: Volume | None, defaced: Volume | None) -> float:
+    """Dice of the fallback brain masks of the two volumes."""
+    if original is None or defaced is None:
+        raise FileError("unreadable input")
+    source = BrainMaskSource("fallback")
+    masks = [extract_brain(reorient_to_canonical(v)[0], source) for v in (original, defaced)]
+    return dice(*masks)
+
+
 def qc_report(items, threshold: float = 0.99) -> DiceReport:
     """For each (id, original Volume, defaced Volume) of items, an iterable
     taken one item at a time, re-extract brain masks on both with the
     fallback extractor and Dice them. Per-item errors are recorded, not
     fatal; a pair whose original or defaced volume is None (it could not be
     read) is recorded as failed in its place."""
-    source = BrainMaskSource("fallback")
     per_item = []
     failed = []
     values = []
     for item_id, original, defaced in items:
         try:
-            if original is None or defaced is None:
-                raise FileError("unreadable input")
-            ca, _ = reorient_to_canonical(original)
-            cb, _ = reorient_to_canonical(defaced)
-            ma = extract_brain(ca, source)
-            mb = extract_brain(cb, source)
-            d = dice(ma, mb)
+            d = _pair_dice(original, defaced)
             per_item.append((item_id, d, d < threshold, None))
             values.append(d)
         except Exception as e:
             per_item.append((item_id, None, True, str(e)))
             failed.append(item_id)
+        del original, defaced  # freed before the next pair is read
     if not per_item:
         raise ValueError("qc_report requires at least one item")
     mean = std = None

@@ -165,21 +165,22 @@ def resample(
     source-world at which to sample. Voxel indices refer to voxel centers.
     At source voxel coordinate c, "nearest" reads voxel floor(c + 0.5), or 0
     when that voxel is outside the volume; "trilinear" interpolates where c
-    lies within [0, n - 1] on every axis and reads 0 elsewhere.
+    lies within [0, n - 1] on every axis and reads 0 elsewhere. "nearest"
+    copies source values, so it writes straight into the source's dtype.
     """
     if interp not in ("nearest", "trilinear"):
         raise ValueError(f"unknown interpolation {interp!r}")
+    nearest = interp == "nearest"
+    dtype = source.data.dtype
     vox_map = invert(source.affine) @ np.asarray(world_map) @ np.asarray(target_affine)
     out = ndimage.affine_transform(
         source.data,
         vox_map,
         output_shape=tuple(target_dims),
-        output=np.float64,
-        order=0 if interp == "nearest" else 1,
-        mode="grid-constant" if interp == "nearest" else "constant",
+        output=dtype if nearest else np.float64,
+        order=0 if nearest else 1,
+        mode="grid-constant" if nearest else "constant",
     )
-    if np.issubdtype(source.data.dtype, np.integer):
+    if not nearest and np.issubdtype(dtype, np.integer):
         np.rint(out, out=out)
-    return Volume(
-        out.astype(source.data.dtype), np.asarray(target_affine, float).copy()
-    )
+    return Volume(out.astype(dtype, copy=False), np.asarray(target_affine, float).copy())

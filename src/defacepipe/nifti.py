@@ -30,6 +30,13 @@ from .volume import DTYPE_TO_CODE, SUPPORTED_DTYPES, Volume
 HEADER_SIZE = 348
 VOX_OFFSET = 352
 GZIP_MAGIC = b"\x1f\x8b"
+# zlib's own default. On a sheared 128^3 phantom, level 9 takes three times
+# its CPU for 1.4% fewer bytes, and levels 1-5 write more (a mask up to 2.5
+# times as much). The level changes no decompressed byte.
+GZIP_LEVEL = 6
+# Decoded-payload piece size: small enough that a gzip read's temporary
+# buffers stay small next to the payload.
+READ_CHUNK = 1 << 16
 # Deflate expands its input at most about 1032-fold, so a gzip file of n
 # bytes holds fewer than n * GZIP_MAX_RATIO uncompressed bytes.
 GZIP_MAX_RATIO = 1032
@@ -61,6 +68,21 @@ def _open(path: Path):
     if _is_gzipped(path):
         return gzip.open(path, "rb"), size * GZIP_MAX_RATIO
     return open(path, "rb"), size
+
+
+def _read_exactly(f, nbytes: int) -> np.ndarray | None:
+    """The next nbytes of f as a uint8 array, or None if f ends first. Read
+    in READ_CHUNK pieces: asked for more at once, a gzip stream decompresses
+    all of it into temporary buffers before copying it over."""
+    out = np.empty(nbytes, np.uint8)
+    view = memoryview(out)
+    got = 0
+    while got < nbytes:
+        n = f.readinto(view[got:got + READ_CHUNK])
+        if not n:
+            return None
+        got += n
+    return out
 
 
 def _unpack(fmt, raw, offset):
@@ -163,20 +185,25 @@ def read_nifti(path) -> tuple[Volume, HeaderSidecar]:
             if offset + nbytes > available:  # checked first: the read allocates nbytes
                 raise CorruptFile(f"{path}: {nbytes} voxel bytes at {offset} exceed the file")
             f.seek(offset)
-            payload = f.read(nbytes)
-            if len(payload) != nbytes:
-                raise CorruptFile(f"{path}: expected {nbytes} voxel bytes, got {len(payload)}")
-            data = np.frombuffer(payload, dtype=dtype).reshape(shape, order="F")
-            data = data.astype(data.dtype.newbyteorder("="))
+            payload = _read_exactly(f, nbytes)
+            if payload is None:
+                raise CorruptFile(f"{path}: fewer than the {nbytes} voxel bytes declared")
     except (EOFError, zlib.error) as e:
         raise CorruptFile(f"{path}: {e}") from e
     except OSError as e:
         raise IoError(f"{path}: {e}") from e
 
+    # One assignment swaps the byte order, casts and reorders x-fastest
+    # file order into a C-contiguous array.
+    data = np.empty(shape, np.float64 if scaling else dtype.newbyteorder("="))
+    data[...] = payload.view(dtype).reshape(shape, order="F")
+    del payload
+
     warnings = []
     if scaling:
         slope, inter = scaling
-        data = data.astype(np.float64) * np.float64(slope) + np.float64(inter)
+        data *= slope
+        data += inter
 
     if sform_code > 0:
         affine = np.eye(4)
@@ -204,7 +231,7 @@ def read_nifti(path) -> tuple[Volume, HeaderSidecar]:
         sform_code=sform_code,
         warnings=warnings,
     )
-    return Volume(np.ascontiguousarray(data), affine), sidecar
+    return Volume(data, affine), sidecar
 
 
 def sidecar_for_dtype(dtype) -> HeaderSidecar:
@@ -225,40 +252,48 @@ def sidecar_for_dtype(dtype) -> HeaderSidecar:
     )
 
 
-def _encode_payload(
-    volume: Volume, sidecar: HeaderSidecar, path
-) -> tuple[np.ndarray, int]:
-    code = sidecar.datatype_code
-    dtype = np.dtype(SUPPORTED_DTYPES[code])
-    data = np.asarray(volume.data, dtype=np.float64)
+def _encode_payload(volume: Volume, sidecar: HeaderSidecar, path) -> np.ndarray:
+    """The voxels as the file stores them: the sidecar's datatype in its
+    byte order, x fastest, as one C-contiguous array. Scaled data and float
+    data bound for an integer type are rounded in float64 and range-checked;
+    any other data is cast in the one copy that reorders it."""
+    dtype = np.dtype(SUPPORTED_DTYPES[sidecar.datatype_code])
+    data = volume.data
     scaling = _scaling(sidecar.scl_slope, sidecar.scl_inter, path)
-    if scaling:
-        slope, inter = scaling
-        data = (data - inter) / slope
-    if np.issubdtype(dtype, np.integer):
-        raw_vals = np.rint(data)
-        info = np.iinfo(dtype)
-        if raw_vals.min() < info.min or raw_vals.max() > info.max:
-            raise DatatypeOverflow(
-                f"value outside {dtype} range [{info.min}, {info.max}]"
-            )
-        return raw_vals.astype(dtype), code
-    return data.astype(dtype), code
+    to_integer = np.issubdtype(dtype, np.integer)
+    if scaling or (to_integer and not np.can_cast(data.dtype, dtype, "safe")):
+        data = data.astype(np.float64)
+        if scaling:
+            slope, inter = scaling
+            data -= inter
+            data /= slope
+        if to_integer:
+            np.rint(data, out=data)
+            info = np.iinfo(dtype)
+            # written so that a NaN, whose comparisons are all False, fails
+            if not (info.min <= data.min() and data.max() <= info.max):
+                raise DatatypeOverflow(
+                    f"value outside {dtype} range [{info.min}, {info.max}] or not finite"
+                )
+    payload = np.empty(data.shape[::-1], dtype.newbyteorder(sidecar.byte_order))
+    payload[...] = data.T
+    return payload
 
 
 def write_nifti(volume: Volume, sidecar: HeaderSidecar, path) -> None:
     """Write a Volume back to disk, preserving the input header verbatim
-    except for geometry, datatype bookkeeping, and the scrub list."""
+    except for geometry, datatype bookkeeping, and the scrub list. A
+    .nii.gz is compressed at GZIP_LEVEL."""
     path = Path(path)
-    payload, code = _encode_payload(volume, sidecar, path)
+    payload = _encode_payload(volume, sidecar, path)
+    code = sidecar.datatype_code
     bo = sidecar.byte_order
 
     raw = bytearray(sidecar.raw)
     struct.pack_into(bo + "i", raw, 0, HEADER_SIZE)
     dims = volume.dims
     struct.pack_into(bo + "8h", raw, 40, 3, dims[0], dims[1], dims[2], 1, 1, 1, 1)
-    dtype = np.dtype(SUPPORTED_DTYPES[code])
-    struct.pack_into(bo + "2h", raw, 70, code, dtype.itemsize * 8)
+    struct.pack_into(bo + "2h", raw, 70, code, payload.itemsize * 8)
     sp = volume.spacing
     struct.pack_into(bo + "8f", raw, 76, 1.0, sp[0], sp[1], sp[2], 0, 0, 0, 0)
     struct.pack_into(bo + "f", raw, 108, float(VOX_OFFSET))
@@ -272,18 +307,19 @@ def write_nifti(volume: Volume, sidecar: HeaderSidecar, path) -> None:
     struct.pack_into(bo + "4f", raw, 296, *volume.affine[1, :])
     struct.pack_into(bo + "4f", raw, 312, *volume.affine[2, :])
     struct.pack_into(bo + "4s", raw, 344, b"n+1\x00")
+    raw += bytes(VOX_OFFSET - HEADER_SIZE)  # the empty extension flag
 
-    if bo == ">":
-        payload = payload.astype(payload.dtype.newbyteorder(">"))
-    blob = bytes(raw) + bytes(4) + payload.tobytes(order="F")
     try:
         with atomic_file(path) as f:
             if path.suffix == ".gz":
                 # The gzip header names the final file, not the temporary one.
-                with gzip.GzipFile(filename=path, mode="wb", fileobj=f, mtime=0) as gz:
-                    gz.write(blob)
+                with gzip.GzipFile(filename=path, mode="wb", fileobj=f, mtime=0,
+                                   compresslevel=GZIP_LEVEL) as gz:
+                    gz.write(raw)
+                    gz.write(payload)
             else:
-                f.write(blob)
+                f.write(raw)
+                f.write(payload)
     except OSError as e:
         raise IoError(f"{path}: {e}") from e
 
@@ -311,4 +347,5 @@ def remove_temporary_files(path: Path) -> None:
 
 def write_mask(mask, path) -> None:
     """Persist a BinaryMask as a u8 NIfTI volume."""
-    write_nifti(mask.to_volume(), sidecar_for_dtype(np.uint8), path)
+    # bool to uint8 is a safe cast, done in the payload's one copy
+    write_nifti(Volume(mask.data, mask.affine), sidecar_for_dtype(np.uint8), path)

@@ -7,6 +7,7 @@ import multiprocessing
 import os
 import shutil
 import struct
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -321,6 +322,29 @@ def test_qc_reads_each_pair_after_scoring_the_last(workspace, tmp_path, monkeypa
         for k in range(3)
         for event in (("read", f"s{k}.nii.gz"), ("read", "subj.nii.gz"), ("dice", None))
     ]
+
+
+def test_qc_reads_each_pair_after_freeing_the_last(workspace, tmp_path, monkeypatch):
+    """The manifest reader keeps no reference to a pair it handed out: when
+    pair k + 1's original is read, pair k's volumes are gone."""
+    root, _head, _subject = workspace
+    subj = root / "subj.nii.gz"
+    copies = [shutil.copy(subj, tmp_path / f"s{k}.nii.gz") for k in range(3)]
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text("".join(f"{c} {subj}\n" for c in copies))
+    volumes, alive_at_read = [], []
+    real_read = nifti.read_nifti
+
+    def read_nifti(path):
+        if Path(path) != subj:  # the original, first of its pair
+            alive_at_read.append(sum(ref() is not None for ref in volumes))
+        volume, sidecar = real_read(path)
+        volumes.append(weakref.ref(volume))
+        return volume, sidecar
+
+    monkeypatch.setattr(nifti, "read_nifti", read_nifti)
+    assert main(["qc", str(manifest)]) == 0
+    assert alive_at_read == [0, 0, 0]
 
 
 def test_qc_empty_manifest_exit_2(tmp_path, capsys):

@@ -1,10 +1,12 @@
 """Dice, multilabel propagation, and the batch QC report."""
 
 import json
+import weakref
 
 import numpy as np
 import pytest
 
+from defacepipe import evaluation, synthetic
 from defacepipe.errors import BothEmpty, GridMismatch
 from defacepipe.evaluation import (
     DiceReport,
@@ -169,3 +171,33 @@ def test_report_serialization():
     assert payload["items"][1]["flagged"] is True
     table = report.to_table()
     assert "FLAGGED" in table and "0.750000" in table
+
+
+def test_qc_report_releases_each_pair_before_reading_the_next(monkeypatch):
+    """When qc_report asks for pair k + 1, pair k's volumes and the brain
+    masks made from them are gone, also when pair k failed: qc holds one
+    pair at a time."""
+    head = synthetic.nominal_head(32).volume
+    alive = []
+    real_extract = evaluation.extract_brain
+
+    def extract_brain(volume, source):
+        mask = real_extract(volume, source)
+        alive.extend(weakref.ref(obj) for obj in (volume, mask, mask.data))
+        return mask
+
+    monkeypatch.setattr(evaluation, "extract_brain", extract_brain)
+    shifted = head.affine @ translation((1.0, 0.0, 0.0))
+
+    def pairs():
+        for k in range(3):
+            assert not any(ref() is not None for ref in alive), f"pair {k - 1} alive"
+            # pair 1's volumes lie on different grids, so its Dice fails
+            pair = (Volume(head.data.copy(), head.affine),
+                    Volume(head.data.copy(), shifted if k == 1 else head.affine))
+            alive.extend(weakref.ref(obj) for v in pair for obj in (v, v.data))
+            yield (f"p{k}", *pair)
+            del pair
+
+    report = qc_report(pairs())
+    assert report.n == 2 and report.failed == ["p1"]

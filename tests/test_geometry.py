@@ -364,15 +364,18 @@ def test_resample_matches_dense_reference(dtype, interp):
 
 
 def test_resample_allocates_no_per_voxel_coordinates():
-    """A nearest resample of a 64^3 mask allocates well under the 24 bytes
-    per target voxel that one float64 coordinate array per axis would take."""
+    """A nearest resample of a 64^3 uint8 mask allocates at most 3 bytes per
+    target voxel above entry: it writes its uint8 output directly, with no
+    float64 output (8 bytes) and no coordinate array (24 bytes)."""
     dims = (64, 64, 64)
     mask = Volume(np.ones(dims, dtype=np.uint8), np.eye(4))
     world_map = _z_turn(0.1) @ geometry.translation((0.3, -0.2, 0.1))
     tracemalloc.start()
     try:
-        geometry.resample(mask, dims, mask.affine, world_map, interp="nearest")
-        _, peak = tracemalloc.get_traced_memory()
+        entry = tracemalloc.get_traced_memory()[0]
+        out = geometry.resample(mask, dims, mask.affine, world_map, interp="nearest")
+        peak = tracemalloc.get_traced_memory()[1] - entry
     finally:
         tracemalloc.stop()
-    assert peak < 24 * np.prod(dims)
+    assert out.data.dtype == np.uint8
+    assert peak <= 3 * np.prod(dims)

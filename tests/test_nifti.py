@@ -6,6 +6,7 @@ of the writer, so the two sides check each other.
 
 import gzip
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from defacepipe import nifti
+from defacepipe import nifti, synthetic
 from defacepipe.errors import (
     CorruptFile,
     DatatypeOverflow,
@@ -34,23 +35,26 @@ def build_nifti_bytes(
     scl_inter=0.0,
     sform=np.eye(4),
     datatype=None,
+    byte_order="<",
 ):
     """Independent minimal NIfTI-1 encoder used as the read oracle."""
     data = np.asarray(data)
     code = DT_CODES[datatype or data.dtype.type]
+    bo = byte_order
     hdr = bytearray(348)
-    struct.pack_into("<i", hdr, 0, 348)
-    struct.pack_into("<8h", hdr, 40, 3, *data.shape, 1, 1, 1, 1)
-    struct.pack_into("<2h", hdr, 70, code, data.dtype.itemsize * 8)
-    struct.pack_into("<8f", hdr, 76, 1.0, *spacing, 0, 0, 0, 0)
-    struct.pack_into("<f", hdr, 108, 352.0)
-    struct.pack_into("<2f", hdr, 112, scl_slope, scl_inter)
-    struct.pack_into("<2h", hdr, 252, 0, 1)
-    struct.pack_into("<4f", hdr, 280, *sform[0])
-    struct.pack_into("<4f", hdr, 296, *sform[1])
-    struct.pack_into("<4f", hdr, 312, *sform[2])
+    struct.pack_into(bo + "i", hdr, 0, 348)
+    struct.pack_into(bo + "8h", hdr, 40, 3, *data.shape, 1, 1, 1, 1)
+    struct.pack_into(bo + "2h", hdr, 70, code, data.dtype.itemsize * 8)
+    struct.pack_into(bo + "8f", hdr, 76, 1.0, *spacing, 0, 0, 0, 0)
+    struct.pack_into(bo + "f", hdr, 108, 352.0)
+    struct.pack_into(bo + "2f", hdr, 112, scl_slope, scl_inter)
+    struct.pack_into(bo + "2h", hdr, 252, 0, 1)
+    struct.pack_into(bo + "4f", hdr, 280, *sform[0])
+    struct.pack_into(bo + "4f", hdr, 296, *sform[1])
+    struct.pack_into(bo + "4f", hdr, 312, *sform[2])
     struct.pack_into("<4s", hdr, 344, b"n+1\x00")
-    return bytes(hdr) + bytes(4) + data.tobytes(order="F")
+    payload = data.astype(data.dtype.newbyteorder(bo)).tobytes(order="F")
+    return bytes(hdr) + bytes(4) + payload
 
 
 @pytest.fixture
@@ -309,6 +313,107 @@ def test_write_integer_overflow(tmp_path):
         nifti.write_nifti(
             Volume(data, np.eye(4)), nifti.sidecar_for_dtype(np.int16), tmp_path / "x.nii"
         )
+
+
+@pytest.mark.parametrize("dtype", [np.int16, np.uint8])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("suffix", [".nii", ".nii.gz"])
+def test_write_nonfinite_into_integer_type_fails_and_leaves_no_file(
+    tmp_path, dtype, bad, suffix
+):
+    """A NaN or infinity has no integer value: the cast would write some
+    arbitrary number (0 for NaN), so the write fails before the file opens."""
+    data = np.array([bad, 1, 2, 3], dtype=np.float32).reshape(1, 2, 2)
+    with pytest.raises(DatatypeOverflow):
+        nifti.write_nifti(
+            Volume(data, np.eye(4)), nifti.sidecar_for_dtype(dtype), tmp_path / f"x{suffix}"
+        )
+    assert list(tmp_path.iterdir()) == []
+
+
+_SCALINGS = {False: (1.0, 0.0), True: (2.0, -3.0)}
+
+
+@pytest.mark.parametrize("dtype", list(DT_CODES))
+@pytest.mark.parametrize("byte_order", "<>")
+@pytest.mark.parametrize("scaled", [False, True])
+def test_written_bytes_are_header_then_fortran_order_payload(tmp_path, dtype, byte_order, scaled):
+    """Read back through write_nifti, a hand-built file comes out byte for
+    byte as it went in (header, 4 zero extension bytes, x-fastest payload in
+    the header's byte order), and a .nii.gz decompresses to the same bytes."""
+    stored = np.random.default_rng(7).integers(0, 100, size=(3, 4, 5)).astype(dtype)
+    slope, inter = _SCALINGS[scaled]
+    source = build_nifti_bytes(stored, scl_slope=slope, scl_inter=inter, byte_order=byte_order)
+    src = tmp_path / "src.nii"
+    src.write_bytes(source)
+    vol, sidecar = nifti.read_nifti(src)
+    np.testing.assert_array_equal(vol.data, stored * slope + inter)
+    nifti.write_nifti(vol, sidecar, tmp_path / "out.nii")
+    nifti.write_nifti(vol, sidecar, tmp_path / "out.nii.gz")
+    assert (tmp_path / "out.nii").read_bytes() == source
+    assert gzip.decompress((tmp_path / "out.nii.gz").read_bytes()) == source
+
+
+@pytest.mark.parametrize("shape", [(3, 4, 5), (1, 1, 6), (6, 1, 1)])
+@pytest.mark.parametrize("byte_order", "<>")
+@pytest.mark.parametrize("dtype, scaled", [
+    (np.uint8, False), (np.int16, False), (np.int16, True), (np.float32, False),
+    (np.float64, False),
+])
+def test_read_data_is_writable_c_contiguous_native(tmp_path, shape, byte_order, dtype, scaled):
+    stored = np.arange(np.prod(shape), dtype=dtype).reshape(shape)
+    slope, inter = _SCALINGS[scaled]
+    path = tmp_path / "v.nii.gz"
+    path.write_bytes(gzip.compress(build_nifti_bytes(
+        stored, scl_slope=slope, scl_inter=inter, byte_order=byte_order)))
+    data = nifti.read_nifti(path)[0].data
+    assert data.flags.writeable and data.flags.c_contiguous
+    assert data.dtype.isnative
+    np.testing.assert_array_equal(data, stored * slope + inter if scaled else stored)
+    data[(0, 0, 0)] = 9  # writable in fact, not only by flag
+
+
+def _peak_bytes_per_voxel(fn, n_voxels):
+    """tracemalloc's peak above the memory traced on entry, while fn runs,
+    per voxel."""
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        fn()
+        return (tracemalloc.get_traced_memory()[1] - entry) / n_voxels
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def head64():
+    return synthetic.nominal_head(64)
+
+
+def test_gz_write_float32_allocates_one_payload_copy(tmp_path, head64):
+    """At most 6 bytes per voxel: the 4-byte x-fastest copy, the deflate
+    state and the compressed bytes."""
+    volume = head64.volume
+    sidecar = nifti.sidecar_for_dtype(np.float32)
+    peak = _peak_bytes_per_voxel(
+        lambda: nifti.write_nifti(volume, sidecar, tmp_path / "h.nii.gz"), volume.data.size)
+    assert peak <= 6
+
+
+def test_write_mask_allocates_one_payload_copy(tmp_path, head64):
+    mask = head64.brain_mask
+    peak = _peak_bytes_per_voxel(
+        lambda: nifti.write_mask(mask, tmp_path / "m.nii.gz"), mask.data.size)
+    assert peak <= 3
+
+
+def test_gz_read_float32_allocates_the_payload_and_the_array(tmp_path, head64):
+    """At most 9 bytes per voxel: the decoded bytes, the C-order array, and
+    one bounded chunk of decompression buffers."""
+    path = tmp_path / "h.nii.gz"
+    nifti.write_nifti(head64.volume, nifti.sidecar_for_dtype(np.float32), path)
+    peak = _peak_bytes_per_voxel(lambda: nifti.read_nifti(path), head64.volume.data.size)
+    assert peak <= 9
 
 
 def test_sidecar_for_unsupported_dtype():
