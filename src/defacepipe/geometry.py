@@ -19,20 +19,17 @@ def translation(t) -> np.ndarray:
     return m
 
 
-def _euler(rotation) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(matrix, derivative by its angle) of the x, y and z rotations."""
+def _euler(rotation) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The x, y and z rotation matrices of Euler angles in radians."""
     rx, ry, rz = rotation
     cx, sx = np.cos(rx), np.sin(rx)
     cy, sy = np.cos(ry), np.sin(ry)
     cz, sz = np.cos(rz), np.sin(rz)
-    return [
-        (np.array([[1, 0, 0], [0, cx, -sx], [0, sx, cx]]),
-         np.array([[0, 0, 0], [0, -sx, -cx], [0, cx, -sx]])),
-        (np.array([[cy, 0, sy], [0, 1, 0], [-sy, 0, cy]]),
-         np.array([[-sy, 0, cy], [0, 0, 0], [-cy, 0, -sy]])),
-        (np.array([[cz, -sz, 0], [sz, cz, 0], [0, 0, 1]]),
-         np.array([[-sz, -cz, 0], [cz, -sz, 0], [0, 0, 0]])),
-    ]
+    return (
+        np.array([[1, 0, 0], [0, cx, -sx], [0, sx, cx]]),
+        np.array([[cy, 0, sy], [0, 1, 0], [-sy, 0, cy]]),
+        np.array([[cz, -sz, 0], [sz, cz, 0], [0, 0, 1]]),
+    )
 
 
 def _shear(shear) -> np.ndarray:
@@ -44,7 +41,7 @@ def affine_matrix(translation, rotation, scale, shear, center) -> np.ndarray:
     """12-dof transform about a center: x -> R Z H (x - c) + c + t, with
     R = Rz Ry Rx from Euler angles in radians, Z = diag(scale) (linear, per
     axis) and H the upper unit-triangular shear (hxy, hxz, hyz)."""
-    (rot_x, _), (rot_y, _), (rot_z, _) = _euler(rotation)
+    rot_x, rot_y, rot_z = _euler(rotation)
     rot = rot_z @ rot_y @ rot_x
     lin = rot @ np.diag(scale) @ _shear(shear)
     center = np.asarray(center, dtype=np.float64)
@@ -52,28 +49,6 @@ def affine_matrix(translation, rotation, scale, shear, center) -> np.ndarray:
     m[:3, :3] = lin
     m[:3, 3] = translation + center - lin @ center
     return m
-
-
-def affine_matrix_derivatives(rotation, scale, shear, center) -> np.ndarray:
-    """Partial derivatives (12, 4, 4) of ``affine_matrix`` by its 12
-    parameters in order: translation, rotation, scale, shear. They do not
-    depend on the translation."""
-    (rot_x, d_x), (rot_y, d_y), (rot_z, d_z) = _euler(rotation)
-    rot = rot_z @ rot_y @ rot_x
-    zoom = np.diag(scale)
-    sh = _shear(shear)
-    d_lin = np.zeros((9, 3, 3))
-    d_lin[0] = rot_z @ rot_y @ d_x @ zoom @ sh
-    d_lin[1] = rot_z @ d_y @ rot_x @ zoom @ sh
-    d_lin[2] = d_z @ rot_y @ rot_x @ zoom @ sh
-    for k, (i, j) in enumerate(((0, 1), (0, 2), (1, 2))):  # the shear cells
-        d_lin[3 + k] = np.outer(rot[:, k], sh[k])  # R E_kk H
-        d_lin[6 + k] = np.outer((rot @ zoom)[:, i], np.eye(3)[j])  # R Z E_ij
-    out = np.zeros((12, 4, 4))
-    out[np.arange(3), np.arange(3), 3] = 1.0
-    out[3:, :3, :3] = d_lin
-    out[3:, :3, 3] = -d_lin @ np.asarray(center, dtype=np.float64)
-    return out
 
 
 def invert(t: np.ndarray) -> np.ndarray:

@@ -13,14 +13,17 @@ zero-padded by ``_MARGIN`` voxels per side, where a sample that has left
 the volume reads 0 with a zero gradient. The sample count never changes,
 so the cost and its gradient are continuous and L-BFGS-B's stop is true.
 
-Optimization is L-BFGS-B per pyramid level, coarse to fine, over a
-12-parameter transform (translation, Euler rotation, log-scale, shear)
-centered on the fixed foreground centroid, driven by the analytic gradient
-of the Parzen-window MI (Mattes et al.; Thevenaz & Unser, IEEE TIP 2000):
-the chain of the histogram's derivative in each moving value, the moving
-image's voxel gradient and the derivative of the sample positions in each
-parameter. Each level stops on L-BFGS-B's own tests, and its diagnostics
-say which one it met.
+Optimization is L-BFGS-B per pyramid level, coarse to fine, over the 12
+entries of the affine itself, as elastix's affine transform has them
+(Klein et al., IEEE TMI 2010): the translation and the nine entries of
+L - I, L being the linear part, about the fixed foreground centroid. It is
+driven by the analytic gradient of the Parzen-window MI (Mattes et al.;
+Thevenaz & Unser, IEEE TIP 2000): the chain of the histogram's derivative
+in each moving value and the moving image's voxel gradient, summed over
+the samples against their positions into one 3 x 4 moment. Carried through
+the two grids' affines, that moment is the gradient in the parameters
+itself. Each level stops on L-BFGS-B's own tests, and its diagnostics say
+which one it met.
 
 ``prepare`` computes the fixed image's side once (centroid, and per level
 the jittered foreground samples and their fixed bins); ``register_affine``
@@ -34,7 +37,7 @@ import numpy as np
 from scipy import ndimage, optimize
 
 from .errors import NoOverlap
-from .geometry import affine_matrix, affine_matrix_derivatives, invert
+from .geometry import invert
 from .volume import Volume
 
 
@@ -97,19 +100,6 @@ def _joint_counts(cells, w1, bins):
     counts = np.bincount(cells, weights=1.0 - w1, minlength=n)
     counts += np.bincount(cells + 1, weights=w1, minlength=n)
     return counts.reshape(bins, bins)
-
-
-def parzen_histogram(fixed_bins, moving_values, moving_range, bins) -> np.ndarray:
-    """Joint counts (bins x bins) of fixed bin index against moving
-    intensity, with each moving value spread by a linear Parzen window
-    across its two nearest bins (bin centers at (k + 0.5) / bins of the
-    range); values outside the range clamp to the end bins.
-
-    The window keeps the count continuous in the moving value, and so the
-    MI continuous in the transform parameters.
-    """
-    b0, w1, _ = _parzen_window(moving_values, moving_range, bins)
-    return _joint_counts(fixed_bins * bins + b0, w1, bins)
 
 
 def mutual_information(counts: np.ndarray) -> float:
@@ -232,12 +222,14 @@ def _downsample(v: Volume, factor: int, sigma_mm: float) -> Volume:
     return Volume(np.ascontiguousarray(data), aff)
 
 
-# Bounds of |translation| (mm), |rotation| (rad), |log-scale| and |shear|
-_LIMITS = np.repeat([150.0, np.pi / 2, 0.5, 0.5], 3)
+# Bounds of |translation| (mm) and of each entry of L - I. A bound of 1 on
+# the entries reaches a 90 degree turn, a scale of e^+-0.5 and a shear of
+# 0.5 about any one axis.
+_LIMITS = np.repeat([150.0, 1.0], (3, 9))
 # Internal parameters per optimizer unit: 1 mm of translation, and 1/60 of
-# rotation (rad), log-scale and shear, so that one unit of any parameter
-# moves a point 60 mm from the center, about the head's edge, by about 1 mm,
-# and the gradient and the stopping tolerances weigh them alike.
+# an entry of L - I, so that one unit of any parameter moves a point 60 mm
+# from the center, about the head's edge, by up to 1 mm, and the gradient
+# and the stopping tolerances weigh them alike.
 _UNITS = np.concatenate([np.ones(3), np.full(9, 1.0 / 60.0)])
 _UNIT_BOUNDS = optimize.Bounds(-_LIMITS / _UNITS, _LIMITS / _UNITS)
 
@@ -309,9 +301,14 @@ def prepare(fixed: Volume, config: RegistrationConfig | None = None) -> FixedSid
 
 
 def _fixed_to_moving(x: np.ndarray, center: np.ndarray) -> np.ndarray:
-    """The fixed-world -> moving-world map of optimizer-unit parameters x."""
+    """The fixed-world -> moving-world map [L, t + c - L c] of
+    optimizer-unit parameters x: the translation t, then L - I row by row,
+    about the center c."""
     theta = x * _UNITS
-    return affine_matrix(theta[0:3], theta[3:6], np.exp(theta[6:9]), theta[9:12], center)
+    m = np.eye(4)
+    m[:3, :3] += theta[3:].reshape(3, 3)
+    m[:3, 3] = theta[:3] + center - m[:3, :3] @ center
+    return m
 
 
 def _moving_voxels(f_level: _FixedLevel, m_inv: np.ndarray, center, x) -> np.ndarray:
@@ -361,12 +358,14 @@ def _level_cost(f_level: _FixedLevel, m_level: Volume, center: np.ndarray, bins:
         moment = np.empty((3, 4))
         moment[:, :3] = u @ f_level.fgT.T
         moment[:, 3] = u.sum(axis=1)
-        theta = x * _UNITS
-        scale = np.exp(theta[6:9])
-        d_m = affine_matrix_derivatives(theta[3:6], scale, theta[9:12], center)
-        d_m[6:9] *= scale[:, None, None]  # by log-scale
-        d_vox = m_inv @ d_m @ f_level.affine
-        gradient = -np.einsum("kij,ij->k", d_vox[:, :3, :], moment) * _UNITS
+        # vox_map = m_inv @ [L, t'] @ affine with t' = t + c - L c, so
+        # dMI/d[L, t'] is m_inv^T (the moment over a zero row) affine^T;
+        # then dMI/dt = dMI/dt' and dMI/dL = dMI/dL|t' - dMI/dt' c^T.
+        g = m_inv[:3, :3].T @ moment @ f_level.affine.T
+        gradient = np.empty(12)
+        gradient[:3] = g[:, 3]
+        gradient[3:] = (g[:, :3] - np.outer(g[:, 3], center)).ravel()
+        gradient *= -_UNITS
         last.update(x=x.copy(), value=value, gradient=gradient)
         return value, gradient
 
@@ -392,9 +391,9 @@ def register_affine(fixed: FixedSide, moving: Volume) -> tuple[np.ndarray, dict]
     """
     config = fixed.config
     center = fixed.center
-    # Internal parameters (translation, rotation, log-scale, shear) map
-    # fixed-world -> moving-world; x is them in optimizer units, which are
-    # mm for translation. The start aligns the foreground centroids.
+    # Internal parameters (translation, then L - I) map fixed-world ->
+    # moving-world; x is them in optimizer units, which are mm for
+    # translation. The start aligns the foreground centroids.
     x = np.zeros(12)
     x[:3] = _foreground_centroid(moving) - center
 

@@ -70,7 +70,7 @@ class BinaryMask(Grid):
     affine: np.ndarray
 
     def __post_init__(self):
-        self.data = np.asarray(self.data).astype(bool)
+        self.data = np.asarray(self.data, dtype=bool)  # bool data is not copied
         self.affine = np.asarray(self.affine, dtype=np.float64)
 
     @classmethod

@@ -76,21 +76,6 @@ def test_affine_matrix_determinant_is_scale_product():
         assert np.linalg.det(m) == pytest.approx(np.prod(scale), rel=1e-12)
 
 
-def test_affine_matrix_derivatives_match_central_differences():
-    rng = np.random.default_rng(43)
-    h = 1e-6
-    for _ in range(20):
-        rotation, scale, shear, center = _random_affine_args(rng)
-        params = np.concatenate([rng.uniform(-50.0, 50.0, 3), rotation, scale, shear])
-
-        def m(p):
-            return geometry.affine_matrix(p[0:3], p[3:6], p[6:9], p[9:12], center)
-
-        fd = np.array([(m(params + h * e) - m(params - h * e)) / (2 * h) for e in np.eye(12)])
-        got = geometry.affine_matrix_derivatives(rotation, scale, shear, center)
-        np.testing.assert_allclose(got, fd, atol=1e-7)
-
-
 def test_affine_matrix_pure_translation():
     t = np.array([3.5, -2.0, 7.25])
     center = (10.0, 20.0, -5.0)

@@ -1,5 +1,7 @@
 """MI metric oracles and recovery of known maps."""
 
+import itertools
+
 import numpy as np
 import pytest
 from scipy import ndimage
@@ -11,12 +13,15 @@ from defacepipe.volume import Volume
 from defacepipe.registration import (
     RegistrationConfig,
     _downsample,
+    _fixed_to_moving,
+    _joint_counts,
     _level_cost,
     _pad,
+    _parzen_window,
     _trilinear,
+    _UNIT_BOUNDS,
     _UNITS,
     mutual_information,
-    parzen_histogram,
     prepare,
     register_affine,
     robust_range,
@@ -59,6 +64,13 @@ def test_robust_range_ignores_outliers():
     data[0] = 1e9
     lo, hi = robust_range(data)
     assert hi < 1e6
+
+
+def parzen_histogram(fixed_bins, moving_values, moving_range, bins):
+    """Joint counts as the cost forms them: the Parzen window of each moving
+    value, tallied with its fixed bin."""
+    b0, w1, _ = _parzen_window(moving_values, moving_range, bins)
+    return _joint_counts(fixed_bins * bins + b0, w1, bins)
 
 
 def test_parzen_histogram_two_valued_self():
@@ -335,6 +347,70 @@ def test_rotation_scale_recovery(head):
     trans, ang, scale = residual_errors(t, rot, c)
     assert ang < 0.5
     assert scale < 0.01
+
+
+def parameters(m, center):
+    """Optimizer-unit parameters x of a fixed-world -> moving-world map m
+    about center: the translation t with m = [L, t + c - L c], then L - I."""
+    lin = m[:3, :3]
+    t = m[:3, 3] - center + lin @ center
+    return np.concatenate([t, (lin - np.eye(3)).ravel()]) / _UNITS
+
+
+def inside_bounds(x):
+    return bool(np.all((_UNIT_BOUNDS.lb <= x) & (x <= _UNIT_BOUNDS.ub)))
+
+
+def test_zero_parameters_are_the_identity():
+    center = np.array([31.5, 29.0, 36.25])
+    np.testing.assert_array_equal(_fixed_to_moving(np.zeros(12), center), np.eye(4))
+
+
+def test_translation_moves_the_center_by_itself():
+    """Whatever L is, the map takes the center c to c + t."""
+    rng = np.random.default_rng(4)
+    center = rng.uniform(-40.0, 60.0, 3)
+    for _ in range(20):
+        x = rng.uniform(_UNIT_BOUNDS.lb, _UNIT_BOUNDS.ub)
+        m = _fixed_to_moving(x, center)
+        np.testing.assert_allclose(m[:3, :3] @ center + m[:3, 3], center + x[:3], atol=1e-9)
+        np.testing.assert_allclose(parameters(m, center), x, atol=1e-9)
+
+
+def test_bounds_reach_turns_scales_and_subject_draws(head):
+    """Inside the bounds: the start point, a 35 degree turn about each axis,
+    a per-axis scale of e^+-0.5, and every fixed -> moving map of a subject
+    synthetic.random_subject can draw, its extremes included."""
+    center = registration._foreground_centroid(head.volume)
+    start = np.zeros(12)
+    start[:3] = registration._foreground_centroid(synthetic.random_subject(head, 1).volume) - center
+    assert inside_bounds(start)
+    maps = []
+    for axis in range(3):
+        for angle in (-35.0, 35.0):
+            rotation = np.zeros(3)
+            rotation[axis] = np.deg2rad(angle)
+            maps.append(affine_matrix(np.zeros(3), rotation, np.ones(3), np.zeros(3), center))
+        for log_scale in (-0.5, 0.5):
+            scale = np.ones(3)
+            scale[axis] = np.exp(log_scale)
+            maps.append(affine_matrix(np.zeros(3), np.zeros(3), scale, np.zeros(3), center))
+    # random_subject: up to 10 mm and 8 degrees per axis, scale 0.97-1.03,
+    # about the grid's center; the registration solves for the inverse.
+    grid_center = (np.array(head.volume.dims) - 1) * head.volume.spacing / 2
+    corners = itertools.product(*[(-1.0, 1.0)] * 6, (0.97, 1.03))
+    for *signs, scale in corners:
+        t, angles = 10.0 * np.array(signs[:3]), np.deg2rad(8.0) * np.array(signs[3:])
+        subject = affine_matrix(t, angles, np.full(3, scale), np.zeros(3), grid_center)
+        maps.append(invert(subject))
+    for seed in range(100):
+        subject = synthetic.random_rigid_affine(
+            np.random.default_rng(seed), grid_center, 10.0, 8.0, (0.97, 1.03))
+        maps.append(invert(subject))
+    for m in maps:
+        x = parameters(m, center)
+        assert inside_bounds(x)
+        np.testing.assert_allclose(_fixed_to_moving(x, center), m, atol=1e-9)
 
 
 def test_cost_gradient_matches_central_differences(head):
