@@ -27,7 +27,7 @@ from .defacing import (
     make_template_pack,
     quickshear,
 )
-from .errors import DefacepipeError, StageError
+from .errors import DefacepipeError, IoError, StageError
 from .evaluation import qc_report
 from .registration import RegistrationConfig, prepare
 from .synthetic import nominal_head, random_subject
@@ -195,7 +195,12 @@ def cmd_qc(args) -> int:
     report = qc_report(pairs, threshold=args.threshold)
     print(report.to_table())
     if args.json:
-        Path(args.json).write_text(report.to_json())
+        path = Path(args.json)
+        try:
+            with nifti.atomic_file(path) as f:
+                f.write(report.to_json().encode())
+        except OSError as e:
+            raise IoError(f"{path}: {e}") from e
     return 1 if (report.flagged or report.failed) else 0
 
 

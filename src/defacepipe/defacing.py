@@ -24,7 +24,7 @@ from .errors import (
     StageError,
     TemplatePackError,
 )
-from .morphology import apply_mask, dilate, union
+from .morphology import apply_mask, check_radius, dilate, union
 from .volume import BinaryMask, Volume, check_same_grid
 
 
@@ -253,8 +253,9 @@ def make_template_pack(
     on the face side of the template brain's shear plane.
 
     For a brain-only input the face region is empty and the keep-mask is
-    all ones.
+    all ones. A negative or non-finite face_dilate_mm raises ValueError.
     """
+    check_radius(face_dilate_mm, "face_dilate_mm")
     canon, _ = geometry.reorient_to_canonical(head)
     if brain_source is None or brain_source.kind == "fallback":
         brain = fallback_extract(canon)
@@ -266,7 +267,7 @@ def make_template_pack(
 
     head_fg = canon.data > otsu_threshold(canon.data) * 0.25
     face_tissue = BinaryMask(face_side & head_fg, canon.affine.copy())
-    if face_tissue.data.any() and face_dilate_mm > 0:
+    if face_tissue.data.any():
         face_tissue = dilate(face_tissue, face_dilate_mm)
     # Dilation may creep back across the plane; never remove brain.
     removal = face_tissue.data & ~brain.data

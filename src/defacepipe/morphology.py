@@ -60,11 +60,18 @@ def _on_bbox(m: BinaryMask, margin, op) -> BinaryMask:
     return BinaryMask(out, m.affine.copy())
 
 
+def check_radius(radius_mm: float, name: str = "radius_mm") -> None:
+    """ValueError unless radius_mm is finite and >= 0: a NaN or infinite
+    radius would dilate to an empty mask, so no safety margin."""
+    if not (np.isfinite(radius_mm) and radius_mm >= 0):
+        raise ValueError(f"{name} must be finite and >= 0, got {radius_mm}")
+
+
 def dilate(m: BinaryMask, radius_mm: float) -> BinaryMask:
     """Every voxel within Euclidean world distance radius_mm (inclusive) of
-    a True voxel. Runs on the bounding box grown by the radius in voxels."""
-    if radius_mm < 0:
-        raise ValueError("radius_mm must be nonnegative")
+    a True voxel. Runs on the bounding box grown by the radius in voxels.
+    A negative or non-finite radius raises ValueError."""
+    check_radius(radius_mm)
     if radius_mm == 0:
         return BinaryMask(m.data.copy(), m.affine.copy())
     sp = np.asarray(m.spacing, dtype=np.float64)
@@ -89,7 +96,9 @@ def dilate(m: BinaryMask, radius_mm: float) -> BinaryMask:
 
 def erode(m: BinaryMask, radius_mm: float) -> BinaryMask:
     """Voxels whose whole radius_mm ball is True; outside the array counts
-    as False. Runs on the bounding box."""
+    as False. Runs on the bounding box. A negative or non-finite radius
+    raises ValueError."""
+    check_radius(radius_mm)
     if radius_mm == 0:
         return BinaryMask(m.data.copy(), m.affine.copy())
     structure = ball_structure(radius_mm, m.spacing)

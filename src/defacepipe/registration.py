@@ -31,6 +31,7 @@ solves for one moving image against it, so a batch against one template
 prepares the template once.
 """
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,11 +142,10 @@ def _pad(data: np.ndarray) -> np.ndarray:
     return np.pad(np.asarray(data, dtype=np.float64), _MARGIN)
 
 
-# Samples per _trilinear block, so that each (8, block) float64 temporary
-# stays at 2 MB. Unblocked, the 4 MB temporaries of the 62,000-sample level
-# of a whole-head 64^3 registration were mapped and unmapped on every call:
-# 4.5 million page faults and 3.7 s of system time over two registrations.
-_BLOCK = 1 << 15
+# Most samples per _trilinear block, n being split into equal blocks: one
+# for each of a 64^3 deface's coarse levels (2,784 and 11,206 samples) and
+# two for its fine level (17,634), where smaller blocks cost more calls.
+_BLOCK = 1 << 14
 
 
 def _trilinear(padded: np.ndarray, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -161,49 +161,48 @@ def _trilinear(padded: np.ndarray, coords: np.ndarray) -> tuple[np.ndarray, np.n
     reads a zero-weight corner from inside the volume, so an inf or NaN
     there spreads differently): scipy's weights (low 1 - t, high
     1 - (1 - t)), the 8 corners x-major with z fastest, each multiplied by
-    its x, then y, then z weight and added to zero. Each step runs on all 8
-    corners at once, in one (8, n) array, because the gradient below takes
-    differences between corners. For the values alone a loop over the
-    corners is cheaper, about 60% of the time in one process (2.2 ms
-    against 3.7 ms for 32,768 samples, one Xeon vCPU).
+    its x, then y, then z weight and added to zero.
 
     The gradient along an axis is the interpolant's derivative there: the
     high-minus-low corner differences along it, weighted by the other two
     axes' weights. On a voxel plane it is the one toward higher indices.
     """
     n = coords.shape[1]
-    if n > _BLOCK:
-        parts = [_trilinear(padded, coords[:, i:i + _BLOCK]) for i in range(0, n, _BLOCK)]
-        return (np.concatenate([v for v, _ in parts]),
-                np.concatenate([g for _, g in parts], axis=1))
     _, ny, nz = padded.shape
-    w = np.empty((2,) + coords.shape)  # low and high weight per axis
+    flat = padded.ravel()
     top = np.reshape(padded.shape, (3, 1)) - (_MARGIN + 2.0)
-    clamped = np.clip(coords, -_MARGIN, top, out=w[1])
-    floor = np.floor(clamped)
-    np.subtract(clamped, floor, out=w[0])
-    np.subtract(1.0, w[0], out=w[0])
-    np.subtract(1.0, w[0], out=w[1])
-    lo = floor.astype(np.intp)
-    base = (lo[0] * ny + lo[1]) * nz + lo[2]
-    # corner offsets, from the low corner's unpadded index into padded
-    offsets = np.array([((dx + _MARGIN) * ny + dy + _MARGIN) * nz + dz + _MARGIN
-                        for dx in (0, 1) for dy in (0, 1) for dz in (0, 1)])
-    corners = np.take(padded.ravel(), base + offsets[:, None])
-    by_axis = corners.reshape(2, 2, 2, -1)
-    grad = np.empty(coords.shape)
-    for axis, (a, b) in enumerate(((1, 2), (0, 2), (0, 1))):
-        step = np.diff(by_axis, axis=axis).reshape(4, -1)  # rows: corners of axes a, b
-        weight = (w[:, None, a] * w[None, :, b]).reshape(4, -1)
-        grad[axis] = np.einsum("kn,kn->n", step, weight)
-    by_axis *= w[:, None, None, 0]
-    by_axis *= w[None, :, None, 1]
-    by_axis *= w[None, None, :, 2]
-    # Row by row, not np.add.reduce: that sums a single sample pairwise.
-    out = np.zeros(n)
-    for corner in corners:
-        out += corner
-    return out, grad
+    strides = np.array([ny * nz, nz, 1.0])
+    origin = (_MARGIN * ny + _MARGIN) * nz + _MARGIN  # flat index of voxel 0
+    values = np.zeros(n)
+    grad = np.zeros((3, n))
+    count = -(-n // _BLOCK)
+    for k in range(count):
+        block = slice(k * n // count, (k + 1) * n // count)
+        v, g = values[block], grad[:, block]
+        w = np.empty((2,) + g.shape)  # w[d, axis]: the weight of corner side d
+        clamped = np.clip(coords[:, block], -_MARGIN, top, out=w[1])
+        floor = np.floor(clamped)
+        base = (strides @ floor + origin).astype(np.intp)
+        np.subtract(clamped, floor, out=w[0])
+        np.subtract(1.0, w[0], out=w[0])
+        np.subtract(1.0, w[0], out=w[1])
+        c = {d: flat[(d[0] * ny + d[1]) * nz + d[2]:][base]
+             for d in itertools.product((0, 1), repeat=3)}  # x-major, z fastest
+        a, b = w[:, [1, 0, 0]], w[:, [2, 2, 1]]  # per axis: the other two axes' weights
+        step = np.empty(g.shape)
+        for i, j in itertools.product((0, 1), repeat=2):
+            np.subtract(c[1, i, j], c[0, i, j], out=step[0])
+            np.subtract(c[i, 1, j], c[i, 0, j], out=step[1])
+            np.subtract(c[i, j, 1], c[i, j, 0], out=step[2])
+            step *= a[i] * b[j]
+            g += step
+        wx, wy, wz = zip(*w)  # wx[d]: the x weight of corner side d
+        for (dx, dy, dz), term in c.items():  # the gradient has read the corners
+            term *= wx[dx]
+            term *= wy[dy]
+            term *= wz[dz]
+            v += term
+    return values, grad
 
 
 def _downsample(v: Volume, factor: int, sigma_mm: float) -> Volume:

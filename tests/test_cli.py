@@ -226,6 +226,20 @@ def test_qc_identical_pairs_exit_0(workspace, tmp_path, capsys):
     assert payload["mean"] == 1.0
 
 
+def test_qc_json_into_missing_directory_is_an_error_line(workspace, tmp_path, capsys):
+    """A report that cannot be written prints the table, then one error
+    line naming the path, with exit 1 and no traceback."""
+    root, _head, _subject = workspace
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text(f"{root / 'subj.nii.gz'} {root / 'subj.nii.gz'}\n")
+    report = tmp_path / "missing" / "report.json"
+    assert main(["qc", str(manifest), "--json", str(report)]) == 1
+    captured = capsys.readouterr()
+    assert "1.000000" in captured.out
+    assert captured.err.startswith(f"error: {report}: ")
+    assert not report.parent.exists()
+
+
 def test_qc_corrupted_pair_exit_1(workspace, tmp_path):
     root, head, _subject = workspace
     corrupted = Volume(head.volume.data.copy(), head.volume.affine)

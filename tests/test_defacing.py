@@ -184,6 +184,12 @@ def test_make_template_pack_brain_only_all_ones(head):
     assert pack.keep_mask.count() == np.prod(stripped.dims)
 
 
+@pytest.mark.parametrize("face_dilate_mm", [np.nan, np.inf, -1.0])
+def test_make_template_pack_rejects_a_bad_face_dilation(head, face_dilate_mm):
+    with pytest.raises(ValueError, match="face_dilate_mm"):
+        make_template_pack(head.volume, face_dilate_mm=face_dilate_mm)
+
+
 def test_template_pack_validation_rejects_brain_removal(head, pack):
     with pytest.raises(TemplatePackError):
         TemplatePack(
@@ -264,6 +270,23 @@ def test_deface_brain_safe_even_with_adversarial_transform(
     )
     np.testing.assert_array_equal(result.transform, bad)
     assert result.provenance["registration"] == {"injected": True}
+
+
+@pytest.mark.parametrize("margin_mm", [np.nan, np.inf])
+def test_deface_rejects_non_finite_margin(
+    head, pack, fixed, register_as, tmp_path, margin_mm
+):
+    """A NaN or infinite margin would dilate the brain to nothing, and a
+    wrong transform would then zero the whole brain: stage 4 fails."""
+    subject = synthetic.random_subject(head, seed=2)
+    src = _source(subject, tmp_path)
+    bad = np.eye(4)
+    bad[:3, 3] = (500.0, -500.0, 500.0)
+    register_as(bad)
+    with pytest.raises(StageError) as exc:
+        deface(subject.volume, pack, fixed, src, margin_mm)
+    assert exc.value.stage == 4
+    assert isinstance(exc.value.__cause__, ValueError)
 
 
 def test_deface_registers_once_against_the_given_fixed_side(

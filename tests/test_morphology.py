@@ -62,6 +62,16 @@ def test_dilate_radius_zero_identity(rng):
     np.testing.assert_array_equal(out.data, m.data)
 
 
+@pytest.mark.parametrize("op", [morphology.dilate, morphology.erode])
+@pytest.mark.parametrize("radius", [np.nan, np.inf, -1.0])
+def test_morphology_rejects_a_radius_not_finite_and_nonnegative(op, radius):
+    """A NaN or infinite dilation radius would give an empty mask, so no
+    safety margin; every such radius is an error, for erosion too."""
+    m = BinaryMask(np.ones((5, 5, 5), bool), np.eye(4))
+    with pytest.raises(ValueError, match="radius_mm"):
+        op(m, radius)
+
+
 def test_dilate_single_voxel_center():
     data = np.zeros((21, 21, 21), dtype=bool)
     data[10, 10, 10] = True

@@ -195,16 +195,26 @@ def test_trilinear_gradient_matches_finite_differences():
 
 
 def test_trilinear_blocks_match_one_block(monkeypatch):
+    """Any block size gives the same values and gradients, one sample per
+    block and blocks at, around and beyond the sample count included."""
     rng = np.random.default_rng(9)
     data = rng.uniform(-50.0, 50.0, (17, 23, 31))
     coords = boundary_coords(data.shape, rng)
     padded = _pad(data)
     whole, whole_grad = _trilinear(padded, coords)
-    monkeypatch.setattr(registration, "_BLOCK", 100)
-    blocked, blocked_grad = _trilinear(padded, coords)
-    assert np.array_equal(blocked, whole)
-    assert np.array_equal(blocked_grad, whole_grad)
-    assert np.array_equal(blocked, ndimage.map_coordinates(data, coords, order=1))
+    want = ndimage.map_coordinates(data, coords, order=1)
+    n = coords.shape[1]
+    for block in (1, 100, n - 1, n, n + 1):
+        monkeypatch.setattr(registration, "_BLOCK", block)
+        blocked, blocked_grad = _trilinear(padded, coords)
+        assert np.array_equal(blocked, whole), block
+        assert np.array_equal(blocked_grad, whole_grad), block
+        assert np.array_equal(blocked, want), block
+
+
+def test_trilinear_of_no_samples_is_empty():
+    values, grad = _trilinear(_pad(np.ones((4, 5, 6))), np.empty((3, 0)))
+    assert values.shape == (0,) and grad.shape == (3, 0)
 
 
 @pytest.mark.parametrize("dims", [(5, 6, 7), (17, 23, 31)])
