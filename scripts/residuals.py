@@ -7,13 +7,14 @@ batch-64 --seed SEED`` builds (12 random subjects of the nominal 64^3 head,
 the head itself as template) and defaces each subject in process with the
 settings of ``defacepipe deface``'s defaults. Prints one line per subject:
 
-    seed subject mm deg scale evaluations converged
+    seed subject mm deg scale level... converged
 
 where mm, deg and scale are the residual of the recovered transform against
 the true one as the benchmark measures it (at the template brain's
-centroid), evaluations are the cost evaluations of each pyramid level,
-coarse to fine, joined by "/", and converged is the provenance's top-level
-``converged``. Run it at two commits and compare the lines.
+centroid), each level column, coarse to fine, is that pyramid level's
+samples and cost evaluations as "samples/evaluations", and converged is
+the provenance's top-level ``converged``. Run it at two commits and
+compare the lines.
 """
 
 import sys
@@ -46,8 +47,8 @@ def subject_lines(seed: int):
         result = deface(phantom.volume, pack, fixed, source)
         mm, deg, scale = checks.transform_error(result.transform, phantom.true_transform, centroid)
         reg = result.provenance["registration"]
-        evals = "/".join(str(lv["evaluations"]) for lv in reg["levels"])
-        yield (f"{seed} sub-{k:02d} {mm:.4f} {deg:.4f} {scale:.5f} {evals} "
+        levels = " ".join(f"{lv['samples']}/{lv['evaluations']}" for lv in reg["levels"])
+        yield (f"{seed} sub-{k:02d} {mm:.4f} {deg:.4f} {scale:.5f} {levels} "
                f"{str(reg['converged']).lower()}")
 
 
@@ -56,7 +57,7 @@ def main(argv=None) -> int:
     if not argv or not all(a.isdigit() for a in argv):
         print(__doc__.strip(), file=sys.stderr)
         return 2
-    print("# seed subject mm deg scale evaluations converged")
+    print("# seed subject mm deg scale level... converged")
     for seed in map(int, argv):
         for line in subject_lines(seed):
             print(line, flush=True)

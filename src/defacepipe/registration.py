@@ -26,9 +26,9 @@ itself. Each level stops on L-BFGS-B's own tests, and its diagnostics say
 which one it met.
 
 ``prepare`` computes the fixed image's side once (centroid, and per level
-the jittered foreground samples and their fixed bins); ``register_affine``
-solves for one moving image against it, so a batch against one template
-prepares the template once.
+the jittered samples of one eroded foreground mask and their fixed bins);
+``register_affine`` solves for one moving image against it, so a batch
+against one template prepares the template once.
 """
 
 import itertools
@@ -37,17 +37,18 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage, optimize
 
-from .errors import NoOverlap
+from .errors import EmptyMask, NoOverlap
 from .geometry import invert
 from .volume import Volume
 
 
 # (pyramid factor, smoothing sigma in mm, L-BFGS-B relative-reduction
 # tolerance ftol) per level, coarse to fine; the last level is full
-# resolution. Every level samples the whole eroded foreground: at
-# desk-scale volumes the metric bias from subsampling exceeds the recovery
-# tolerance. The coarse levels only need to land in the fine level's basin,
-# so they stop earlier.
+# resolution. Every level samples the fixed foreground eroded at full
+# resolution, at its own grid points (see ``prepare``), so the fine level
+# takes every eroded voxel: at desk-scale volumes the metric bias from
+# subsampling it exceeds the recovery tolerance. The coarse levels only
+# need to land in the fine level's basin, so they stop earlier.
 LEVELS = ((4, 4.0, 1e-6), (2, 2.0, 1e-7), (1, 0.0, 1e-9))
 
 
@@ -143,7 +144,7 @@ def _pad(data: np.ndarray) -> np.ndarray:
 
 
 # Most samples per _trilinear block, n being split into equal blocks: one
-# for each of a 64^3 deface's coarse levels (2,784 and 11,206 samples) and
+# for each of a 64^3 deface's coarse levels (280 and 2,250 samples) and
 # two for its fine level (17,634), where smaller blocks cost more calls.
 _BLOCK = 1 << 14
 
@@ -262,22 +263,28 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 def prepare(fixed: Volume, config: RegistrationConfig | None = None) -> FixedSide:
-    """Everything register_affine needs of the fixed image under config."""
+    """Everything register_affine needs of the fixed image under config.
+
+    Every level samples one mask, the fixed foreground eroded by 2 voxels
+    at full resolution, at the level's grid points: coarse voxel k is
+    full-resolution voxel factor * k, as ``_downsample`` strides it. Raises
+    EmptyMask when a level's grid points hold no voxel of that mask.
+    """
     config = config or RegistrationConfig()
     center = _frozen(_foreground_centroid(fixed))
+    # The eroded interior: boundary samples pair a crisp fixed edge with an
+    # interpolated moving edge and bias the optimum toward transforms that
+    # push them out of bounds.
+    interior = ndimage.binary_erosion(fixed.data > 0, iterations=2)
     levels = []
     for level, (factor, sigma, ftol) in enumerate(LEVELS):
         f_level = _downsample(fixed, factor, sigma)
         fixed_range = robust_range(f_level.data)
-
-        # Sample the eroded foreground interior: boundary samples pair a
-        # crisp fixed edge with an interpolated moving edge and bias the
-        # optimum toward transforms that push them out of bounds.
-        support = f_level.data > 0
-        interior = ndimage.binary_erosion(support, iterations=2)
-        fg = np.argwhere(interior if interior.sum() >= 512 else support).astype(np.float64)
-        if fg.shape[0] < 16:
-            fg = np.indices(f_level.dims).reshape(3, -1).T.astype(np.float64)
+        fg = np.argwhere(interior[::factor, ::factor, ::factor]).astype(np.float64)
+        if fg.shape[0] == 0:
+            raise EmptyMask(
+                f"registration template has no eroded foreground voxel on the "
+                f"pyramid grid of factor {factor}")
         rng = np.random.default_rng(config.seed + level)
         # Two independent off-grid jitters per voxel: jitter breaks the
         # interpolation artifact (MI spikes at grid-aligned transforms),
@@ -381,10 +388,11 @@ def register_affine(fixed: FixedSide, moving: Volume) -> tuple[np.ndarray, dict]
     """Find the world map taking moving coordinates into the coordinates of
     the prepared fixed image that locally maximizes MI.
 
-    Returns (transform, diagnostics). Each level records its final MI, its
-    iterations and cost evaluations, the optimizer's stop reason, whether
-    that stop is a convergence, and ``inside``, the fraction of its samples
-    inside the moving volume at its solution; the top-level ``converged``
+    Returns (transform, diagnostics). Each level records its sample count,
+    its final MI, its iterations and cost evaluations, the optimizer's stop
+    reason, whether that stop is a convergence, and ``inside``, the fraction
+    of its samples inside the moving volume at its solution; the top level
+    records the sampling seed, the histogram bins, and ``converged``, which
     holds only if every level converged. Non-convergence is reported, not
     raised; NoOverlap is raised when no sample of the final level is inside.
     """
@@ -396,7 +404,7 @@ def register_affine(fixed: FixedSide, moving: Volume) -> tuple[np.ndarray, dict]
     x = np.zeros(12)
     x[:3] = _foreground_centroid(moving) - center
 
-    diagnostics = {"levels": [], "seed": config.seed}
+    diagnostics = {"levels": [], "seed": config.seed, "bins": config.bins}
     for f_level in fixed.levels:
         m_level = _downsample(moving, f_level.factor, f_level.sigma)
         value, gradient = _level_cost(f_level, m_level, center, config.bins)
@@ -410,6 +418,7 @@ def register_affine(fixed: FixedSide, moving: Volume) -> tuple[np.ndarray, dict]
         nmax = np.reshape(m_level.dims, (3, 1)) - 1
         diagnostics["levels"].append({
             "factor": int(f_level.factor),
+            "samples": int(f_level.fgT.shape[1]),
             "mi": float(-res.fun),
             "iterations": int(res.nit),
             "evaluations": int(res.nfev),

@@ -411,6 +411,43 @@ def test_deface_inputs_sharing_outputs_fail_before_any_work(workspace, tmp_path,
     assert not (tmp_path / "out").exists()
 
 
+def _small_pack(root, size):
+    """A template pack of the nominal head at size^3, written into root, and
+    that head's volume as a subject file."""
+    head = synthetic.nominal_head(size)
+    pack = defacing.make_template_pack(head.volume)
+    sc = nifti.sidecar_for_dtype(np.float32)
+    nifti.write_nifti(pack.template, sc, root / "template.nii.gz")
+    nifti.write_mask(pack.keep_mask, root / "template_keep.nii.gz")
+    nifti.write_nifti(head.volume, sc, root / "subj.nii.gz")
+    return root / "subj.nii.gz"
+
+
+def test_deface_provenance_records_bins_and_samples(tmp_path):
+    """Provenance records --bins next to --seed, and each level's sample
+    count, that of the prepared template's level."""
+    subj = _small_pack(tmp_path, 32)
+    out = tmp_path / "out"
+    assert main(_deface_args(tmp_path, out, [str(subj)], extra=["--bins", "16", "--seed", "3"])) == 0
+    reg = json.loads((out / "subj_prov.json").read_text())["registration"]
+    assert reg["bins"] == 16 and reg["seed"] == 3
+    template, _ = nifti.read_nifti(tmp_path / "template.nii.gz")
+    fixed = registration.prepare(template, registration.RegistrationConfig(bins=16, seed=3))
+    assert [lv["samples"] for lv in reg["levels"]] == [lv.fgT.shape[1] for lv in fixed.levels]
+
+
+def test_deface_template_too_small_to_sample_exits_1(tmp_path, capsys):
+    """A 16^3 template has no sample on the coarsest pyramid grid: deface
+    reports it as one error line, with no traceback, and writes nothing."""
+    subj = _small_pack(tmp_path, 16)
+    out = tmp_path / "out"
+    assert main(_deface_args(tmp_path, out, [str(subj)])) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "factor 4" in err
+    assert "Traceback" not in err
+    assert not out.exists() or not os.listdir(out)
+
+
 _MINIMAL_ARGV = {
     "deface": ["deface", "in.nii", "--template", "t.nii", "--face-mask", "k.nii"],
     "quickshear": ["quickshear", "in.nii", "--brain-mask", "m.nii"],

@@ -7,7 +7,8 @@ import pytest
 from scipy import ndimage
 
 from defacepipe import registration, synthetic
-from defacepipe.errors import NoOverlap
+from defacepipe.defacing import make_template_pack
+from defacepipe.errors import EmptyMask, NoOverlap
 from defacepipe.geometry import affine_matrix, invert, translation
 from defacepipe.volume import Volume
 from defacepipe.registration import (
@@ -458,3 +459,33 @@ def test_prepared_fixed_side_is_read_only(head):
         a for lv in fixed.levels for a in (lv.affine, lv.fgT, lv.fixed_bins)
     ]
     assert not any(a.flags.writeable for a in arrays)
+
+
+@pytest.mark.parametrize("source", ["pack", "head"])
+def test_levels_sample_the_eroded_foreground_at_their_grid_points(source, pack, head):
+    """Every level's samples are the fixed foreground eroded by 2 voxels at
+    full resolution, read at the level's grid points: each sample lies
+    within half a voxel of a level-grid point p with interior[p * factor],
+    and each such point gives two samples. At factor 1 that is every
+    eroded voxel, twice."""
+    template = pack.template if source == "pack" else head.volume
+    interior = ndimage.binary_erosion(template.data > 0, iterations=2)
+    for lv in prepare(template).levels:
+        f = lv.factor
+        grid = interior[::f, ::f, ::f]
+        assert lv.fgT.shape[1] == 2 * grid.sum()
+        points = np.floor(lv.fgT + 0.5)
+        assert np.all(np.abs(lv.fgT - points) <= 0.5)
+        points = points.astype(np.intp)
+        assert np.all(interior[tuple(points * f)])
+        hit, count = np.unique(points, axis=1, return_counts=True)
+        np.testing.assert_array_equal(hit, np.argwhere(grid).T)
+        assert np.all(count == 2)
+
+
+def test_template_with_no_coarse_sample_raises_empty_mask():
+    """A 16^3 template's eroded foreground has no voxel on the factor-4
+    grid: that level has nothing to sample, and prepare says so."""
+    template = make_template_pack(synthetic.nominal_head(16).volume).template
+    with pytest.raises(EmptyMask, match="factor 4"):
+        prepare(template)
