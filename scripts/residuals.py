@@ -13,8 +13,15 @@ where mm, deg and scale are the residual of the recovered transform against
 the true one as the benchmark measures it (at the template brain's
 centroid), each level column, coarse to fine, is that pyramid level's
 samples and cost evaluations as "samples/evaluations", and converged is
-the provenance's top-level ``converged``. Run it at two commits and
-compare the lines.
+the provenance's top-level ``converged``. The last line sums up all
+seeds:
+
+    # subjects N median MM DEG SCALE past MM DEG SCALE ANY evaluations E...
+
+the subject count, the median of each residual, how many subjects are past
+the benchmark's 0.5 mm, 0.5 degree and 0.01 scale tolerance on each
+measure and on any of them, and each level's cost evaluations summed over
+the subjects. Run it at two commits and compare the lines.
 """
 
 import sys
@@ -33,8 +40,9 @@ from defacepipe.defacing import deface, make_template_pack  # noqa: E402
 from defacepipe.registration import RegistrationConfig, prepare  # noqa: E402
 
 
-def subject_lines(seed: int):
-    """One printed line per subject of the batch-64 set of seed."""
+def subject_results(seed: int):
+    """Per subject of the batch-64 set of seed: (name, (mm, deg, scale),
+    the provenance's registration record)."""
     w = run.WORKLOADS["batch-64"]
     head = synthetic.nominal_head(size=w.size)
     pack = make_template_pack(head.volume)
@@ -45,11 +53,20 @@ def subject_lines(seed: int):
     for k, s in enumerate(run.subject_seeds(seed, w.subjects), start=1):
         phantom = synthetic.random_subject(head, seed=s)
         result = deface(phantom.volume, pack, fixed, source)
-        mm, deg, scale = checks.transform_error(result.transform, phantom.true_transform, centroid)
-        reg = result.provenance["registration"]
-        levels = " ".join(f"{lv['samples']}/{lv['evaluations']}" for lv in reg["levels"])
-        yield (f"{seed} sub-{k:02d} {mm:.4f} {deg:.4f} {scale:.5f} {levels} "
-               f"{str(reg['converged']).lower()}")
+        err = checks.transform_error(result.transform, phantom.true_transform, centroid)
+        yield f"sub-{k:02d}", err, result.provenance["registration"]
+
+
+def summary_line(errors, evaluations) -> str:
+    """The closing line over every subject: errors (m, 3) residuals, and
+    evaluations (m, levels) cost evaluations."""
+    errors = np.asarray(errors)
+    past = errors > [checks.MAX_TRANSLATION_MM, checks.MAX_ROTATION_DEG, checks.MAX_SCALE]
+    mm, deg, scale = np.median(errors, axis=0)
+    counts = " ".join(str(int(c)) for c in [*past.sum(axis=0), past.any(axis=1).sum()])
+    sums = "/".join(str(int(e)) for e in np.sum(evaluations, axis=0))
+    return (f"# subjects {len(errors)} median {mm:.4f} {deg:.4f} {scale:.5f} "
+            f"past {counts} evaluations {sums}")
 
 
 def main(argv=None) -> int:
@@ -58,9 +75,15 @@ def main(argv=None) -> int:
         print(__doc__.strip(), file=sys.stderr)
         return 2
     print("# seed subject mm deg scale level... converged")
+    errors, evaluations = [], []
     for seed in map(int, argv):
-        for line in subject_lines(seed):
-            print(line, flush=True)
+        for name, (mm, deg, scale), reg in subject_results(seed):
+            levels = " ".join(f"{lv['samples']}/{lv['evaluations']}" for lv in reg["levels"])
+            print(f"{seed} {name} {mm:.4f} {deg:.4f} {scale:.5f} {levels} "
+                  f"{str(reg['converged']).lower()}", flush=True)
+            errors.append((mm, deg, scale))
+            evaluations.append([lv["evaluations"] for lv in reg["levels"]])
+    print(summary_line(errors, evaluations))
     return 0
 
 

@@ -118,9 +118,9 @@ def cmd_deface(args) -> int:
             print(f"error: {first} and {p} would write the same output files", file=sys.stderr)
             return 2
     pack = _load_pack(Path(args.template), Path(args.face_mask))
+    fixed = prepare(pack.template, RegistrationConfig(seed=args.seed, bins=args.bins))
     if output_dir:
         output_dir.mkdir(parents=True, exist_ok=True)
-    fixed = prepare(pack.template, RegistrationConfig(seed=args.seed, bins=args.bins))
 
     failures = []
     # fork, not spawn: the workers inherit the pack and the prepared template

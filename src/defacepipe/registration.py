@@ -4,9 +4,10 @@ The metric is a 32-bin Parzen-window joint histogram in the style of
 Mattes et al. (IEEE TMI 2003): each moving intensity, interpolated at a
 sampled fixed-image foreground point, is spread linearly across its two
 nearest bins. The moving image is interpolated trilinearly by an in-module
-kernel that is bit-identical to ``scipy.ndimage.map_coordinates(order=1)``
-on in-volume points of finite data, with less overhead per call; the same
-kernel returns the image's voxel gradient at each point.
+kernel, as seven linear interpolations per point, which agrees with
+``scipy.ndimage.map_coordinates(order=1)`` to rounding on in-volume points
+of finite data at less cost per call; the same kernel returns the image's
+voxel gradient at each point.
 
 Every sample counts at every transform: the kernel reads the volume
 zero-padded by ``_MARGIN`` voxels per side, where a sample that has left
@@ -31,7 +32,6 @@ the jittered samples of one eroded foreground mask and their fixed bins);
 against one template prepares the template once.
 """
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,6 +146,9 @@ def _pad(data: np.ndarray) -> np.ndarray:
 # Most samples per _trilinear block, n being split into equal blocks: one
 # for each of a 64^3 deface's coarse levels (280 and 2,250 samples) and
 # two for its fine level (17,634), where smaller blocks cost more calls.
+# On 2,250, 17,634 and 62,468 samples of a 64^3 volume, 200 calls take no
+# minor page fault (``resource.getrusage``), also after a whole deface has
+# run in the process.
 _BLOCK = 1 << 14
 
 
@@ -156,17 +159,20 @@ def _trilinear(padded: np.ndarray, coords: np.ndarray) -> tuple[np.ndarray, np.n
     corners along an axis are padding, so a point there reads 0 with a zero
     gradient; between, the image falls linearly to 0 over one voxel.
 
-    On points within [0, dims - 1] the floating-point operations of the
-    values are those of map_coordinates(order=1), in the same order, so on
-    finite data they are bit-identical (on the last voxel planes scipy
-    reads a zero-weight corner from inside the volume, so an inf or NaN
-    there spreads differently): scipy's weights (low 1 - t, high
-    1 - (1 - t)), the 8 corners x-major with z fastest, each multiplied by
-    its x, then y, then z weight and added to zero.
+    The interpolation is seven linear ones, low + t (high - low), t being
+    the point's offset from its lower corner: the four corner pairs along
+    z, those four results in pairs along y, and those two along x. On
+    points within [0, dims - 1] of finite data the values agree with
+    map_coordinates(order=1) to rounding (a few 1e-16 of the data's
+    largest magnitude), not bit for bit. A non-finite voxel at any of a
+    point's 8 corners makes its value and gradient non-finite, even where
+    that corner's weight is 0.
 
-    The gradient along an axis is the interpolant's derivative there: the
-    high-minus-low corner differences along it, weighted by the other two
-    axes' weights. On a voxel plane it is the one toward higher indices.
+    The gradient along an axis is the interpolant's derivative there, the
+    high-minus-low differences along it lerped over the other axes: along
+    x the difference of the two y-lerps, along y the two y-differences
+    lerped along x, along z the four z-differences lerped along y, then x.
+    On a voxel plane it is the one toward higher indices.
     """
     n = coords.shape[1]
     _, ny, nz = padded.shape
@@ -174,35 +180,49 @@ def _trilinear(padded: np.ndarray, coords: np.ndarray) -> tuple[np.ndarray, np.n
     top = np.reshape(padded.shape, (3, 1)) - (_MARGIN + 2.0)
     strides = np.array([ny * nz, nz, 1.0])
     origin = (_MARGIN * ny + _MARGIN) * nz + _MARGIN  # flat index of voxel 0
-    values = np.zeros(n)
-    grad = np.zeros((3, n))
+    z_pairs = [x * ny * nz + y * nz for x in (0, 1) for y in (0, 1)]  # (x, y), x-major
+    values = np.empty(n)
+    grad = np.empty((3, n))
     count = -(-n // _BLOCK)
     for k in range(count):
         block = slice(k * n // count, (k + 1) * n // count)
         v, g = values[block], grad[:, block]
-        w = np.empty((2,) + g.shape)  # w[d, axis]: the weight of corner side d
-        clamped = np.clip(coords[:, block], -_MARGIN, top, out=w[1])
-        floor = np.floor(clamped)
+        t = np.clip(coords[:, block], -_MARGIN, top)
+        floor = np.floor(t)
         base = (strides @ floor + origin).astype(np.intp)
-        np.subtract(clamped, floor, out=w[0])
-        np.subtract(1.0, w[0], out=w[0])
-        np.subtract(1.0, w[0], out=w[1])
-        c = {d: flat[(d[0] * ny + d[1]) * nz + d[2]:][base]
-             for d in itertools.product((0, 1), repeat=3)}  # x-major, z fastest
-        a, b = w[:, [1, 0, 0]], w[:, [2, 2, 1]]  # per axis: the other two axes' weights
-        step = np.empty(g.shape)
-        for i, j in itertools.product((0, 1), repeat=2):
-            np.subtract(c[1, i, j], c[0, i, j], out=step[0])
-            np.subtract(c[i, 1, j], c[i, 0, j], out=step[1])
-            np.subtract(c[i, j, 1], c[i, j, 0], out=step[2])
-            step *= a[i] * b[j]
-            g += step
-        wx, wy, wz = zip(*w)  # wx[d]: the x weight of corner side d
-        for (dx, dy, dz), term in c.items():  # the gradient has read the corners
-            term *= wx[dx]
-            term *= wy[dy]
-            term *= wz[dz]
-            v += term
+        tx, ty, tz = np.subtract(t, floor, out=t)
+        tmp = floor[0]  # scratch: floor has been read
+        # Along z, per (x, y) corner pair: dz = high - low in place of the
+        # high corner, and the lerp e = low + t_z dz in place of the low one.
+        e, dz = [], []
+        for offset in z_pairs:
+            low, high = flat[offset:][base], flat[offset + 1:][base]
+            dz.append(np.subtract(high, low, out=high))
+            low += np.multiply(tz, high, out=tmp)
+            e.append(low)
+        # Along y, per x: dy = e_x1 - e_x0 in place of e_x1, and the lerp
+        # f = e_x0 + t_y dy in place of e_x0.
+        f0, dy0, f1, dy1 = e
+        for low, high in ((f0, dy0), (f1, dy1)):
+            high -= low
+            low += np.multiply(ty, high, out=tmp)
+        # Along x: the gradient along x, then the value; the gradient along
+        # y is the two dy lerped along x, and along z the four dz lerped
+        # along y, then x.
+        np.subtract(f1, f0, out=g[0])
+        np.multiply(tx, g[0], out=v)
+        v += f0
+        dy1 -= dy0
+        dy1 *= tx
+        np.add(dy0, dy1, out=g[1])
+        dz00, dz01, dz10, dz11 = dz
+        for low, high in ((dz00, dz01), (dz10, dz11)):
+            high -= low
+            high *= ty
+            high += low
+        dz11 -= dz01
+        dz11 *= tx
+        np.add(dz01, dz11, out=g[2])
     return values, grad
 
 
@@ -324,6 +344,21 @@ def _moving_voxels(f_level: _FixedLevel, m_inv: np.ndarray, center, x) -> np.nda
     return vox_map[:3, :3] @ f_level.fgT + vox_map[:3, 3:4]
 
 
+def _log_ratio_steps(counts: np.ndarray) -> np.ndarray:
+    """Per flat cell c of the joint counts but the last, r[c + 1] - r[c],
+    r being log(p_ab / p_b) at each nonzero cell and 0 at an empty one:
+    N times the rate at which MI moves as a sample's w1 moves its weight
+    from cell c to the next one, N being the sample count. The fixed
+    marginal does not move, so dMI/dp_ab is log(p_ab / p_b) up to a
+    constant that cancels. A sample's cell is never a row's last, so no
+    step across rows is read."""
+    column = np.broadcast_to(counts.sum(axis=0), counts.shape)
+    nz = counts > 0
+    log_ratio = np.zeros(counts.size)
+    log_ratio[nz.ravel()] = np.log(counts[nz] / column[nz])
+    return np.diff(log_ratio)
+
+
 def _level_cost(f_level: _FixedLevel, m_level: Volume, center: np.ndarray, bins: int):
     """(value, gradient): the cost -MI of one pyramid level and its
     gradient, as functions of the optimizer-unit parameters x (internal
@@ -350,14 +385,7 @@ def _level_cost(f_level: _FixedLevel, m_level: Volume, center: np.ndarray, bins:
         cells = f_level.fixed_bins * bins + b0
         counts = _joint_counts(cells, w1, bins)
         value = -mutual_information(counts)
-        # The fixed marginal does not move, so dMI/dp_ab = log(p_ab/p_b)
-        # up to a constant that cancels; a sample moves weight from its
-        # cell to the next one at the rate of w1.
-        column = np.broadcast_to(counts.sum(axis=0), counts.shape)
-        nz = counts > 0
-        log_ratio = np.zeros(counts.size)
-        log_ratio[nz.ravel()] = np.log(counts[nz] / column[nz])
-        dmi_dv = (log_ratio[cells + 1] - log_ratio[cells]) * sloped * (slope / counts.sum())
+        dmi_dv = _log_ratio_steps(counts)[cells] * sloped * (slope / counts.sum())
         # dMI/d(vox_map) as a 3 x 4 matrix: sum over samples of the
         # moving-voxel gradient of MI times the homogeneous fixed voxel.
         u = vgrad * dmi_dv

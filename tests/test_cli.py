@@ -445,7 +445,7 @@ def test_deface_template_too_small_to_sample_exits_1(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "factor 4" in err
     assert "Traceback" not in err
-    assert not out.exists() or not os.listdir(out)
+    assert not out.exists()
 
 
 _MINIMAL_ARGV = {

@@ -17,6 +17,7 @@ from defacepipe.registration import (
     _fixed_to_moving,
     _joint_counts,
     _level_cost,
+    _log_ratio_steps,
     _pad,
     _parzen_window,
     _trilinear,
@@ -155,6 +156,10 @@ def boundary_coords(dims, rng, n=400):
 @pytest.mark.parametrize("dims", [(5, 6, 7), (17, 23, 31), (7, 6, 5)])
 @pytest.mark.parametrize("sign", ["positive", "negative", "mixed"])
 def test_trilinear_bit_identical_to_map_coordinates(dims, sign):
+    """Values equal map_coordinates' within 1e-12 of the data's largest
+    magnitude: the kernel's seven lerps round differently from scipy's
+    weighted sum of the 8 corners, so the two agree to rounding, not bit
+    for bit."""
     rng = np.random.default_rng(sum(dims))
     data = rng.uniform(0.0, 100.0, dims)
     if sign == "negative":
@@ -164,11 +169,13 @@ def test_trilinear_bit_identical_to_map_coordinates(dims, sign):
     coords = boundary_coords(dims, rng)
     padded = _pad(data)
     want = ndimage.map_coordinates(data, coords, order=1)
-    assert np.array_equal(_trilinear(padded, coords)[0], want)
-    # One point at a time too: a reduction over the corners may change its
-    # summation order with the number of points.
+    atol = 1e-12 * np.abs(data).max()
+    np.testing.assert_allclose(_trilinear(padded, coords)[0], want, rtol=0, atol=atol)
+    # One point at a time too: no value may depend on how many points a
+    # call takes.
     for k in range(0, coords.shape[1], 7):
-        assert np.array_equal(_trilinear(padded, coords[:, k:k + 1])[0], want[k:k + 1])
+        np.testing.assert_allclose(
+            _trilinear(padded, coords[:, k:k + 1])[0], want[k:k + 1], rtol=0, atol=atol)
 
 
 def test_trilinear_gradient_matches_finite_differences():
@@ -196,8 +203,8 @@ def test_trilinear_gradient_matches_finite_differences():
 
 
 def test_trilinear_blocks_match_one_block(monkeypatch):
-    """Any block size gives the same values and gradients, one sample per
-    block and blocks at, around and beyond the sample count included."""
+    """Any block size gives bit-identical values and gradients, one sample
+    per block and blocks at, around and beyond the sample count included."""
     rng = np.random.default_rng(9)
     data = rng.uniform(-50.0, 50.0, (17, 23, 31))
     coords = boundary_coords(data.shape, rng)
@@ -210,7 +217,27 @@ def test_trilinear_blocks_match_one_block(monkeypatch):
         blocked, blocked_grad = _trilinear(padded, coords)
         assert np.array_equal(blocked, whole), block
         assert np.array_equal(blocked_grad, whole_grad), block
-        assert np.array_equal(blocked, want), block
+        np.testing.assert_allclose(blocked, want, rtol=0, atol=1e-12 * np.abs(data).max(),
+                                   err_msg=f"block {block}")
+
+
+def test_log_ratio_steps_read_as_two_cells():
+    """One gather of the step table is bit-identical to reading the log
+    ratios of a sample's cell and the next one and subtracting."""
+    rng = np.random.default_rng(41)
+    bins = 8
+    fixed_bins = rng.integers(0, bins, 100)
+    b0, w1, _ = _parzen_window(rng.normal(50.0, 20.0, 100), (0.0, 100.0), bins)
+    cells = fixed_bins * bins + b0
+    counts = _joint_counts(cells, w1, bins)
+    assert (counts == 0).any()  # empty cells, whose log ratio is 0
+    ratio = np.divide(counts, counts.sum(axis=0), out=np.zeros_like(counts),
+                      where=counts > 0).ravel()
+    log_ratio = np.zeros(ratio.size)
+    log_ratio[ratio > 0] = np.log(ratio[ratio > 0])
+    steps = _log_ratio_steps(counts)
+    assert steps.shape == (bins * bins - 1,)
+    assert np.array_equal(steps[cells], log_ratio[cells + 1] - log_ratio[cells])
 
 
 def test_trilinear_of_no_samples_is_empty():
