@@ -35,7 +35,6 @@ import numpy as np  # noqa: E402
 import checks  # noqa: E402
 import run  # noqa: E402
 from defacepipe import synthetic  # noqa: E402
-from defacepipe.brain_extraction import BrainMaskSource  # noqa: E402
 from defacepipe.defacing import deface, make_template_pack  # noqa: E402
 from defacepipe.registration import RegistrationConfig, prepare  # noqa: E402
 
@@ -49,10 +48,9 @@ def subject_results(seed: int):
     fixed = prepare(pack.template, RegistrationConfig())
     brain = head.brain_mask
     centroid = brain.affine[:3, :3] @ np.argwhere(brain.data).mean(axis=0) + brain.affine[:3, 3]
-    source = BrainMaskSource("fallback")
     for k, s in enumerate(run.subject_seeds(seed, w.subjects), start=1):
         phantom = synthetic.random_subject(head, seed=s)
-        result = deface(phantom.volume, pack, fixed, source)
+        result = deface(phantom.volume, pack, fixed)
         err = checks.transform_error(result.transform, phantom.true_transform, centroid)
         yield f"sub-{k:02d}", err, result.provenance["registration"]
 

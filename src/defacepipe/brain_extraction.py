@@ -1,15 +1,15 @@
-"""Tight brain-mask production via a pluggable source.
+"""Tight brain-mask production from an external mask path, or the fallback
+when there is none.
 
 The accurate extractors used in practice are deep models run outside this
-package; their output, a brain mask or a skull-stripped volume, is consumed
-through ``external_file``: every voxel above 0 is brain. The built-in
-fallback is a deterministic classical extractor (Otsu threshold, 2 mm
-closing, largest component, hole fill) adequate for phantoms and smoke
-tests. Its morphology runs on the foreground's bounding box, and it reads
-non-finite voxels as background.
+package; their output, a brain mask or a skull-stripped volume, is passed
+as a file path: every voxel above 0 is brain. The built-in fallback is a
+deterministic classical extractor (Otsu threshold, 2 mm closing, largest
+component, hole fill) adequate for phantoms and smoke tests. Its
+morphology runs on the foreground's bounding box, and it reads non-finite
+voxels as background.
 """
 
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -20,18 +20,6 @@ from .geometry import reorient_to_canonical
 from .volume import BinaryMask, Volume
 
 CLOSING_MM = 2.0
-
-
-@dataclass
-class BrainMaskSource:
-    kind: str  # "external_file" | "fallback"
-    path: Path | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("external_file", "fallback"):
-            raise ValueError(f"unknown brain mask source {self.kind!r}")
-        if self.kind != "fallback" and self.path is None:
-            raise ValueError(f"{self.kind} requires a path")
 
 
 def otsu_threshold(data: np.ndarray) -> float:
@@ -83,19 +71,21 @@ def fallback_extract(v: Volume) -> BinaryMask:
     return morphology.fill_holes(comp)
 
 
-def extract_brain(v: Volume, source: BrainMaskSource) -> BinaryMask:
-    """Brain mask on v's grid. v must already be canonically oriented."""
-    if source.kind == "fallback":
+def extract_brain(v: Volume, path: Path | None = None) -> BinaryMask:
+    """Brain mask on v's grid: the external mask file at path, or the
+    fallback extractor when path is None. v must already be canonically
+    oriented."""
+    if path is None:
         mask = fallback_extract(v)
     else:
         try:
-            loaded, _ = nifti.read_nifti(source.path)
+            loaded, _ = nifti.read_nifti(path)
         except Exception as e:
-            raise FileError(f"{source.path}: {e}") from e
+            raise FileError(f"{path}: {e}") from e
         loaded, _ = reorient_to_canonical(loaded)
         if not loaded.same_grid(v):
             raise GridMismatch(
-                f"{source.path}: grid does not match subject after reorientation"
+                f"{path}: grid does not match subject after reorientation"
             )
         mask = BinaryMask.from_volume(loaded)
     if not mask.data.any():

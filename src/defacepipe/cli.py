@@ -20,7 +20,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, geometry, nifti
-from .brain_extraction import BrainMaskSource
 from .defacing import (
     TemplatePack,
     deface,
@@ -56,24 +55,18 @@ def _load_pack(template_path: Path, face_mask_path: Path) -> TemplatePack:
     return TemplatePack(template=template, keep_mask=BinaryMask.from_volume(mask_vol))
 
 
-def _brain_source(args) -> BrainMaskSource:
-    if args.brain_mask:
-        return BrainMaskSource("external_file", Path(args.brain_mask))
-    return BrainMaskSource("fallback")
-
-
 def _artifacts(input_path: Path, output_dir: Path | None) -> list[Path]:
     """deface's outputs for one input: defaced volume, brain-safe mask, transform, provenance."""
     return [_out_path(input_path, output_dir, suffix, ext) for suffix, ext in (
         ("_defaced", None), ("_brainsafe", None), ("_xfm", ".txt"), ("_prov", ".json"))]
 
 
-def _deface_one(input_path: Path, pack: TemplatePack, fixed, source, margin_mm, output_dir):
+def _deface_one(input_path: Path, pack: TemplatePack, fixed, brain_mask, margin_mm, output_dir):
     try:
         volume, sidecar = nifti.read_nifti(input_path)
     except Exception as e:
         raise StageError(0, e) from e  # stage 0 = ingestion
-    result = deface(volume, pack, fixed, source, margin_mm)
+    result = deface(volume, pack, fixed, brain_mask, margin_mm)
     result.provenance["input"] = str(input_path)
     result.provenance["header_warnings"] = sidecar.warnings
 
@@ -106,7 +99,8 @@ def _deface_in_worker(input_path: Path):
 
 def cmd_deface(args) -> int:
     inputs = [Path(p) for p in args.inputs]
-    if args.brain_mask and len(inputs) != 1:
+    brain_mask = Path(args.brain_mask) if args.brain_mask else None
+    if brain_mask and len(inputs) != 1:
         print("error: --brain-mask applies to exactly one input", file=sys.stderr)
         return 2
     output_dir = Path(args.output_dir) if args.output_dir else None
@@ -130,7 +124,7 @@ def cmd_deface(args) -> int:
         max_workers=min(args.jobs, len(inputs)),
         mp_context=multiprocessing.get_context("fork"),
         initializer=_start_worker,
-        initargs=(pack, fixed, _brain_source(args), args.margin_mm, output_dir),
+        initargs=(pack, fixed, brain_mask, args.margin_mm, output_dir),
     ) as pool:
         futures = {pool.submit(_deface_in_worker, p): p for p in inputs}
         for fut in concurrent.futures.as_completed(futures):
@@ -212,7 +206,7 @@ def cmd_make_template_pack(args) -> int:
         return 2
     pack = make_template_pack(
         head,
-        brain_source=_brain_source(args),
+        brain_mask=Path(args.brain_mask) if args.brain_mask else None,
         buffer_mm=args.buffer_mm,
         face_dilate_mm=args.face_dilate_mm,
     )

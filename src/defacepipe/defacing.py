@@ -11,13 +11,14 @@ import functools
 import hashlib
 import time
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from . import geometry
 from .registration import FixedSide, register_affine
-from .brain_extraction import BrainMaskSource, extract_brain, fallback_extract, otsu_threshold
+from .brain_extraction import extract_brain, fallback_extract, otsu_threshold
 from .errors import (
     DegenerateHull,
     EmptyMask,
@@ -86,10 +87,13 @@ def deface(
     input_volume: Volume,
     pack: TemplatePack,
     fixed: FixedSide,
-    brain_source: BrainMaskSource,
+    brain_mask: Path | None = None,
     margin_mm: float = 7.0,
 ) -> DefaceResult:
     """Run the nine-stage pipeline; output stays on the input's native grid.
+
+    brain_mask is an external brain mask file (voxels above 0 are brain);
+    None extracts the mask with the fallback extractor.
 
     fixed is pack.template prepared by ``registration.prepare``; its config
     holds every registration setting, and a batch passes the same one for
@@ -103,7 +107,7 @@ def deface(
     with _stage(1, seconds):
         canon, perm = geometry.reorient_to_canonical(input_volume)
     with _stage(2, seconds):
-        brain = extract_brain(canon, brain_source)
+        brain = extract_brain(canon, brain_mask)
     with _stage(4, seconds):
         dilated = dilate(brain, margin_mm)
     with _stage(5, seconds):
@@ -132,7 +136,7 @@ def deface(
         "version": __version__,
         "template_sha256": pack.sha256,
         "margin_mm": margin_mm,
-        "brain_source": brain_source.kind,
+        "brain_source": "fallback" if brain_mask is None else "external_file",
         "registration": diagnostics,
         "reorientation": {"perm": list(perm.perm), "flips": list(perm.flips)},
         "removed_voxels": int((~safe_native.data).sum()),
@@ -184,8 +188,7 @@ def _shear_plane(brain: BinaryMask, buffer_mm: float) -> np.ndarray:
 
     A negative or non-finite buffer_mm raises ValueError: a negative one
     would move the plane into the brain, and NaN would mark nothing."""
-    if not (np.isfinite(buffer_mm) and buffer_mm >= 0):
-        raise ValueError(f"buffer_mm must be finite and >= 0, got {buffer_mm}")
+    check_radius(buffer_mm, "buffer_mm")
     xs = np.flatnonzero(brain.data.any(axis=(1, 2)))
     if len(xs) == 0:
         raise EmptyMask("empty brain mask")
@@ -244,23 +247,25 @@ def quickshear(input_volume: Volume, brain: BinaryMask, buffer_mm: float = 5.0) 
 
 def make_template_pack(
     head: Volume,
-    brain_source: BrainMaskSource | None = None,
+    brain_mask: Path | None = None,
     buffer_mm: float = 5.0,
     face_dilate_mm: float = 3.0,
 ) -> TemplatePack:
     """Build a TemplatePack from a skull-containing (or already stripped)
     template: tight-stripped template + a keep-mask that removes head tissue
-    on the face side of the template brain's shear plane.
+    on the face side of the template brain's shear plane. The template
+    brain is read from the brain_mask file, or found by the fallback
+    extractor when brain_mask is None.
 
     For a brain-only input the face region is empty and the keep-mask is
     all ones. A negative or non-finite face_dilate_mm raises ValueError.
     """
     check_radius(face_dilate_mm, "face_dilate_mm")
     canon, _ = geometry.reorient_to_canonical(head)
-    if brain_source is None or brain_source.kind == "fallback":
+    if brain_mask is None:
         brain = fallback_extract(canon)
     else:
-        brain = extract_brain(canon, brain_source)
+        brain = extract_brain(canon, brain_mask)
 
     stripped = apply_mask(canon, brain)
     face_side = _shear_plane(brain, buffer_mm)

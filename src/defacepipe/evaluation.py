@@ -1,12 +1,12 @@
 """Quantitative QC: Dice overlap, single-atlas label propagation, batch reports."""
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import geometry
-from .brain_extraction import BrainMaskSource, extract_brain
+from .brain_extraction import extract_brain
 from .errors import BothEmpty, FileError
 from .geometry import reorient_to_canonical
 from .volume import BinaryMask, Volume, check_same_grid
@@ -23,11 +23,14 @@ class DiceReport:
     std: float | None
     n: int
     threshold: float
-    failed: list = field(default_factory=list)
 
     @property
     def flagged(self) -> list:
         return [item[0] for item in self.per_item if item[2]]
+
+    @property
+    def failed(self) -> list:
+        return [i for i, _, _, e in self.per_item if e is not None]
 
     def to_json(self) -> str:
         return json.dumps(
@@ -104,8 +107,7 @@ def _pair_dice(original: Volume | None, defaced: Volume | None) -> float:
     """Dice of the fallback brain masks of the two volumes."""
     if original is None or defaced is None:
         raise FileError("unreadable input")
-    source = BrainMaskSource("fallback")
-    masks = [extract_brain(reorient_to_canonical(v)[0], source) for v in (original, defaced)]
+    masks = [extract_brain(reorient_to_canonical(v)[0]) for v in (original, defaced)]
     return dice(*masks)
 
 
@@ -116,7 +118,6 @@ def qc_report(items, threshold: float = 0.99) -> DiceReport:
     fatal; a pair whose original or defaced volume is None (it could not be
     read) is recorded as failed in its place."""
     per_item = []
-    failed = []
     values = []
     for item_id, original, defaced in items:
         try:
@@ -125,7 +126,6 @@ def qc_report(items, threshold: float = 0.99) -> DiceReport:
             values.append(d)
         except Exception as e:
             per_item.append((item_id, None, True, str(e)))
-            failed.append(item_id)
         del original, defaced  # freed before the next pair is read
     if not per_item:
         raise ValueError("qc_report requires at least one item")
@@ -133,4 +133,4 @@ def qc_report(items, threshold: float = 0.99) -> DiceReport:
     if values:
         mean = float(np.mean(values))
         std = float(np.std(values))  # population std (divisor n)
-    return DiceReport(per_item, mean, std, len(values), threshold, failed)
+    return DiceReport(per_item, mean, std, len(values), threshold)

@@ -33,6 +33,7 @@ against one template prepares the template once.
 """
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 from scipy import ndimage, optimize
@@ -54,13 +55,13 @@ LEVELS = ((4, 4.0, 1e-6), (2, 2.0, 1e-7), (1, 0.0, 1e-9))
 
 @dataclass
 class RegistrationConfig:
-    """bins: MI histogram bins per axis. convergence_tol: L-BFGS-B's
-    projected-gradient stopping tolerance (gtol), in nats of MI per
-    optimizer unit (see ``_UNITS``). seed: sample jitter seed."""
+    """bins: MI histogram bins per axis. seed: sample jitter seed.
+    convergence_tol, a constant: L-BFGS-B's projected-gradient stopping
+    tolerance (gtol), in nats of MI per optimizer unit (see ``_UNITS``)."""
 
     bins: int = 32
-    convergence_tol: float = 1e-5
     seed: int = 0
+    convergence_tol: ClassVar[float] = 1e-5
 
     def __post_init__(self):
         if self.bins < 2:

@@ -12,7 +12,7 @@ import pytest
 from scipy import ndimage
 
 from defacepipe import nifti, synthetic
-from defacepipe.brain_extraction import BrainMaskSource, fallback_extract
+from defacepipe.brain_extraction import fallback_extract
 from defacepipe.cli import main
 from defacepipe.defacing import (
     convex_hull_2d,
@@ -26,9 +26,6 @@ from defacepipe.morphology import dilate
 from defacepipe.registration import mutual_information, prepare, register_affine
 from defacepipe.volume import BinaryMask, Volume
 
-FALLBACK = BrainMaskSource("fallback")
-
-
 def _report(n, label, ok):
     print(f"criterion {n} ({label}): {'PASS' if ok else 'FAIL'}")
     assert ok
@@ -41,7 +38,7 @@ def registered_batch(head, pack, fixed):
     out = []
     for seed in range(100, 150):
         subject = synthetic.random_subject(head, seed=seed)
-        result = deface(subject.volume, pack, fixed, FALLBACK)
+        result = deface(subject.volume, pack, fixed)
         out.append((seed, subject, result))
     return out
 
@@ -61,7 +58,7 @@ def test_criterion_1_brain_safety_under_adversarial_transforms(
             scale_range=(0.5, 2.0),
         )
         register_as(bad)
-        result = deface(subject.volume, pack, fixed, FALLBACK)
+        result = deface(subject.volume, pack, fixed)
         extracted = fallback_extract(subject.volume)
         protected = dilate(extracted, 7.0).data
         if not np.array_equal(

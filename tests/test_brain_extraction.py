@@ -1,11 +1,10 @@
-"""Brain-mask sources: external file and classical fallback."""
+"""Brain masks: an external mask file, or the classical fallback."""
 
 import numpy as np
 import pytest
 
 from defacepipe import nifti
 from defacepipe.brain_extraction import (
-    BrainMaskSource,
     extract_brain,
     fallback_extract,
     otsu_threshold,
@@ -14,16 +13,6 @@ from defacepipe.errors import EmptyMask, FileError, GridMismatch
 from defacepipe.evaluation import dice
 from defacepipe.morphology import apply_mask
 from defacepipe.volume import BinaryMask, Volume
-
-
-def test_source_validation():
-    with pytest.raises(ValueError):
-        BrainMaskSource("guesswork")
-    with pytest.raises(ValueError):
-        BrainMaskSource("external_file")  # path required
-    with pytest.raises(ValueError):  # a stripped volume is an external_file
-        BrainMaskSource("external_stripped_volume", "stripped.nii")
-    BrainMaskSource("fallback")  # fine without a path
 
 
 def test_otsu_separates_bimodal():
@@ -43,8 +32,7 @@ def test_otsu_constant_input():
 def test_external_mask_loaded_verbatim(head, tmp_path):
     path = tmp_path / "mask.nii"
     nifti.write_mask(head.brain_mask, path)
-    src = BrainMaskSource("external_file", path)
-    out = extract_brain(head.volume, src)
+    out = extract_brain(head.volume, path)
     np.testing.assert_array_equal(out.data, head.brain_mask.data)
 
 
@@ -52,8 +40,7 @@ def test_external_stripped_volume_support(head, tmp_path):
     stripped = apply_mask(head.volume, head.brain_mask)
     path = tmp_path / "stripped.nii"
     nifti.write_nifti(stripped, nifti.sidecar_for_dtype(np.float32), path)
-    src = BrainMaskSource("external_file", path)
-    out = extract_brain(head.volume, src)
+    out = extract_brain(head.volume, path)
     # stage-3 semantics: the stripped volume's nonzero support
     np.testing.assert_array_equal(out.data, stripped.data > 0)
 
@@ -63,14 +50,14 @@ def test_external_grid_mismatch(head, tmp_path):
     path = tmp_path / "small.nii"
     nifti.write_nifti(small, nifti.sidecar_for_dtype(np.float32), path)
     with pytest.raises(GridMismatch):
-        extract_brain(head.volume, BrainMaskSource("external_file", path))
+        extract_brain(head.volume, path)
 
 
 def test_external_unreadable(head, tmp_path):
     bad = tmp_path / "garbage.nii"
     bad.write_bytes(b"not a nifti")
     with pytest.raises(FileError):
-        extract_brain(head.volume, BrainMaskSource("external_file", bad))
+        extract_brain(head.volume, bad)
 
 
 def test_external_empty_mask(head, tmp_path):
@@ -80,7 +67,7 @@ def test_external_empty_mask(head, tmp_path):
     path = tmp_path / "empty.nii"
     nifti.write_mask(zero, path)
     with pytest.raises(EmptyMask):
-        extract_brain(head.volume, BrainMaskSource("external_file", path))
+        extract_brain(head.volume, path)
 
 
 def test_fallback_empty_input():

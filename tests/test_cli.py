@@ -23,7 +23,7 @@ from defacepipe import (
     registration,
     synthetic,
 )
-from defacepipe.brain_extraction import BrainMaskSource, extract_brain
+from defacepipe.brain_extraction import extract_brain
 from defacepipe.cli import build_parser, main
 from defacepipe.defacing import quickshear
 from defacepipe.morphology import apply_mask
@@ -199,7 +199,7 @@ def test_probabilistic_mask_file_reads_alike_everywhere(workspace, tmp_path):
         path = tmp_path / f"{name}_brain.nii.gz"
         nifti.write_nifti(brain, nifti.sidecar_for_dtype(np.float32), path)
 
-        mask = extract_brain(subject.volume, BrainMaskSource("external_file", path))
+        mask = extract_brain(subject.volume, path)
         np.testing.assert_array_equal(mask.data, subject.brain_mask.data)
 
         out = tmp_path / name

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from defacepipe import defacing, registration, synthetic
-from defacepipe.brain_extraction import BrainMaskSource
 from defacepipe.defacing import (
     TemplatePack,
     convex_hull_2d,
@@ -222,18 +221,18 @@ def test_keep_volume_built_once_per_pack(pack):
 # deface pipeline
 
 
-def _source(head, tmp_path):
+def _mask_path(head, tmp_path):
     from defacepipe import nifti
 
     path = tmp_path / "brainmask.nii"
     nifti.write_mask(head.brain_mask, path)
-    return BrainMaskSource("external_file", path)
+    return path
 
 
 def test_deface_phantom_end_to_end(head, pack, fixed, tmp_path):
     subject = synthetic.random_subject(head, seed=1)
-    src = _source(subject, tmp_path)
-    result = deface(subject.volume, pack, fixed, src)
+    brain_mask = _mask_path(subject, tmp_path)
+    result = deface(subject.volume, pack, fixed, brain_mask)
 
     # native space preserved
     assert result.defaced.dims == subject.volume.dims
@@ -258,12 +257,12 @@ def test_deface_brain_safe_even_with_adversarial_transform(
     head, pack, fixed, register_as, tmp_path
 ):
     subject = synthetic.random_subject(head, seed=2)
-    src = _source(subject, tmp_path)
+    brain_mask = _mask_path(subject, tmp_path)
     # worst case: registration claims the subject sits 500 mm away
     bad = np.eye(4)
     bad[:3, 3] = (500.0, -500.0, 500.0)
     register_as(bad)
-    result = deface(subject.volume, pack, fixed, src)
+    result = deface(subject.volume, pack, fixed, brain_mask)
     dil = dilate(subject.brain_mask, 7.0)
     np.testing.assert_array_equal(
         result.defaced.data[dil.data], subject.volume.data[dil.data]
@@ -279,12 +278,12 @@ def test_deface_rejects_non_finite_margin(
     """A NaN or infinite margin would dilate the brain to nothing, and a
     wrong transform would then zero the whole brain: stage 4 fails."""
     subject = synthetic.random_subject(head, seed=2)
-    src = _source(subject, tmp_path)
+    brain_mask = _mask_path(subject, tmp_path)
     bad = np.eye(4)
     bad[:3, 3] = (500.0, -500.0, 500.0)
     register_as(bad)
     with pytest.raises(StageError) as exc:
-        deface(subject.volume, pack, fixed, src, margin_mm)
+        deface(subject.volume, pack, fixed, brain_mask, margin_mm)
     assert exc.value.stage == 4
     assert isinstance(exc.value.__cause__, ValueError)
 
@@ -307,7 +306,7 @@ def test_deface_registers_once_against_the_given_fixed_side(
     monkeypatch.setattr(defacing, "register_affine", register_affine)
     monkeypatch.setattr(registration, "prepare", prepare)
     monkeypatch.setattr(defacing, "prepare", prepare, raising=False)
-    result = deface(head.volume, pack, fixed, _source(head, tmp_path))
+    result = deface(head.volume, pack, fixed, _mask_path(head, tmp_path))
     assert calls == [fixed]
     assert result.provenance["registration"] == {"seed": 7}
     assert "threshold" not in result.provenance
@@ -315,7 +314,7 @@ def test_deface_registers_once_against_the_given_fixed_side(
 
 def test_deface_records_stage_timings(head, pack, fixed, register_as, tmp_path):
     register_as(np.eye(4))
-    timing = deface(head.volume, pack, fixed, _source(head, tmp_path)).provenance["timing"]
+    timing = deface(head.volume, pack, fixed, _mask_path(head, tmp_path)).provenance["timing"]
     stages = timing["stages"]
     assert sorted(stages) == [str(n) for n in range(1, 10)]
     assert all(s >= 0 for s in stages.values())
@@ -329,23 +328,23 @@ def test_deface_keep_everything_mask_is_identity(head, fixed, register_as, tmp_p
         keep_mask=BinaryMask(np.ones(stripped.dims, bool), stripped.affine),
     )
     register_as(np.eye(4))
-    result = deface(head.volume, all_keep, fixed, _source(head, tmp_path))
+    result = deface(head.volume, all_keep, fixed, _mask_path(head, tmp_path))
     np.testing.assert_array_equal(result.defaced.data, head.volume.data)
 
 
 def test_deface_full_dilated_mask_is_identity(head, pack, fixed, register_as, tmp_path):
     # a margin large enough to cover the whole grid makes the union full
     register_as(np.eye(4))
-    result = deface(head.volume, pack, fixed, _source(head, tmp_path), margin_mm=200.0)
+    result = deface(head.volume, pack, fixed, _mask_path(head, tmp_path), margin_mm=200.0)
     np.testing.assert_array_equal(result.defaced.data, head.volume.data)
 
 
 def test_deface_idempotent_on_brain_safe_region(head, pack, fixed, register_as, tmp_path):
     subject = synthetic.random_subject(head, seed=3)
-    src = _source(subject, tmp_path)
+    brain_mask = _mask_path(subject, tmp_path)
     register_as(subject.true_transform)
-    first = deface(subject.volume, pack, fixed, src)
-    second = deface(first.defaced, pack, fixed, src)
+    first = deface(subject.volume, pack, fixed, brain_mask)
+    second = deface(first.defaced, pack, fixed, brain_mask)
     np.testing.assert_array_equal(
         second.defaced.data[first.brain_safe_mask.data],
         first.defaced.data[first.brain_safe_mask.data],
@@ -357,6 +356,6 @@ def test_deface_idempotent_on_brain_safe_region(head, pack, fixed, register_as, 
 def test_deface_stage_errors_tagged(pack, fixed):
     empty = Volume(np.zeros((16, 16, 16), dtype=np.float32), np.eye(4))
     with pytest.raises(StageError) as exc:
-        deface(empty, pack, fixed, BrainMaskSource("fallback"))
+        deface(empty, pack, fixed)
     assert exc.value.stage == 2
     assert "stage 2" in str(exc.value)

@@ -181,8 +181,8 @@ def test_qc_report_releases_each_pair_before_reading_the_next(monkeypatch):
     alive = []
     real_extract = evaluation.extract_brain
 
-    def extract_brain(volume, source):
-        mask = real_extract(volume, source)
+    def extract_brain(volume, path=None):
+        mask = real_extract(volume, path)
         alive.extend(weakref.ref(obj) for obj in (volume, mask, mask.data))
         return mask
 

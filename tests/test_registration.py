@@ -155,7 +155,7 @@ def boundary_coords(dims, rng, n=400):
 
 @pytest.mark.parametrize("dims", [(5, 6, 7), (17, 23, 31), (7, 6, 5)])
 @pytest.mark.parametrize("sign", ["positive", "negative", "mixed"])
-def test_trilinear_bit_identical_to_map_coordinates(dims, sign):
+def test_trilinear_matches_map_coordinates(dims, sign):
     """Values equal map_coordinates' within 1e-12 of the data's largest
     magnitude: the kernel's seven lerps round differently from scipy's
     weighted sum of the 8 corners, so the two agree to rounding, not bit
