@@ -16,12 +16,13 @@ samples and cost evaluations as "samples/evaluations", and converged is
 the provenance's top-level ``converged``. The last line sums up all
 seeds:
 
-    # subjects N median MM DEG SCALE past MM DEG SCALE ANY evaluations E...
+    # subjects N median MM DEG SCALE past MM DEG SCALE ANY evaluations E... unconverged U
 
 the subject count, the median of each residual, how many subjects are past
 the benchmark's 0.5 mm, 0.5 degree and 0.01 scale tolerance on each
-measure and on any of them, and each level's cost evaluations summed over
-the subjects. Run it at two commits and compare the lines.
+measure and on any of them, each level's cost evaluations summed over the
+subjects, and how many subjects did not converge. Run it at two commits
+and compare the lines.
 """
 
 import sys
@@ -55,16 +56,16 @@ def subject_results(seed: int):
         yield f"sub-{k:02d}", err, result.provenance["registration"]
 
 
-def summary_line(errors, evaluations) -> str:
-    """The closing line over every subject: errors (m, 3) residuals, and
-    evaluations (m, levels) cost evaluations."""
+def summary_line(errors, evaluations, converged) -> str:
+    """The closing line over every subject: errors (m, 3) residuals,
+    evaluations (m, levels) cost evaluations, and converged (m,) flags."""
     errors = np.asarray(errors)
     past = errors > [checks.MAX_TRANSLATION_MM, checks.MAX_ROTATION_DEG, checks.MAX_SCALE]
     mm, deg, scale = np.median(errors, axis=0)
     counts = " ".join(str(int(c)) for c in [*past.sum(axis=0), past.any(axis=1).sum()])
     sums = "/".join(str(int(e)) for e in np.sum(evaluations, axis=0))
     return (f"# subjects {len(errors)} median {mm:.4f} {deg:.4f} {scale:.5f} "
-            f"past {counts} evaluations {sums}")
+            f"past {counts} evaluations {sums} unconverged {sum(not c for c in converged)}")
 
 
 def main(argv=None) -> int:
@@ -73,7 +74,7 @@ def main(argv=None) -> int:
         print(__doc__.strip(), file=sys.stderr)
         return 2
     print("# seed subject mm deg scale level... converged")
-    errors, evaluations = [], []
+    errors, evaluations, converged = [], [], []
     for seed in map(int, argv):
         for name, (mm, deg, scale), reg in subject_results(seed):
             levels = " ".join(f"{lv['samples']}/{lv['evaluations']}" for lv in reg["levels"])
@@ -81,7 +82,8 @@ def main(argv=None) -> int:
                   f"{str(reg['converged']).lower()}", flush=True)
             errors.append((mm, deg, scale))
             evaluations.append([lv["evaluations"] for lv in reg["levels"]])
-    print(summary_line(errors, evaluations))
+            converged.append(reg["converged"])
+    print(summary_line(errors, evaluations, converged))
     return 0
 
 

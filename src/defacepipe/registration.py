@@ -23,13 +23,15 @@ Thevenaz & Unser, IEEE TIP 2000): the chain of the histogram's derivative
 in each moving value and the moving image's voxel gradient, summed over
 the samples against their positions into one 3 x 4 moment. Carried through
 the two grids' affines, that moment is the gradient in the parameters
-itself. Each level stops on L-BFGS-B's own tests, and its diagnostics say
-which one it met.
+itself. Each level stops on L-BFGS-B's own tests, with the same two
+tolerances at every level, and its diagnostics say which one it met.
 
 ``prepare`` computes the fixed image's side once (centroid, and per level
 the jittered samples of one eroded foreground mask and their fixed bins);
 ``register_affine`` solves for one moving image against it, so a batch
-against one template prepares the template once.
+against one template prepares the template once. Both images are smoothed
+and interpolated alike at each level, so at the fine level the fixed image
+is read unsmoothed, as the moving one is.
 """
 
 from dataclasses import dataclass
@@ -43,25 +45,27 @@ from .geometry import invert
 from .volume import Volume
 
 
-# (pyramid factor, smoothing sigma in mm, L-BFGS-B relative-reduction
-# tolerance ftol) per level, coarse to fine; the last level is full
-# resolution. Every level samples the fixed foreground eroded at full
-# resolution, at its own grid points (see ``prepare``), so the fine level
-# takes every eroded voxel: at desk-scale volumes the metric bias from
-# subsampling it exceeds the recovery tolerance. The coarse levels only
-# need to land in the fine level's basin, so they stop earlier.
-LEVELS = ((4, 4.0, 1e-6), (2, 2.0, 1e-7), (1, 0.0, 1e-9))
+# (pyramid factor, smoothing sigma in mm) per level, coarse to fine, each
+# read from both images alike; the last is full resolution, unsmoothed.
+# Every level stops by RegistrationConfig's tolerances and samples the
+# fixed foreground eroded at full resolution, at its own grid points (see
+# ``prepare``), so the fine level takes every eroded voxel.
+LEVELS = ((4, 4.0), (2, 2.0), (1, 0.0))
 
 
 @dataclass
 class RegistrationConfig:
     """bins: MI histogram bins per axis. seed: sample jitter seed.
-    convergence_tol, a constant: L-BFGS-B's projected-gradient stopping
-    tolerance (gtol), in nats of MI per optimizer unit (see ``_UNITS``)."""
+    The constants are every level's L-BFGS-B stopping rule: convergence_tol
+    the projected-gradient tolerance (gtol), in nats of MI per optimizer
+    unit (see ``_UNITS``), and reduction_tol the relative-reduction one
+    (ftol); a smaller ftol asks for reductions the sampled cost cannot
+    resolve, and the line search ends ABNORMAL."""
 
     bins: int = 32
     seed: int = 0
     convergence_tol: ClassVar[float] = 1e-5
+    reduction_tol: ClassVar[float] = 1e-7
 
     def __post_init__(self):
         if self.bins < 2:
@@ -261,7 +265,6 @@ class _FixedLevel:
 
     factor: int
     sigma: float
-    ftol: float  # L-BFGS-B relative-reduction tolerance
     affine: np.ndarray  # level voxel -> world
     fgT: np.ndarray  # (3, n) jittered voxel coordinates of the samples
     fixed_bins: np.ndarray  # fixed intensity bin of each sample
@@ -289,8 +292,12 @@ def prepare(fixed: Volume, config: RegistrationConfig | None = None) -> FixedSid
     Every level samples one mask, the fixed foreground eroded by 2 voxels
     at full resolution, at the level's grid points: coarse voxel k is
     full-resolution voxel factor * k, as ``_downsample`` strides it. Raises
-    EmptyMask when a level's grid points hold no voxel of that mask.
+    EmptyMask when a level's grid points hold no voxel of that mask. A
+    non-finite voxel is read as background 0, as stage 5 reads the subject.
     """
+    finite = np.isfinite(fixed.data)
+    if not finite.all():
+        fixed = Volume(np.where(finite, fixed.data, 0), fixed.affine)
     config = config or RegistrationConfig()
     center = _frozen(_foreground_centroid(fixed))
     # The eroded interior: boundary samples pair a crisp fixed edge with an
@@ -298,7 +305,7 @@ def prepare(fixed: Volume, config: RegistrationConfig | None = None) -> FixedSid
     # push them out of bounds.
     interior = ndimage.binary_erosion(fixed.data > 0, iterations=2)
     levels = []
-    for level, (factor, sigma, ftol) in enumerate(LEVELS):
+    for level, (factor, sigma) in enumerate(LEVELS):
         f_level = _downsample(fixed, factor, sigma)
         fixed_range = robust_range(f_level.data)
         fg = np.argwhere(interior[::factor, ::factor, ::factor]).astype(np.float64)
@@ -312,14 +319,10 @@ def prepare(fixed: Volume, config: RegistrationConfig | None = None) -> FixedSid
         # duplication halves the sampling noise it introduces.
         fg = np.concatenate([fg + rng.uniform(-0.5, 0.5, fg.shape) for _ in range(2)])
         fg = np.clip(fg, 0.0, np.asarray(f_level.dims, dtype=np.float64) - 1.0)
-        # Slight smoothing of the fixed intensities matches the blur the
-        # moving image picks up from interpolation.
-        fixed_smoothed = ndimage.gaussian_filter(f_level.data, 0.45)
-        fixed_vals, _ = _trilinear(_pad(fixed_smoothed), fg.T)
+        fixed_vals, _ = _trilinear(_pad(f_level.data), fg.T)
         levels.append(_FixedLevel(
             factor=factor,
             sigma=sigma,
-            ftol=ftol,
             affine=_frozen(f_level.affine),
             fgT=_frozen(fg.T),
             fixed_bins=_frozen(_bin_indices(fixed_vals, fixed_range, config.bins)),
@@ -440,7 +443,7 @@ def register_affine(fixed: FixedSide, moving: Volume) -> tuple[np.ndarray, dict]
         res = optimize.minimize(
             value, x, jac=gradient, method="L-BFGS-B", bounds=_UNIT_BOUNDS,
             # maxcor: corrections kept for the inverse-Hessian estimate
-            options={"ftol": f_level.ftol, "gtol": config.convergence_tol, "maxcor": 12},
+            options={"ftol": config.reduction_tol, "gtol": config.convergence_tol, "maxcor": 12},
         )
         x = res.x
         coords = _moving_voxels(f_level, invert(m_level.affine), center, x)

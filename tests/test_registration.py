@@ -7,7 +7,7 @@ import pytest
 from scipy import ndimage
 
 from defacepipe import registration, synthetic
-from defacepipe.defacing import make_template_pack
+from defacepipe.defacing import deface, make_template_pack
 from defacepipe.errors import EmptyMask, NoOverlap
 from defacepipe.geometry import affine_matrix, invert, translation
 from defacepipe.volume import Volume
@@ -453,21 +453,40 @@ def test_bounds_reach_turns_scales_and_subject_draws(head):
 
 def test_cost_gradient_matches_central_differences(head):
     """The analytic gradient of every level's cost agrees with central
-    differences of the cost, away from the optimum where it is not small."""
+    differences of the cost, away from the optimum where it is not small:
+    at the truth's parameters plus 2 optimizer units on every parameter,
+    plus a N(0, 0.5) draw per level: near the truth, where the levels run,
+    not at the centroid start, where the fine level never runs."""
     fixed = prepare(head.volume)
-    subject = synthetic.random_subject(head, seed=3).volume
+    phantom = synthetic.random_subject(head, seed=3)
+    subject = phantom.volume
     rng = np.random.default_rng(8)
-    theta = np.zeros(12)
-    theta[:3] = registration._foreground_centroid(subject) - fixed.center
+    truth = parameters(invert(phantom.true_transform), fixed.center)
     for f_level in fixed.levels:
         m_level = _downsample(subject, f_level.factor, f_level.sigma)
         value, gradient = _level_cost(f_level, m_level, fixed.center, 32)
-        x = theta / _UNITS + rng.normal(0.0, 0.5, 12)
+        x = truth + 2.0 + rng.normal(0.0, 0.5, 12)
         h = 1e-3
         fd = np.array([(value(x + h * e) - value(x - h * e)) / (2 * h) for e in np.eye(12)])
         g = gradient(x)
         assert np.abs(g).max() > 0.05
         np.testing.assert_allclose(g, fd, rtol=0, atol=0.01 * np.abs(g).max())
+
+
+def test_template_registered_to_itself_is_the_identity(pack):
+    """The pair deface registers, at its simplest: the stripped template
+    against itself, scale included."""
+    t, _ = register_affine(prepare(pack.template), pack.template)
+    trans, ang, scale = residual_errors(t, np.eye(4), np.full(3, 31.5))
+    assert trans < 0.5 and ang < 0.5 and scale < 0.01
+
+
+def test_deface_of_the_template_head_recovers_the_identity(head, pack, fixed):
+    """The loosely stripped head against its own stripped template, through
+    deface: the identity within 0.5 mm / 0.5 degree / 0.01 scale."""
+    t = deface(head.volume, pack, fixed).transform
+    trans, ang, scale = residual_errors(t, np.eye(4), np.full(3, 31.5))
+    assert trans < 0.5 and ang < 0.5 and scale < 0.01
 
 
 def test_registration_deterministic(head):
@@ -516,3 +535,20 @@ def test_template_with_no_coarse_sample_raises_empty_mask():
     template = make_template_pack(synthetic.nominal_head(16).volume).template
     with pytest.raises(EmptyMask, match="factor 4"):
         prepare(template)
+
+
+def test_non_finite_template_voxels_read_as_background(pack):
+    """A NaN and a +inf voxel in the template's brain prepare exactly as
+    zeros there do."""
+    data = pack.template.data.astype(np.float64)
+    brain = np.argwhere(data > 0)
+    voxels = tuple(brain[[len(brain) // 3, 2 * len(brain) // 3]].T)
+    zeroed = data.copy()
+    zeroed[voxels] = 0.0
+    data[voxels] = (np.nan, np.inf)
+    got = prepare(Volume(data, pack.template.affine))
+    want = prepare(Volume(zeroed, pack.template.affine))
+    assert np.array_equal(got.center, want.center)
+    for g, w in zip(got.levels, want.levels, strict=True):
+        assert np.array_equal(g.fgT, w.fgT)
+        assert np.array_equal(g.fixed_bins, w.fixed_bins)
