@@ -31,7 +31,10 @@ the jittered samples of one eroded foreground mask and their fixed bins);
 ``register_affine`` solves for one moving image against it, so a batch
 against one template prepares the template once. Both images are smoothed
 and interpolated alike at each level, so at the fine level the fixed image
-is read unsmoothed, as the moving one is.
+is read unsmoothed, as the moving one is. A coarse level's Gaussian
+smoothing runs one axis at a time, on the nonzero voxels' bounding box and
+at the level's grid points only: the same values, bit for bit, as smoothing
+the whole grid and then striding it.
 """
 
 from dataclasses import dataclass
@@ -42,6 +45,7 @@ from scipy import ndimage, optimize
 
 from .errors import EmptyMask, NoOverlap
 from .geometry import invert
+from .morphology import _bbox
 from .volume import Volume
 
 
@@ -94,18 +98,23 @@ def _parzen_window(moving_values, moving_range, bins):
     inside the window's range, where w1 moves with it (outside, it is
     clamped to an end bin)."""
     mlo, mhi = moving_range
-    raw = (moving_values - mlo) / (mhi - mlo) * bins - 0.5
+    raw = moving_values - mlo
+    raw /= mhi - mlo
+    raw *= bins
+    raw -= 0.5
     pos = np.clip(raw, 0.0, bins - 1.0)
     b0 = np.minimum(pos.astype(np.intp), bins - 2)
-    return b0, pos - b0, (raw > 0.0) & (raw < bins - 1.0)
+    pos -= b0
+    return b0, pos, (raw > 0.0) & (raw < bins - 1.0)
 
 
 def _joint_counts(cells, w1, bins):
     """bins x bins counts of samples at flat cells (fixed bin * bins + b0),
-    each with weight 1 - w1 there and w1 in the next moving bin."""
+    each with weight 1 - w1 there and w1 in the next moving bin. A cell is
+    never a row's last, so the upper weights shift by one flat cell."""
     n = bins * bins
     counts = np.bincount(cells, weights=1.0 - w1, minlength=n)
-    counts += np.bincount(cells + 1, weights=w1, minlength=n)
+    counts[1:] += np.bincount(cells, weights=w1, minlength=n)[:-1]
     return counts.reshape(bins, bins)
 
 
@@ -232,18 +241,34 @@ def _trilinear(padded: np.ndarray, coords: np.ndarray) -> tuple[np.ndarray, np.n
 
 
 def _downsample(v: Volume, factor: int, sigma_mm: float) -> Volume:
-    """v smoothed by sigma_mm, then every factor-th voxel from voxel 0 of
-    each axis, edge-padded on the high side to factor * k + 1 voxels so
-    that the coarse grid reaches the last voxel plane."""
+    """v smoothed by sigma_mm and read at every factor-th voxel from voxel 0
+    of each axis, plus the last voxel where that stride misses it, so that
+    the coarse grid reaches the last voxel plane.
+
+    The smoothing is ``ndimage.gaussian_filter``'s, bit for bit, computed at
+    the kept points only: one axis at a time, each filtered at its full
+    length, so that its ``reflect`` boundary is unchanged, then cut to its
+    kept indices. The axes not yet filtered stay cropped to the nonzero
+    voxels' bounding box, since the lines outside it hold only zeros, which
+    filter to zeros (a -0.0 there reads as +0.0). Unsmoothed, a level is a
+    plain gather, and at factor 1 the data itself.
+    """
     data = np.asarray(v.data, dtype=np.float64)
+    keep = [np.minimum(np.arange(0, n + (-(n - 1)) % factor, factor), n - 1)
+            for n in data.shape]
     if sigma_mm > 0:
-        data = ndimage.gaussian_filter(data, sigma=sigma_mm / v.spacing)
+        # an all-zero volume crops to nothing and pads back to zeros
+        box = _bbox(data != 0) or (slice(0, 0),) * 3
+        data = data[box]
+        for axis, sigma in enumerate(sigma_mm / v.spacing):
+            width = [(0, 0)] * 3
+            width[axis] = (box[axis].start, v.dims[axis] - box[axis].stop)
+            data = ndimage.gaussian_filter1d(np.pad(data, width), sigma, axis=axis)
+            data = data.take(keep[axis], axis=axis)
+    elif factor > 1:
+        data = data[np.ix_(*keep)]
     aff = v.affine.copy()
-    if factor > 1:
-        extra = [(-(n - 1)) % factor for n in data.shape]
-        data = np.pad(data, [(0, e) for e in extra], mode="edge")
-        data = data[::factor, ::factor, ::factor]
-        aff[:3, :3] *= factor
+    aff[:3, :3] *= factor
     return Volume(np.ascontiguousarray(data), aff)
 
 
@@ -324,7 +349,7 @@ def prepare(fixed: Volume, config: RegistrationConfig | None = None) -> FixedSid
             factor=factor,
             sigma=sigma,
             affine=_frozen(f_level.affine),
-            fgT=_frozen(fg.T),
+            fgT=_frozen(np.ascontiguousarray(fg.T)),
             fixed_bins=_frozen(_bin_indices(fixed_vals, fixed_range, config.bins)),
         ))
     return FixedSide(config, center, tuple(levels))
@@ -345,7 +370,9 @@ def _moving_voxels(f_level: _FixedLevel, m_inv: np.ndarray, center, x) -> np.nda
     """Moving voxel coordinates (3, n) of the level's samples at x, m_inv
     being the moving level's world -> voxel map."""
     vox_map = m_inv @ _fixed_to_moving(x, center) @ f_level.affine
-    return vox_map[:3, :3] @ f_level.fgT + vox_map[:3, 3:4]
+    coords = vox_map[:3, :3] @ f_level.fgT
+    coords += vox_map[:3, 3:4]
+    return coords
 
 
 def _log_ratio_steps(counts: np.ndarray) -> np.ndarray:
@@ -356,11 +383,9 @@ def _log_ratio_steps(counts: np.ndarray) -> np.ndarray:
     marginal does not move, so dMI/dp_ab is log(p_ab / p_b) up to a
     constant that cancels. A sample's cell is never a row's last, so no
     step across rows is read."""
-    column = np.broadcast_to(counts.sum(axis=0), counts.shape)
-    nz = counts > 0
-    log_ratio = np.zeros(counts.size)
-    log_ratio[nz.ravel()] = np.log(counts[nz] / column[nz])
-    return np.diff(log_ratio)
+    log_ratio = np.divide(counts, counts.sum(axis=0), out=np.ones_like(counts),
+                          where=counts > 0)
+    return np.diff(np.log(log_ratio, out=log_ratio).ravel())
 
 
 def _level_cost(f_level: _FixedLevel, m_level: Volume, center: np.ndarray, bins: int):
@@ -379,6 +404,7 @@ def _level_cost(f_level: _FixedLevel, m_level: Volume, center: np.ndarray, bins:
     m_inv = invert(m_level.affine)
     # d(bin position) / d(moving value) inside the window's range
     slope = bins / (moving_range[1] - moving_range[0])
+    row_cells = f_level.fixed_bins * bins
     last = {}
 
     def evaluate(x):
@@ -386,13 +412,14 @@ def _level_cost(f_level: _FixedLevel, m_level: Volume, center: np.ndarray, bins:
             return last["value"], last["gradient"]
         vals, vgrad = _trilinear(mpadded, _moving_voxels(f_level, m_inv, center, x))
         b0, w1, sloped = _parzen_window(vals, moving_range, bins)
-        cells = f_level.fixed_bins * bins + b0
+        cells = row_cells + b0
         counts = _joint_counts(cells, w1, bins)
         value = -mutual_information(counts)
-        dmi_dv = _log_ratio_steps(counts)[cells] * sloped * (slope / counts.sum())
+        dmi_dv = (_log_ratio_steps(counts) * (slope / counts.sum()))[cells]
+        dmi_dv *= sloped
         # dMI/d(vox_map) as a 3 x 4 matrix: sum over samples of the
         # moving-voxel gradient of MI times the homogeneous fixed voxel.
-        u = vgrad * dmi_dv
+        u = np.multiply(vgrad, dmi_dv, out=vgrad)
         moment = np.empty((3, 4))
         moment[:, :3] = u @ f_level.fgT.T
         moment[:, 3] = u.sum(axis=1)
