@@ -37,7 +37,6 @@ import checks  # noqa: E402
 import run  # noqa: E402
 from defacepipe import synthetic  # noqa: E402
 from defacepipe.defacing import deface, make_template_pack  # noqa: E402
-from defacepipe.registration import RegistrationConfig, prepare  # noqa: E402
 
 
 def subject_results(seed: int):
@@ -46,12 +45,11 @@ def subject_results(seed: int):
     w = run.WORKLOADS["batch-64"]
     head = synthetic.nominal_head(size=w.size)
     pack = make_template_pack(head.volume)
-    fixed = prepare(pack.template, RegistrationConfig())
     brain = head.brain_mask
     centroid = brain.affine[:3, :3] @ np.argwhere(brain.data).mean(axis=0) + brain.affine[:3, 3]
     for k, s in enumerate(run.subject_seeds(seed, w.subjects), start=1):
         phantom = synthetic.random_subject(head, seed=s)
-        result = deface(phantom.volume, pack, fixed)
+        result = deface(phantom.volume, pack)
         err = checks.transform_error(result.transform, phantom.true_transform, centroid)
         yield f"sub-{k:02d}", err, result.provenance["registration"]
 

@@ -1,11 +1,12 @@
 """Batch command-line front end.
 
 Subcommands: deface, quickshear, qc, make-template-pack, phantom.
-deface prepares the template side of registration once, then processes
-its files on a pool of --jobs worker processes forked from this one, so
-the workers inherit the pack and the prepared template. A Python exception
-fails only its own file; a worker that dies fails the files still pending
-in the pool. Each failure is reported on stderr as ``error: <path>: ...``.
+deface loads the template pack and prepares its template for registration
+once, then processes its files on a pool of --jobs worker processes forked
+from this one, so the workers inherit the pack with its prepared template.
+A Python exception fails only its own file; a worker that dies fails the
+files still pending in the pool. Each failure is reported on stderr as
+``error: <path>: ...``.
 """
 
 import argparse
@@ -28,7 +29,7 @@ from .defacing import (
 )
 from .errors import DefacepipeError, IoError, StageError
 from .evaluation import qc_report
-from .registration import RegistrationConfig, prepare
+from .registration import RegistrationConfig
 from .synthetic import nominal_head, random_subject
 from .volume import BinaryMask
 
@@ -49,10 +50,12 @@ def _out_path(input_path: Path, output_dir: Path | None, suffix: str, ext=None) 
     return directory / f"{stem}{suffix}{ext}"
 
 
-def _load_pack(template_path: Path, face_mask_path: Path) -> TemplatePack:
+def _load_pack(
+    template_path: Path, face_mask_path: Path, config: RegistrationConfig
+) -> TemplatePack:
     template, _ = nifti.read_nifti(template_path)
     mask_vol, _ = nifti.read_nifti(face_mask_path)
-    return TemplatePack(template=template, keep_mask=BinaryMask.from_volume(mask_vol))
+    return TemplatePack(template, BinaryMask.from_volume(mask_vol), config)
 
 
 def _artifacts(input_path: Path, output_dir: Path | None) -> list[Path]:
@@ -61,12 +64,12 @@ def _artifacts(input_path: Path, output_dir: Path | None) -> list[Path]:
         ("_defaced", None), ("_brainsafe", None), ("_xfm", ".txt"), ("_prov", ".json"))]
 
 
-def _deface_one(input_path: Path, pack: TemplatePack, fixed, brain_mask, margin_mm, output_dir):
+def _deface_one(input_path: Path, pack: TemplatePack, brain_mask, margin_mm, output_dir):
     try:
         volume, sidecar = nifti.read_nifti(input_path)
     except Exception as e:
         raise StageError(0, e) from e  # stage 0 = ingestion
-    result = deface(volume, pack, fixed, brain_mask, margin_mm)
+    result = deface(volume, pack, brain_mask, margin_mm)
     result.provenance["input"] = str(input_path)
     result.provenance["header_warnings"] = sidecar.warnings
 
@@ -111,20 +114,24 @@ def cmd_deface(args) -> int:
         if first is not p:
             print(f"error: {first} and {p} would write the same output files", file=sys.stderr)
             return 2
-    pack = _load_pack(Path(args.template), Path(args.face_mask))
-    fixed = prepare(pack.template, RegistrationConfig(seed=args.seed, bins=args.bins))
+    config = RegistrationConfig(seed=args.seed, bins=args.bins)
+    pack = _load_pack(Path(args.template), Path(args.face_mask), config)
+    # Prepared here, before the output directory and the pool: a template
+    # that cannot be prepared fails the run with nothing written, and the
+    # workers inherit the prepared template instead of each preparing it.
+    pack.fixed
     if output_dir:
         output_dir.mkdir(parents=True, exist_ok=True)
 
     failures = []
-    # fork, not spawn: the workers inherit the pack and the prepared template
+    # fork, not spawn: the workers inherit the pack and its prepared template
     # instead of re-reading and re-preparing them, and this process starts
     # no thread before the pool forks. The pool's exit joins every worker.
     with concurrent.futures.ProcessPoolExecutor(
         max_workers=min(args.jobs, len(inputs)),
         mp_context=multiprocessing.get_context("fork"),
         initializer=_start_worker,
-        initargs=(pack, fixed, brain_mask, args.margin_mm, output_dir),
+        initargs=(pack, brain_mask, args.margin_mm, output_dir),
     ) as pool:
         futures = {pool.submit(_deface_in_worker, p): p for p in inputs}
         for fut in concurrent.futures.as_completed(futures):

@@ -10,14 +10,14 @@ import contextlib
 import functools
 import hashlib
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from . import geometry
-from .registration import FixedSide, register_affine
+from .registration import FixedSide, RegistrationConfig, prepare, register_affine
 from .brain_extraction import extract_brain, fallback_extract, otsu_threshold
 from .errors import (
     DegenerateHull,
@@ -31,12 +31,14 @@ from .volume import BinaryMask, Volume, check_same_grid
 
 @dataclass(frozen=True)
 class TemplatePack:
-    """Skull-stripped registration template plus its keep-mask (1 = keep).
+    """Skull-stripped registration template plus its keep-mask (1 = keep),
+    and the registration settings every subject is registered to it with.
     Construction fails unless the two share a grid and the keep-mask keeps
     every template voxel above 0."""
 
     template: Volume
     keep_mask: BinaryMask
+    registration: RegistrationConfig = field(default_factory=RegistrationConfig)
 
     def __post_init__(self) -> None:
         check_same_grid(self.template, self.keep_mask)
@@ -59,6 +61,12 @@ class TemplatePack:
         """The keep-mask as the uint8 volume stage 7 resamples, built once
         per pack."""
         return self.keep_mask.to_volume()
+
+    @functools.cached_property
+    def fixed(self) -> FixedSide:
+        """The template prepared for registration under the pack's config,
+        built once per pack on first use."""
+        return prepare(self.template, self.registration)
 
 
 @dataclass
@@ -86,7 +94,6 @@ def _stage(n: int, seconds: dict):
 def deface(
     input_volume: Volume,
     pack: TemplatePack,
-    fixed: FixedSide,
     brain_mask: Path | None = None,
     margin_mm: float = 7.0,
 ) -> DefaceResult:
@@ -95,9 +102,9 @@ def deface(
     brain_mask is an external brain mask file (voxels above 0 are brain);
     None extracts the mask with the fallback extractor.
 
-    fixed is pack.template prepared by ``registration.prepare``; its config
-    holds every registration setting, and a batch passes the same one for
-    every subject.
+    Stage 6 registers to pack.fixed, the pack's template prepared under
+    pack.registration, the only home of the registration settings; a batch
+    passes one pack for every subject, so the template is prepared once.
     """
     started = time.time()
     t0 = time.perf_counter()
@@ -118,7 +125,7 @@ def deface(
         loose = apply_mask(canon, keep)
 
     with _stage(6, seconds):
-        transform, diagnostics = register_affine(fixed, loose)
+        transform, diagnostics = register_affine(pack.fixed, loose)
 
     with _stage(7, seconds):
         keep_vol = geometry.resample(  # transform: subject-world -> template-world pullback

@@ -165,7 +165,9 @@ def read_nifti(path) -> tuple[Volume, HeaderSidecar]:
             ndim = dim[0]
             if not 1 <= ndim <= 7:
                 raise NotNifti(f"{path}: dim[0]={ndim}")
-            shape = [max(1, dim[i + 1]) for i in range(ndim)]
+            shape = list(dim[1 : ndim + 1])
+            if min(shape) < 1:
+                raise CorruptFile(f"{path}: dims {shape} below 1")
             while len(shape) > 3 and shape[-1] == 1:
                 shape.pop()
             if len(shape) != 3:

@@ -57,7 +57,7 @@ from .volume import Volume
 LEVELS = ((4, 4.0), (2, 2.0), (1, 0.0))
 
 
-@dataclass
+@dataclass(frozen=True)
 class RegistrationConfig:
     """bins: MI histogram bins per axis. seed: sample jitter seed.
     The constants are every level's L-BFGS-B stopping rule: convergence_tol

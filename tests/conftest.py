@@ -3,7 +3,6 @@ import pytest
 
 from defacepipe import defacing, synthetic
 from defacepipe.defacing import make_template_pack
-from defacepipe.registration import prepare
 
 
 @pytest.fixture(scope="session")
@@ -18,8 +17,9 @@ def pack(head):
 
 @pytest.fixture(scope="session")
 def fixed(pack):
-    """pack's template prepared for registration, as a CLI batch does once."""
-    return prepare(pack.template)
+    """pack's template prepared for registration, once per session, shared
+    by the deface tests and those that call register_affine directly."""
+    return pack.fixed
 
 
 @pytest.fixture

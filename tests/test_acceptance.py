@@ -32,19 +32,19 @@ def _report(n, label, ok):
 
 
 @pytest.fixture(scope="module")
-def registered_batch(head, pack, fixed):
+def registered_batch(head, pack):
     """50 randomized subjects defaced with real registration (criteria 2, 3),
-    against one prepared template as in a CLI batch."""
+    against one pack, its template prepared once, as in a CLI batch."""
     out = []
     for seed in range(100, 150):
         subject = synthetic.random_subject(head, seed=seed)
-        result = deface(subject.volume, pack, fixed)
+        result = deface(subject.volume, pack)
         out.append((seed, subject, result))
     return out
 
 
 def test_criterion_1_brain_safety_under_adversarial_transforms(
-    head, pack, fixed, register_as
+    head, pack, register_as
 ):
     """Zero brain voxels altered, even with corrupted stage-7 transforms."""
     t0 = time.time()
@@ -58,7 +58,7 @@ def test_criterion_1_brain_safety_under_adversarial_transforms(
             scale_range=(0.5, 2.0),
         )
         register_as(bad)
-        result = deface(subject.volume, pack, fixed)
+        result = deface(subject.volume, pack)
         extracted = fallback_extract(subject.volume)
         protected = dilate(extracted, 7.0).data
         if not np.array_equal(

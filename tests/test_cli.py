@@ -614,6 +614,24 @@ def test_jobs_parallel_matches_serial(workspace, tmp_path):
             assert _artifact(out1 / name) == _artifact(out2 / name), name
 
 
+def test_deface_jobs_prepares_the_template_once_in_the_parent(workspace, tmp_path, monkeypatch):
+    """Two inputs on two workers: the pack's template is prepared once, in
+    this process before the pool forks, and no worker prepares it again."""
+    root, head, _subject = workspace
+    inputs = [str(p) for p in _subjects(head, tmp_path, (51, 52))]
+    pids = tmp_path / "prepared_by.txt"
+    real_prepare = defacing.prepare
+
+    def prepare(*args):
+        with pids.open("a") as f:
+            f.write(f"{os.getpid()}\n")
+        return real_prepare(*args)
+
+    monkeypatch.setattr(defacing, "prepare", prepare)
+    assert main(_deface_args(root, tmp_path / "out", inputs, extra=["--jobs", "2"])) == 0
+    assert pids.read_text().splitlines() == [str(os.getpid())]
+
+
 def test_deface_dead_worker_fails_pending_files(workspace, tmp_path, monkeypatch, capsys):
     root, head, _subject = workspace
     paths = _subjects(head, tmp_path, (21, 22, 23))

@@ -229,10 +229,10 @@ def _mask_path(head, tmp_path):
     return path
 
 
-def test_deface_phantom_end_to_end(head, pack, fixed, tmp_path):
+def test_deface_phantom_end_to_end(head, pack, tmp_path):
     subject = synthetic.random_subject(head, seed=1)
     brain_mask = _mask_path(subject, tmp_path)
-    result = deface(subject.volume, pack, fixed, brain_mask)
+    result = deface(subject.volume, pack, brain_mask)
 
     # native space preserved
     assert result.defaced.dims == subject.volume.dims
@@ -254,7 +254,7 @@ def test_deface_phantom_end_to_end(head, pack, fixed, tmp_path):
 
 
 def test_deface_brain_safe_even_with_adversarial_transform(
-    head, pack, fixed, register_as, tmp_path
+    head, pack, register_as, tmp_path
 ):
     subject = synthetic.random_subject(head, seed=2)
     brain_mask = _mask_path(subject, tmp_path)
@@ -262,7 +262,7 @@ def test_deface_brain_safe_even_with_adversarial_transform(
     bad = np.eye(4)
     bad[:3, 3] = (500.0, -500.0, 500.0)
     register_as(bad)
-    result = deface(subject.volume, pack, fixed, brain_mask)
+    result = deface(subject.volume, pack, brain_mask)
     dil = dilate(subject.brain_mask, 7.0)
     np.testing.assert_array_equal(
         result.defaced.data[dil.data], subject.volume.data[dil.data]
@@ -273,7 +273,7 @@ def test_deface_brain_safe_even_with_adversarial_transform(
 
 @pytest.mark.parametrize("margin_mm", [np.nan, np.inf])
 def test_deface_rejects_non_finite_margin(
-    head, pack, fixed, register_as, tmp_path, margin_mm
+    head, pack, register_as, tmp_path, margin_mm
 ):
     """A NaN or infinite margin would dilate the brain to nothing, and a
     wrong transform would then zero the whole brain: stage 4 fails."""
@@ -283,68 +283,80 @@ def test_deface_rejects_non_finite_margin(
     bad[:3, 3] = (500.0, -500.0, 500.0)
     register_as(bad)
     with pytest.raises(StageError) as exc:
-        deface(subject.volume, pack, fixed, brain_mask, margin_mm)
+        deface(subject.volume, pack, brain_mask, margin_mm)
     assert exc.value.stage == 4
     assert isinstance(exc.value.__cause__, ValueError)
 
 
-def test_deface_registers_once_against_the_given_fixed_side(
-    head, pack, monkeypatch, tmp_path
-):
-    """Stage 6 is one register_affine call on the caller's prepared template,
-    whose config is the only home of the registration settings."""
-    fixed = registration.prepare(pack.template, registration.RegistrationConfig(seed=7))
-    calls = []
+def test_deface_prepares_the_pack_once_under_its_config(pack, head, monkeypatch, tmp_path):
+    """Two deface calls on one pack prepare its template once, under the
+    pack's config, the only home of the registration settings, and stage 6
+    registers each subject to that one prepared template."""
+    seeded = TemplatePack(pack.template, pack.keep_mask, registration.RegistrationConfig(seed=7))
+    real_prepare = defacing.prepare
+    prepared, calls = [], []
+
+    def prepare(template, config):
+        prepared.append((template is seeded.template, config))
+        return real_prepare(template, config)
 
     def register_affine(fixed_side, moving):
         calls.append(fixed_side)
         return np.eye(4), {"seed": fixed_side.config.seed}
 
-    def prepare(*args):
-        raise AssertionError("deface prepared the template itself")
-
+    monkeypatch.setattr(defacing, "prepare", prepare)
     monkeypatch.setattr(defacing, "register_affine", register_affine)
-    monkeypatch.setattr(registration, "prepare", prepare)
-    monkeypatch.setattr(defacing, "prepare", prepare, raising=False)
-    result = deface(head.volume, pack, fixed, _mask_path(head, tmp_path))
-    assert calls == [fixed]
-    assert result.provenance["registration"] == {"seed": 7}
-    assert "threshold" not in result.provenance
+    brain_mask = _mask_path(head, tmp_path)
+    results = [deface(head.volume, seeded, brain_mask) for _ in range(2)]
+    assert prepared == [(True, registration.RegistrationConfig(seed=7))]
+    assert [c is seeded.fixed for c in calls] == [True, True]
+    for result in results:
+        assert result.provenance["registration"] == {"seed": 7}
+        assert "threshold" not in result.provenance
 
 
-def test_deface_records_stage_timings(head, pack, fixed, register_as, tmp_path):
+def test_building_a_pack_leaves_its_template_unprepared():
+    """Preparing is deferred to the first registration, so building a pack
+    (as make-template-pack does) costs no preparation."""
+    made = make_template_pack(synthetic.nominal_head(32).volume)
+    built = TemplatePack(made.template, made.keep_mask)
+    assert "fixed" not in made.__dict__
+    assert "fixed" not in built.__dict__
+
+
+def test_deface_records_stage_timings(head, pack, register_as, tmp_path):
     register_as(np.eye(4))
-    timing = deface(head.volume, pack, fixed, _mask_path(head, tmp_path)).provenance["timing"]
+    timing = deface(head.volume, pack, _mask_path(head, tmp_path)).provenance["timing"]
     stages = timing["stages"]
     assert sorted(stages) == [str(n) for n in range(1, 10)]
     assert all(s >= 0 for s in stages.values())
     assert sum(stages.values()) <= timing["elapsed_s"]
 
 
-def test_deface_keep_everything_mask_is_identity(head, fixed, register_as, tmp_path):
+def test_deface_keep_everything_mask_is_identity(head, register_as, tmp_path):
     stripped = apply_mask(head.volume, head.brain_mask)
     all_keep = TemplatePack(
         template=stripped,
         keep_mask=BinaryMask(np.ones(stripped.dims, bool), stripped.affine),
     )
     register_as(np.eye(4))
-    result = deface(head.volume, all_keep, fixed, _mask_path(head, tmp_path))
+    result = deface(head.volume, all_keep, _mask_path(head, tmp_path))
     np.testing.assert_array_equal(result.defaced.data, head.volume.data)
 
 
-def test_deface_full_dilated_mask_is_identity(head, pack, fixed, register_as, tmp_path):
+def test_deface_full_dilated_mask_is_identity(head, pack, register_as, tmp_path):
     # a margin large enough to cover the whole grid makes the union full
     register_as(np.eye(4))
-    result = deface(head.volume, pack, fixed, _mask_path(head, tmp_path), margin_mm=200.0)
+    result = deface(head.volume, pack, _mask_path(head, tmp_path), margin_mm=200.0)
     np.testing.assert_array_equal(result.defaced.data, head.volume.data)
 
 
-def test_deface_idempotent_on_brain_safe_region(head, pack, fixed, register_as, tmp_path):
+def test_deface_idempotent_on_brain_safe_region(head, pack, register_as, tmp_path):
     subject = synthetic.random_subject(head, seed=3)
     brain_mask = _mask_path(subject, tmp_path)
     register_as(subject.true_transform)
-    first = deface(subject.volume, pack, fixed, brain_mask)
-    second = deface(first.defaced, pack, fixed, brain_mask)
+    first = deface(subject.volume, pack, brain_mask)
+    second = deface(first.defaced, pack, brain_mask)
     np.testing.assert_array_equal(
         second.defaced.data[first.brain_safe_mask.data],
         first.defaced.data[first.brain_safe_mask.data],
@@ -353,9 +365,9 @@ def test_deface_idempotent_on_brain_safe_region(head, pack, fixed, register_as, 
     assert np.all(second.defaced.data[~first.brain_safe_mask.data] == 0)
 
 
-def test_deface_stage_errors_tagged(pack, fixed):
+def test_deface_stage_errors_tagged(pack):
     empty = Volume(np.zeros((16, 16, 16), dtype=np.float32), np.eye(4))
     with pytest.raises(StageError) as exc:
-        deface(empty, pack, fixed)
+        deface(empty, pack)
     assert exc.value.stage == 2
     assert "stage 2" in str(exc.value)

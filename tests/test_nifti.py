@@ -245,6 +245,7 @@ def test_read_fuzzed_header_reads_or_raises_typed_error(
     except DefacepipeError:
         return
     assert vol.data.ndim == 3
+    assert vol.dims == tuple(dim[1:4])
     assert vol.data.size * vol.data.itemsize <= len(payload)
     assert np.isfinite(vol.affine).all()
 
@@ -256,6 +257,19 @@ def test_read_4d_multivolume_rejected(tmp_path):
     bad = tmp_path / "4d.nii"
     bad.write_bytes(raw)
     with pytest.raises(UnsupportedDims):
+        nifti.read_nifti(bad)
+
+
+@pytest.mark.parametrize("last", [-3, 0])
+def test_read_dim_below_one_rejected(tmp_path, last):
+    """A 4x4xlast header over a 4x4x3 payload is corrupt; read as 4x4x1 it
+    would silently drop two slices."""
+    data = np.zeros((4, 4, 3), dtype=np.float32)
+    raw = bytearray(build_nifti_bytes(data))
+    struct.pack_into("<3h", raw, 42, 4, 4, last)
+    bad = tmp_path / "dims.nii"
+    bad.write_bytes(raw)
+    with pytest.raises(CorruptFile, match=rf"dims \[4, 4, {last}\]"):
         nifti.read_nifti(bad)
 
 

@@ -1,5 +1,6 @@
 """MI metric oracles and recovery of known maps."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -581,10 +582,10 @@ def test_template_registered_to_itself_is_the_identity(pack):
     assert trans < 0.5 and ang < 0.5 and scale < 0.01
 
 
-def test_deface_of_the_template_head_recovers_the_identity(head, pack, fixed):
+def test_deface_of_the_template_head_recovers_the_identity(head, pack):
     """The loosely stripped head against its own stripped template, through
     deface: the identity within 0.5 mm / 0.5 degree / 0.01 scale."""
-    t = deface(head.volume, pack, fixed).transform
+    t = deface(head.volume, pack).transform
     trans, ang, scale = residual_errors(t, np.eye(4), np.full(3, 31.5))
     assert trans < 0.5 and ang < 0.5 and scale < 0.01
 
@@ -605,6 +606,15 @@ def test_prepared_fixed_side_is_read_only(head):
         a for lv in fixed.levels for a in (lv.affine, lv.fgT, lv.fixed_bins)
     ]
     assert not any(a.flags.writeable for a in arrays)
+
+
+def test_registration_config_is_frozen():
+    """An assignment would skip the checks of construction, and would drift
+    from a template already prepared under the config."""
+    config = RegistrationConfig()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        config.bins = 1
+    assert config.bins == 32
 
 
 @pytest.mark.parametrize("source", ["pack", "head"])
