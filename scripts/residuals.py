@@ -4,8 +4,8 @@
 
 For each seed, builds the subject set that ``perfbench/run.py --workload
 batch-64 --seed SEED`` builds (12 random subjects of the nominal 64^3 head,
-the head itself as template) and defaces each subject in process with the
-settings of ``defacepipe deface``'s defaults. Prints one line per subject:
+the head itself as template) and defaces each subject in process as
+``defacepipe deface`` does by default. Prints one line per subject:
 
     seed subject mm deg scale level... converged
 

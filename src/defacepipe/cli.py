@@ -4,9 +4,10 @@ Subcommands: deface, quickshear, qc, make-template-pack, phantom.
 deface loads the template pack and prepares its template for registration
 once, then processes its files on a pool of --jobs worker processes forked
 from this one, so the workers inherit the pack with its prepared template.
-A Python exception fails only its own file; a worker that dies fails the
-files still pending in the pool. Each failure is reported on stderr as
-``error: <path>: ...``.
+The registration has no flags: its settings are constants of
+``registration.RegistrationConfig``. A Python exception fails only its own
+file; a worker that dies fails the files still pending in the pool. Each
+failure is reported on stderr as ``error: <path>: ...``.
 """
 
 import argparse
@@ -29,7 +30,6 @@ from .defacing import (
 )
 from .errors import DefacepipeError, IoError, StageError
 from .evaluation import qc_report
-from .registration import RegistrationConfig
 from .synthetic import nominal_head, random_subject
 from .volume import BinaryMask
 
@@ -50,12 +50,10 @@ def _out_path(input_path: Path, output_dir: Path | None, suffix: str, ext=None) 
     return directory / f"{stem}{suffix}{ext}"
 
 
-def _load_pack(
-    template_path: Path, face_mask_path: Path, config: RegistrationConfig
-) -> TemplatePack:
+def _load_pack(template_path: Path, face_mask_path: Path) -> TemplatePack:
     template, _ = nifti.read_nifti(template_path)
     mask_vol, _ = nifti.read_nifti(face_mask_path)
-    return TemplatePack(template, BinaryMask.from_volume(mask_vol), config)
+    return TemplatePack(template, BinaryMask.from_volume(mask_vol))
 
 
 def _artifacts(input_path: Path, output_dir: Path | None) -> list[Path]:
@@ -114,8 +112,7 @@ def cmd_deface(args) -> int:
         if first is not p:
             print(f"error: {first} and {p} would write the same output files", file=sys.stderr)
             return 2
-    config = RegistrationConfig(seed=args.seed, bins=args.bins)
-    pack = _load_pack(Path(args.template), Path(args.face_mask), config)
+    pack = _load_pack(Path(args.template), Path(args.face_mask))
     # Prepared here, before the output directory and the pool: a template
     # that cannot be prepared fails the run with nothing written, and the
     # workers inherit the prepared template instead of each preparing it.
@@ -289,14 +286,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="external brain mask or skull-stripped volume NIfTI (voxels above 0)",
     )
     p.add_argument("--margin-mm", type=_finite_float(0.0), default=7.0)
-    p.add_argument(
-        "--bins", type=_int_at_least(2), default=32, help="MI histogram bins (>= 2)"
-    )
     p.add_argument("--output-dir")
     p.add_argument(
         "--jobs", type=_int_at_least(1), default=1, help="worker processes (>= 1)"
     )
-    p.add_argument("--seed", type=_int_at_least(0), default=0, help="registration RNG seed")
     p.set_defaults(func=cmd_deface)
 
     p = sub.add_parser("quickshear", help="geometric baseline defacing")

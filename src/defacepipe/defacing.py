@@ -3,21 +3,23 @@
 Face-mask semantics throughout: 1 = keep, 0 = remove. The brain-safe
 guarantee comes from unioning the registered keep-mask with the dilated
 subject brain mask before any voxel is touched, so a bad registration can
-never delete brain tissue.
+never delete brain tissue. A TemplatePack is the whole template: its
+stripped volume, its keep-mask and, prepared once on first use, the fixed
+side every subject is registered to.
 """
 
 import contextlib
 import functools
 import hashlib
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from . import geometry
-from .registration import FixedSide, RegistrationConfig, prepare, register_affine
+from .registration import FixedSide, prepare, register_affine
 from .brain_extraction import extract_brain, fallback_extract, otsu_threshold
 from .errors import (
     DegenerateHull,
@@ -31,14 +33,12 @@ from .volume import BinaryMask, Volume, check_same_grid
 
 @dataclass(frozen=True)
 class TemplatePack:
-    """Skull-stripped registration template plus its keep-mask (1 = keep),
-    and the registration settings every subject is registered to it with.
+    """Skull-stripped registration template plus its keep-mask (1 = keep).
     Construction fails unless the two share a grid and the keep-mask keeps
     every template voxel above 0."""
 
     template: Volume
     keep_mask: BinaryMask
-    registration: RegistrationConfig = field(default_factory=RegistrationConfig)
 
     def __post_init__(self) -> None:
         check_same_grid(self.template, self.keep_mask)
@@ -64,9 +64,9 @@ class TemplatePack:
 
     @functools.cached_property
     def fixed(self) -> FixedSide:
-        """The template prepared for registration under the pack's config,
-        built once per pack on first use."""
-        return prepare(self.template, self.registration)
+        """The template prepared for registration, built once per pack on
+        first use."""
+        return prepare(self.template)
 
 
 @dataclass
@@ -102,8 +102,7 @@ def deface(
     brain_mask is an external brain mask file (voxels above 0 are brain);
     None extracts the mask with the fallback extractor.
 
-    Stage 6 registers to pack.fixed, the pack's template prepared under
-    pack.registration, the only home of the registration settings; a batch
+    Stage 6 registers to pack.fixed, the pack's prepared template; a batch
     passes one pack for every subject, so the template is prepared once.
     """
     started = time.time()

@@ -1,5 +1,5 @@
-"""Binary morphology in world-metric units: binarisation, Euclidean-ball
-dilation (the safety margin), mask application, union, components.
+"""Binary morphology in world-metric units: Euclidean-ball dilation (the
+safety margin), erosion, mask application, union, components.
 
 Dilation, erosion, the largest component and hole filling run on the
 bounding box of the mask's True voxels (grown by the radius for dilation)
@@ -24,11 +24,6 @@ def ball_structure(radius_mm: float, spacing) -> np.ndarray:
     dx, dy, dz = np.ix_(*(np.arange(-ri, ri + 1) for ri in r))
     d2 = (dx * sp[0]) ** 2 + (dy * sp[1]) ** 2 + (dz * sp[2]) ** 2
     return d2 <= radius_mm**2
-
-
-def binarise(v: Volume, threshold: float = 0.0) -> BinaryMask:
-    """Strictly-greater-than threshold."""
-    return BinaryMask(v.data > threshold, v.affine.copy())
 
 
 def _bbox(data: np.ndarray, margin=0) -> tuple[slice, ...] | None:

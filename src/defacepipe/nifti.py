@@ -98,8 +98,14 @@ def _quaternion_affine(raw: bytes, bo: str) -> np.ndarray:
     if not all(map(math.isfinite, (b, c, d, ox, oy, oz, *pixdim[1:4]))):
         return np.full((4, 4), np.nan)
     qfac = -1.0 if pixdim[0] < 0 else 1.0
-    a2 = 1.0 - (b * b + c * c + d * d)
-    a = np.sqrt(max(a2, 0.0))
+    a = 1.0 - (b * b + c * c + d * d)
+    if a < 1e-7:
+        # As nifti1_io reads it: a 180 degree turn about (b, c, d) scaled to
+        # unit length, so the rotation stays orthonormal.
+        norm = math.sqrt(b * b + c * c + d * d)
+        a, b, c, d = 0.0, b / norm, c / norm, d / norm
+    else:
+        a = math.sqrt(a)
     rot = np.array(
         [
             [a * a + b * b - c * c - d * d, 2 * (b * c - a * d), 2 * (b * d + a * c)],
@@ -196,16 +202,20 @@ def read_nifti(path) -> tuple[Volume, HeaderSidecar]:
         raise IoError(f"{path}: {e}") from e
 
     # One assignment swaps the byte order, casts and reorders x-fastest
-    # file order into a C-contiguous array.
+    # file order into a C-contiguous array. A signalling NaN voxel, cast, and
+    # a scaled value past float64's range read as NaN and inf, with no
+    # floating-point warning: the pipeline reads a non-finite voxel as
+    # background.
     data = np.empty(shape, np.float64 if scaling else dtype.newbyteorder("="))
-    data[...] = payload.view(dtype).reshape(shape, order="F")
+    with np.errstate(invalid="ignore", over="ignore"):
+        data[...] = payload.view(dtype).reshape(shape, order="F")
+        if scaling:
+            slope, inter = scaling
+            data *= slope
+            data += inter
     del payload
 
     warnings = []
-    if scaling:
-        slope, inter = scaling
-        data *= slope
-        data += inter
 
     if sform_code > 0:
         affine = np.eye(4)

@@ -26,6 +26,10 @@ the two grids' affines, that moment is the gradient in the parameters
 itself. Each level stops on L-BFGS-B's own tests, with the same two
 tolerances at every level, and its diagnostics say which one it met.
 
+The settings are constants of ``RegistrationConfig``: 32 bins, sample
+seed 0 and the two stopping tolerances, the same for every template and
+subject.
+
 ``prepare`` computes the fixed image's side once (centroid, and per level
 the jittered samples of one eroded foreground mask and their fixed bins);
 ``register_affine`` solves for one moving image against it, so a batch
@@ -38,7 +42,6 @@ the whole grid and then striding it.
 """
 
 from dataclasses import dataclass
-from typing import ClassVar
 
 import numpy as np
 from scipy import ndimage, optimize
@@ -57,25 +60,19 @@ from .volume import Volume
 LEVELS = ((4, 4.0), (2, 2.0), (1, 0.0))
 
 
-@dataclass(frozen=True)
 class RegistrationConfig:
-    """bins: MI histogram bins per axis. seed: sample jitter seed.
-    The constants are every level's L-BFGS-B stopping rule: convergence_tol
-    the projected-gradient tolerance (gtol), in nats of MI per optimizer
-    unit (see ``_UNITS``), and reduction_tol the relative-reduction one
-    (ftol); a smaller ftol asks for reductions the sampled cost cannot
-    resolve, and the line search ends ABNORMAL."""
+    """The registration's settings, all constants. bins: MI histogram bins
+    per axis. seed: sample jitter seed of the coarsest level, each finer
+    level taking the next. convergence_tol and reduction_tol are every
+    level's L-BFGS-B stopping rule: the projected-gradient tolerance (gtol),
+    in nats of MI per optimizer unit (see ``_UNITS``), and the
+    relative-reduction one (ftol); a smaller ftol asks for reductions the
+    sampled cost cannot resolve, and the line search ends ABNORMAL."""
 
-    bins: int = 32
-    seed: int = 0
-    convergence_tol: ClassVar[float] = 1e-5
-    reduction_tol: ClassVar[float] = 1e-7
-
-    def __post_init__(self):
-        if self.bins < 2:
-            raise ValueError("bins must be >= 2")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
+    bins = 32
+    seed = 0
+    convergence_tol = 1e-5
+    reduction_tol = 1e-7
 
 
 def robust_range(data: np.ndarray) -> tuple[float, float]:
@@ -301,7 +298,6 @@ class FixedSide:
     moving images: its foreground centroid and, per pyramid level, the
     sample coordinates and their fixed bins. Every array is read-only."""
 
-    config: RegistrationConfig
     center: np.ndarray
     levels: tuple[_FixedLevel, ...]
 
@@ -311,8 +307,8 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def prepare(fixed: Volume, config: RegistrationConfig | None = None) -> FixedSide:
-    """Everything register_affine needs of the fixed image under config.
+def prepare(fixed: Volume) -> FixedSide:
+    """Everything register_affine needs of the fixed image.
 
     Every level samples one mask, the fixed foreground eroded by 2 voxels
     at full resolution, at the level's grid points: coarse voxel k is
@@ -323,7 +319,6 @@ def prepare(fixed: Volume, config: RegistrationConfig | None = None) -> FixedSid
     finite = np.isfinite(fixed.data)
     if not finite.all():
         fixed = Volume(np.where(finite, fixed.data, 0), fixed.affine)
-    config = config or RegistrationConfig()
     center = _frozen(_foreground_centroid(fixed))
     # The eroded interior: boundary samples pair a crisp fixed edge with an
     # interpolated moving edge and bias the optimum toward transforms that
@@ -338,7 +333,7 @@ def prepare(fixed: Volume, config: RegistrationConfig | None = None) -> FixedSid
             raise EmptyMask(
                 f"registration template has no eroded foreground voxel on the "
                 f"pyramid grid of factor {factor}")
-        rng = np.random.default_rng(config.seed + level)
+        rng = np.random.default_rng(RegistrationConfig.seed + level)
         # Two independent off-grid jitters per voxel: jitter breaks the
         # interpolation artifact (MI spikes at grid-aligned transforms),
         # duplication halves the sampling noise it introduces.
@@ -350,9 +345,10 @@ def prepare(fixed: Volume, config: RegistrationConfig | None = None) -> FixedSid
             sigma=sigma,
             affine=_frozen(f_level.affine),
             fgT=_frozen(np.ascontiguousarray(fg.T)),
-            fixed_bins=_frozen(_bin_indices(fixed_vals, fixed_range, config.bins)),
+            fixed_bins=_frozen(
+                _bin_indices(fixed_vals, fixed_range, RegistrationConfig.bins)),
         ))
-    return FixedSide(config, center, tuple(levels))
+    return FixedSide(center, tuple(levels))
 
 
 def _fixed_to_moving(x: np.ndarray, center: np.ndarray) -> np.ndarray:
@@ -455,7 +451,6 @@ def register_affine(fixed: FixedSide, moving: Volume) -> tuple[np.ndarray, dict]
     holds only if every level converged. Non-convergence is reported, not
     raised; NoOverlap is raised when no sample of the final level is inside.
     """
-    config = fixed.config
     center = fixed.center
     # Internal parameters (translation, then L - I) map fixed-world ->
     # moving-world; x is them in optimizer units, which are mm for
@@ -463,14 +458,16 @@ def register_affine(fixed: FixedSide, moving: Volume) -> tuple[np.ndarray, dict]
     x = np.zeros(12)
     x[:3] = _foreground_centroid(moving) - center
 
-    diagnostics = {"levels": [], "seed": config.seed, "bins": config.bins}
+    diagnostics = {"levels": [], "seed": RegistrationConfig.seed,
+                   "bins": RegistrationConfig.bins}
     for f_level in fixed.levels:
         m_level = _downsample(moving, f_level.factor, f_level.sigma)
-        value, gradient = _level_cost(f_level, m_level, center, config.bins)
+        value, gradient = _level_cost(f_level, m_level, center, RegistrationConfig.bins)
         res = optimize.minimize(
             value, x, jac=gradient, method="L-BFGS-B", bounds=_UNIT_BOUNDS,
             # maxcor: corrections kept for the inverse-Hessian estimate
-            options={"ftol": config.reduction_tol, "gtol": config.convergence_tol, "maxcor": 12},
+            options={"ftol": RegistrationConfig.reduction_tol,
+                     "gtol": RegistrationConfig.convergence_tol, "maxcor": 12},
         )
         x = res.x
         coords = _moving_voxels(f_level, invert(m_level.affine), center, x)

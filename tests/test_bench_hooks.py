@@ -11,12 +11,15 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE.parent / "perfbench"))
 
+import numpy as np  # noqa: E402
 import spans  # noqa: E402
 from defacepipe import (  # noqa: E402
     brain_extraction,
     cli,
     defacing,
     evaluation,
+    geometry,
+    nifti,
     registration,
     synthetic,
 )
@@ -65,3 +68,29 @@ def test_traced_fallback_paths_record_their_spans():
     assert names.count("brain_extraction.fallback_extract") == 3
     assert names.count("brain_extraction.extract_brain") == 2
     assert names.count("evaluation.dice") == 1
+
+
+def test_names_the_benchmark_calls_exist_and_work(tmp_path):
+    """``perfbench/run.py`` calls these names directly, traced or not: it
+    makes and writes the phantoms, runs the CLI, reads the outputs back,
+    extracts their brains, reads the transforms, and passes the
+    registration's gradient tolerance to its per-layer metrics. A refactor
+    that removes or renames one fails every benchmark run, so it fails
+    here first."""
+    assert cli.main(["phantom", "--size", "16", "--output-dir", str(tmp_path)]) == 0
+    head = synthetic.nominal_head(size=16)
+    phantom = synthetic.random_subject(head, seed=1)
+    sc = nifti.sidecar_for_dtype(np.float32)
+    nifti.write_nifti(phantom.volume, sc, tmp_path / "subject.nii.gz")
+    nifti.write_mask(phantom.brain_mask, tmp_path / "brain.nii.gz")
+    volume, _ = nifti.read_nifti(tmp_path / "subject.nii.gz")
+    np.testing.assert_array_equal(volume.data, phantom.volume.data)
+    mask, _ = nifti.read_nifti(tmp_path / "brain.nii.gz")
+    np.testing.assert_array_equal(mask.data > 0, phantom.brain_mask.data)
+    canon, perm = geometry.reorient_to_canonical(volume)
+    assert perm.undo(brain_extraction.fallback_extract(canon).data).any()
+    geometry.save_transform(phantom.true_transform, tmp_path / "xfm.txt")
+    np.testing.assert_allclose(geometry.load_transform(tmp_path / "xfm.txt"),
+                               phantom.true_transform, rtol=0, atol=1e-9)
+    tol = registration.RegistrationConfig().convergence_tol
+    assert isinstance(tol, float) and tol > 0

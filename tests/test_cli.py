@@ -384,16 +384,6 @@ def test_jobs_below_one_is_usage_error(workspace, tmp_path, capsys, jobs):
     assert "--jobs" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("bins", ["1", "0", "-3"])
-def test_bins_below_two_is_usage_error(workspace, tmp_path, capsys, bins):
-    root, _head, _subject = workspace
-    with pytest.raises(SystemExit) as exc:
-        main(_deface_args(root, tmp_path, [str(root / "subj.nii.gz")],
-                          extra=["--bins", bins]))
-    assert exc.value.code == 2
-    assert "--bins" in capsys.readouterr().err
-
-
 def test_deface_inputs_sharing_outputs_fail_before_any_work(workspace, tmp_path, capsys):
     """Two inputs whose outputs would land on the same paths, from two
     directories into one --output-dir or one input listed twice, are a
@@ -424,16 +414,16 @@ def _small_pack(root, size):
 
 
 def test_deface_provenance_records_bins_and_samples(tmp_path):
-    """Provenance records --bins next to --seed, and each level's sample
-    count, that of the prepared template's level."""
+    """Provenance records the histogram bins and the sampling seed, both
+    constants, and each level's sample count, that of the pack's prepared
+    template's level."""
     subj = _small_pack(tmp_path, 32)
     out = tmp_path / "out"
-    assert main(_deface_args(tmp_path, out, [str(subj)], extra=["--bins", "16", "--seed", "3"])) == 0
+    assert main(_deface_args(tmp_path, out, [str(subj)])) == 0
     reg = json.loads((out / "subj_prov.json").read_text())["registration"]
-    assert reg["bins"] == 16 and reg["seed"] == 3
-    template, _ = nifti.read_nifti(tmp_path / "template.nii.gz")
-    fixed = registration.prepare(template, registration.RegistrationConfig(bins=16, seed=3))
-    assert [lv["samples"] for lv in reg["levels"]] == [lv.fgT.shape[1] for lv in fixed.levels]
+    assert reg["bins"] == 32 and reg["seed"] == 0
+    pack = cli._load_pack(tmp_path / "template.nii.gz", tmp_path / "template_keep.nii.gz")
+    assert [lv["samples"] for lv in reg["levels"]] == [lv.fgT.shape[1] for lv in pack.fixed.levels]
 
 
 def test_deface_template_too_small_to_sample_exits_1(tmp_path, capsys):
@@ -463,7 +453,6 @@ _MINIMAL_ARGV = {
     *(("make-template-pack", "--buffer-mm", v) for v in ("-0.5", "nan", "inf")),
     *(("make-template-pack", "--face-dilate-mm", v) for v in ("-3", "nan", "inf")),
     *(("qc", "--threshold", v) for v in ("-0.1", "1.5", "nan", "inf")),
-    ("deface", "--seed", "-1"),
     ("phantom", "--seed", "-1"),
     *(("phantom", "--size", v) for v in ("0", "-3", "1")),
 ])
@@ -483,7 +472,6 @@ def test_unsafe_geometry_value_is_usage_error(capsys, command, flag, value):
     ("make-template-pack", "--face-dilate-mm", 0.0),
     ("qc", "--threshold", 0.0),
     ("qc", "--threshold", 1.0),
-    ("deface", "--seed", 0),
     ("phantom", "--seed", 0),
     ("phantom", "--size", 2),
 ])
@@ -505,8 +493,9 @@ def test_geometry_value_at_its_limit_parses(command, flag, value):
     ("make-template-pack", "--jobs", False),
     ("make-template-pack", "--seed", False),
     ("phantom", "--jobs", False),
+    ("deface", "--bins", False),
+    ("deface", "--seed", False),
     ("deface", "--jobs", True),
-    ("deface", "--seed", True),
     ("phantom", "--seed", True),
     *((command, "--verbose", True) for command in _MINIMAL_ARGV),
 ])
@@ -622,10 +611,10 @@ def test_deface_jobs_prepares_the_template_once_in_the_parent(workspace, tmp_pat
     pids = tmp_path / "prepared_by.txt"
     real_prepare = defacing.prepare
 
-    def prepare(*args):
+    def prepare(template):
         with pids.open("a") as f:
             f.write(f"{os.getpid()}\n")
-        return real_prepare(*args)
+        return real_prepare(template)
 
     monkeypatch.setattr(defacing, "prepare", prepare)
     assert main(_deface_args(root, tmp_path / "out", inputs, extra=["--jobs", "2"])) == 0

@@ -1,9 +1,11 @@
 """Pipeline orchestration, QuickShear baseline, convex hull, template packs."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from defacepipe import defacing, registration, synthetic
+from defacepipe import defacing, synthetic
 from defacepipe.defacing import (
     TemplatePack,
     convex_hull_2d,
@@ -288,30 +290,31 @@ def test_deface_rejects_non_finite_margin(
     assert isinstance(exc.value.__cause__, ValueError)
 
 
-def test_deface_prepares_the_pack_once_under_its_config(pack, head, monkeypatch, tmp_path):
-    """Two deface calls on one pack prepare its template once, under the
-    pack's config, the only home of the registration settings, and stage 6
-    registers each subject to that one prepared template."""
-    seeded = TemplatePack(pack.template, pack.keep_mask, registration.RegistrationConfig(seed=7))
+def test_deface_prepares_the_pack_once(pack, head, monkeypatch, tmp_path):
+    """Two deface calls on one pack prepare its template once, and stage 6
+    registers each subject to that one prepared template. The pack carries
+    no registration settings: they are constants."""
+    assert [f.name for f in dataclasses.fields(TemplatePack)] == ["template", "keep_mask"]
+    fresh = TemplatePack(pack.template, pack.keep_mask)
     real_prepare = defacing.prepare
     prepared, calls = [], []
 
-    def prepare(template, config):
-        prepared.append((template is seeded.template, config))
-        return real_prepare(template, config)
+    def prepare(template):
+        prepared.append(template)
+        return real_prepare(template)
 
     def register_affine(fixed_side, moving):
         calls.append(fixed_side)
-        return np.eye(4), {"seed": fixed_side.config.seed}
+        return np.eye(4), {"injected": True}
 
     monkeypatch.setattr(defacing, "prepare", prepare)
     monkeypatch.setattr(defacing, "register_affine", register_affine)
     brain_mask = _mask_path(head, tmp_path)
-    results = [deface(head.volume, seeded, brain_mask) for _ in range(2)]
-    assert prepared == [(True, registration.RegistrationConfig(seed=7))]
-    assert [c is seeded.fixed for c in calls] == [True, True]
+    results = [deface(head.volume, fresh, brain_mask) for _ in range(2)]
+    assert len(prepared) == 1 and prepared[0] is fresh.template
+    assert [c is fresh.fixed for c in calls] == [True, True]
     for result in results:
-        assert result.provenance["registration"] == {"seed": 7}
+        assert result.provenance["registration"] == {"injected": True}
         assert "threshold" not in result.provenance
 
 

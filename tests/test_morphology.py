@@ -47,12 +47,12 @@ def test_ball_anisotropic_extent():
 
 def test_binarise_all_zero():
     v = Volume(np.zeros((3, 3, 3), dtype=np.float32), np.eye(4))
-    assert morphology.binarise(v).count() == 0
+    assert BinaryMask.from_volume(v).count() == 0
 
 
 def test_binarise_strict_inequality():
     data = np.array([-1.0, 0.0, 2.0]).reshape(3, 1, 1)
-    m = morphology.binarise(Volume(data, np.eye(4)), 0.0)
+    m = BinaryMask.from_volume(Volume(data, np.eye(4)))
     np.testing.assert_array_equal(m.data.ravel(), [False, False, True])
 
 

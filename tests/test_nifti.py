@@ -125,6 +125,22 @@ def test_read_nonfinite_intercept_is_corrupt(tmp_path, inter):
         nifti.read_nifti(path)
 
 
+@pytest.mark.parametrize("voxel, dtype, want", [
+    (np.uint32(0x7F810000).view(np.float32), np.float32, np.nan),  # signalling NaN
+    (1e308, np.float64, np.inf),
+])
+def test_read_scaled_non_finite_voxel_raises_no_warning(tmp_path, voxel, dtype, want):
+    """Scaling casts a float32 signalling NaN to float64, and a slope of 10
+    takes 1e308 past float64's range: the voxel reads as NaN or inf, and
+    no floating-point warning is raised (warnings are errors here)."""
+    data = np.ones((2, 2, 2), dtype=dtype)
+    data[0, 0, 0] = voxel
+    path = tmp_path / "scaled.nii"
+    path.write_bytes(build_nifti_bytes(data, scl_slope=10.0))
+    vol, _ = nifti.read_nifti(path)
+    np.testing.assert_array_equal(vol.data.ravel()[:2], [want, 10.0])
+
+
 def test_read_bad_magic(tmp_path):
     path = tmp_path / "bad.nii"
     path.write_bytes(b"\x00" * 400)
@@ -205,6 +221,21 @@ def test_read_nonfinite_affine_is_corrupt(tmp_path, identity_2x2x2, field, offse
             nifti.read_nifti(bad)
 
 
+def test_read_qform_quaternion_past_unit_length_is_normalised(tmp_path):
+    """b = c = d = 0.6 leaves no room for a: as nifti1_io reads it, that is
+    a 180 degree turn about (1, 1, 1) / sqrt(3), so the qform's columns are
+    orthonormal times pixdim, not 1.08 times it."""
+    data = np.zeros((2, 2, 2), dtype=np.float32)
+    raw = bytearray(build_nifti_bytes(data, spacing=(1.0, 2.0, 3.0)))
+    struct.pack_into("<2h", raw, 252, 1, 0)  # qform_code, sform_code
+    struct.pack_into("<3f", raw, 256, 0.6, 0.6, 0.6)
+    path = tmp_path / "qform.nii"
+    path.write_bytes(raw)
+    vol, _ = nifti.read_nifti(path)
+    rot = vol.affine[:3, :3] / [1.0, 2.0, 3.0]
+    np.testing.assert_allclose(rot, 2.0 / 3.0 - np.eye(3), rtol=0, atol=1e-12)
+
+
 _FLOAT32 = st.floats(width=32)
 
 
@@ -248,6 +279,59 @@ def test_read_fuzzed_header_reads_or_raises_typed_error(
     assert vol.dims == tuple(dim[1:4])
     assert vol.data.size * vol.data.itemsize <= len(payload)
     assert np.isfinite(vol.affine).all()
+
+
+def test_read_fuzzed_geometry_reads_or_raises_typed_error(tmp_path):
+    """A valid 3D header and a payload of exactly its declared size, with
+    only the fields that set geometry and scaling fuzzed (pixdim, the
+    quaternion and offsets, the srows, the qform and sform codes, scl): the
+    file either reads into a volume with a finite affine and the declared
+    shape, or fails with a DefacepipeError. Most examples read, so the
+    properties are checked, not only the errors."""
+    reads = []
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(
+        byte_order=st.sampled_from("<>"),
+        dims=st.lists(st.integers(1, 4), min_size=3, max_size=3),
+        dtype_code=st.sampled_from(list(DT_CODES.items())),
+        codes=st.tuples(st.integers(-1, 4), st.integers(-1, 4)),
+        scl=st.lists(_FLOAT32, min_size=2, max_size=2),
+        geometry=st.lists(_FLOAT32, min_size=26, max_size=26),
+        payload=st.binary(min_size=4 * 4 * 4 * 8, max_size=4 * 4 * 4 * 8),
+        compress=st.booleans(),
+    )
+    def read(byte_order, dims, dtype_code, codes, scl, geometry, payload, compress):
+        bo = byte_order
+        dtype, code = dtype_code
+        itemsize = np.dtype(dtype).itemsize
+        payload = payload[:int(np.prod(dims)) * itemsize]
+        hdr = bytearray(348)
+        struct.pack_into(bo + "i", hdr, 0, 348)
+        struct.pack_into(bo + "8h", hdr, 40, 3, *dims, 1, 1, 1, 1)
+        struct.pack_into(bo + "2h", hdr, 70, code, itemsize * 8)
+        struct.pack_into(bo + "f", hdr, 108, 352.0)
+        struct.pack_into(bo + "2f", hdr, 112, *scl)
+        struct.pack_into(bo + "2h", hdr, 252, *codes)
+        struct.pack_into(bo + "8f", hdr, 76, *geometry[:8])  # pixdim
+        struct.pack_into(bo + "6f", hdr, 256, *geometry[8:14])  # quaternion, offsets
+        struct.pack_into(bo + "12f", hdr, 280, *geometry[14:])  # srow_x, _y, _z
+        struct.pack_into("<4s", hdr, 344, b"n+1\x00")
+        blob = bytes(hdr) + bytes(4) + payload
+        path = tmp_path / "fuzz.nii"
+        path.write_bytes(gzip.compress(blob) if compress else blob)
+        try:
+            vol, _ = nifti.read_nifti(path)
+        except DefacepipeError:
+            return
+        reads.append(vol.dims)
+        assert vol.data.ndim == 3
+        assert vol.dims == tuple(dims)
+        assert vol.data.size * itemsize == len(payload)
+        assert np.isfinite(vol.affine).all()
+
+    read()
+    assert len(reads) > 0
 
 
 def test_read_4d_multivolume_rejected(tmp_path):

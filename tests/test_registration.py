@@ -358,13 +358,6 @@ def test_foreground_centroid_matches_index_formula():
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
 
 
-def test_config_validation():
-    with pytest.raises(ValueError):
-        RegistrationConfig(bins=1)
-    with pytest.raises(ValueError):
-        RegistrationConfig(seed=-1)
-
-
 def residual_errors(recovered, truth, center):
     """Translation (mm at center), rotation (deg, geodesic), |isoscale-1|."""
     from scipy.linalg import polar
@@ -599,8 +592,8 @@ def test_registration_deterministic(head):
 
 
 def test_prepared_fixed_side_is_read_only(head):
-    fixed = prepare(head.volume, RegistrationConfig(seed=3))
-    assert fixed.config.seed == 3
+    fixed = prepare(head.volume)
+    assert [f.name for f in dataclasses.fields(fixed)] == ["center", "levels"]
     assert len(fixed.levels) == len(registration.LEVELS)
     arrays = [fixed.center] + [
         a for lv in fixed.levels for a in (lv.affine, lv.fgT, lv.fixed_bins)
@@ -608,13 +601,16 @@ def test_prepared_fixed_side_is_read_only(head):
     assert not any(a.flags.writeable for a in arrays)
 
 
-def test_registration_config_is_frozen():
-    """An assignment would skip the checks of construction, and would drift
-    from a template already prepared under the config."""
+def test_registration_config_takes_no_arguments():
+    """The registration's settings are constants: there is nothing to set,
+    and every template and subject is registered alike."""
+    with pytest.raises(TypeError):
+        RegistrationConfig(bins=16)
+    with pytest.raises(TypeError):
+        RegistrationConfig(seed=3)
     config = RegistrationConfig()
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        config.bins = 1
-    assert config.bins == 32
+    assert (config.bins, config.seed) == (32, 0)
+    assert (config.convergence_tol, config.reduction_tol) == (1e-5, 1e-7)
 
 
 @pytest.mark.parametrize("source", ["pack", "head"])
