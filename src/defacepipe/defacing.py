@@ -57,12 +57,6 @@ class TemplatePack:
         return h.hexdigest()
 
     @functools.cached_property
-    def keep_volume(self) -> Volume:
-        """The keep-mask as the uint8 volume stage 7 resamples, built once
-        per pack."""
-        return self.keep_mask.to_volume()
-
-    @functools.cached_property
     def fixed(self) -> FixedSide:
         """The template prepared for registration, built once per pack on
         first use."""
@@ -104,6 +98,8 @@ def deface(
 
     Stage 6 registers to pack.fixed, the pack's prepared template; a batch
     passes one pack for every subject, so the template is prepared once.
+    Registration reads a non-finite voxel as background 0; the output keeps
+    it as it is wherever stage 8 keeps the voxel.
     """
     started = time.time()
     t0 = time.perf_counter()
@@ -117,20 +113,14 @@ def deface(
     with _stage(4, seconds):
         dilated = dilate(brain, margin_mm)
     with _stage(5, seconds):
-        # Registration reads a non-finite voxel as background 0; the output
-        # keeps it as it is wherever stage 8 keeps the voxel.
-        finite = np.isfinite(canon.data)
-        keep = dilated if finite.all() else BinaryMask(dilated.data & finite, dilated.affine)
-        loose = apply_mask(canon, keep)
-
+        loose = apply_mask(canon, dilated)
     with _stage(6, seconds):
         transform, diagnostics = register_affine(pack.fixed, loose)
 
     with _stage(7, seconds):
-        keep_vol = geometry.resample(  # transform: subject-world -> template-world pullback
-            pack.keep_volume, canon.dims, canon.affine, transform, interp="nearest"
+        keep_reg = geometry.resample(  # transform: subject-world -> template-world pullback
+            pack.keep_mask, canon.dims, canon.affine, transform, interp="nearest"
         )
-        keep_reg = BinaryMask(keep_vol.data > 0, canon.affine.copy())
     with _stage(8, seconds):
         safe_canon = union(keep_reg, dilated)
     with _stage(9, seconds):
@@ -233,8 +223,6 @@ def quickshear(input_volume: Volume, brain: BinaryMask, buffer_mm: float = 5.0) 
     never removed.
     """
     check_same_grid(input_volume, brain)
-    if not brain.data.any():
-        raise EmptyMask("empty brain mask")
     canon_vol, perm = geometry.reorient_to_canonical(input_volume)
     canon_brain = BinaryMask(perm.apply(brain.data), canon_vol.affine.copy())
 
@@ -277,9 +265,7 @@ def make_template_pack(
     face_side = _shear_plane(brain, buffer_mm)
 
     head_fg = canon.data > otsu_threshold(canon.data) * 0.25
-    face_tissue = BinaryMask(face_side & head_fg, canon.affine.copy())
-    if face_tissue.data.any():
-        face_tissue = dilate(face_tissue, face_dilate_mm)
+    face_tissue = dilate(BinaryMask(face_side & head_fg, canon.affine.copy()), face_dilate_mm)
     # Dilation may creep back across the plane; never remove brain.
     removal = face_tissue.data & ~brain.data
 

@@ -6,6 +6,7 @@ descrip and aux_file are zeroed on write as a minimal anonymisation scrub.
 """
 
 import contextlib
+import errno
 import glob
 import gzip
 import math
@@ -340,7 +341,10 @@ def write_nifti(volume: Volume, sidecar: HeaderSidecar, path) -> None:
 def atomic_file(path: Path):
     """Binary file for the new contents of path: a temporary file in the
     same directory that replaces path when the block ends, and is removed
-    if the block raises. A reader sees the old file or the whole new one."""
+    if the block raises. A reader sees the old file or the whole new one.
+    A path with no name, such as "." or "/", raises IsADirectoryError."""
+    if not path.name:
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as f:

@@ -33,7 +33,8 @@ subject.
 ``prepare`` computes the fixed image's side once (centroid, and per level
 the jittered samples of one eroded foreground mask and their fixed bins);
 ``register_affine`` solves for one moving image against it, so a batch
-against one template prepares the template once. Both images are smoothed
+against one template prepares the template once. Each of them first reads
+a non-finite voxel of its image as background 0. Both images are smoothed
 and interpolated alike at each level, so at the fine level the fixed image
 is read unsmoothed, as the moving one is. A coarse level's Gaussian
 smoothing runs one axis at a time, on the nonzero voxels' bounding box and
@@ -307,18 +308,22 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _zero_non_finite(v: Volume) -> Volume:
+    """v with every non-finite voxel read as background 0; v itself when
+    every voxel is finite."""
+    finite = np.isfinite(v.data)
+    return v if finite.all() else Volume(np.where(finite, v.data, 0), v.affine)
+
+
 def prepare(fixed: Volume) -> FixedSide:
     """Everything register_affine needs of the fixed image.
 
     Every level samples one mask, the fixed foreground eroded by 2 voxels
     at full resolution, at the level's grid points: coarse voxel k is
     full-resolution voxel factor * k, as ``_downsample`` strides it. Raises
-    EmptyMask when a level's grid points hold no voxel of that mask. A
-    non-finite voxel is read as background 0, as stage 5 reads the subject.
+    EmptyMask when a level's grid points hold no voxel of that mask.
     """
-    finite = np.isfinite(fixed.data)
-    if not finite.all():
-        fixed = Volume(np.where(finite, fixed.data, 0), fixed.affine)
+    fixed = _zero_non_finite(fixed)
     center = _frozen(_foreground_centroid(fixed))
     # The eroded interior: boundary samples pair a crisp fixed edge with an
     # interpolated moving edge and bias the optimum toward transforms that
@@ -451,6 +456,7 @@ def register_affine(fixed: FixedSide, moving: Volume) -> tuple[np.ndarray, dict]
     holds only if every level converged. Non-convergence is reported, not
     raised; NoOverlap is raised when no sample of the final level is inside.
     """
+    moving = _zero_non_finite(moving)
     center = fixed.center
     # Internal parameters (translation, then L - I) map fixed-world ->
     # moving-world; x is them in optimizer units, which are mm for

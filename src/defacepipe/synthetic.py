@@ -95,12 +95,10 @@ def transformed_phantom(base: HeadPhantom, transform: np.ndarray) -> HeadPhantom
     dims = base.volume.dims
     aff = base.volume.affine
     vol = geometry.resample(base.volume, dims, aff, transform, interp="trilinear")
-    brain = geometry.resample(base.brain_mask.to_volume(), dims, aff, transform, interp="nearest")
-    face = geometry.resample(base.face_mask.to_volume(), dims, aff, transform, interp="nearest")
     return HeadPhantom(
         volume=vol,
-        brain_mask=BinaryMask(brain.data > 0, aff.copy()),
-        face_mask=BinaryMask(face.data > 0, aff.copy()),
+        brain_mask=geometry.resample(base.brain_mask, dims, aff, transform, interp="nearest"),
+        face_mask=geometry.resample(base.face_mask, dims, aff, transform, interp="nearest"),
         true_transform=np.asarray(transform).copy(),
     )
 

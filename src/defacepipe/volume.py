@@ -75,14 +75,11 @@ class BinaryMask(Grid):
 
     @classmethod
     def from_volume(cls, v: Volume) -> "BinaryMask":
-        """Every voxel of v above 0; the inverse of to_volume."""
+        """Every voxel of v above 0 (a NaN voxel is not)."""
         return cls(v.data > 0, v.affine.copy())
 
     def count(self) -> int:
         return int(self.data.sum())
-
-    def to_volume(self) -> Volume:
-        return Volume(self.data.astype(np.uint8), self.affine.copy())
 
 
 def check_same_grid(a: Grid, b: Grid):

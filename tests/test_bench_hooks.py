@@ -39,7 +39,11 @@ def _originals():
 
 
 def test_tracer_replaces_and_restores_every_patched_name():
+    """Every patched name is replaced while the tracer is installed, and
+    afterwards each patched module holds the same names bound to the same
+    objects as before."""
     originals = _originals()
+    before = {m: dict(vars(m)) for m in PATCHED}
     tracer = spans.Tracer()
     tracer.install()
     try:
@@ -48,9 +52,10 @@ def test_tracer_replaces_and_restores_every_patched_name():
     finally:
         tracer.uninstall()
     assert kept == []
-    moved = [f"{m.__name__}.{name}" for (m, name), obj in originals.items()
-             if getattr(m, name) is not obj]
-    assert moved == []
+    for m, names in before.items():
+        assert vars(m).keys() == names.keys()
+        moved = [name for name, obj in names.items() if vars(m)[name] is not obj]
+        assert moved == [], m.__name__
 
 
 def test_traced_fallback_paths_record_their_spans():

@@ -1,7 +1,6 @@
 """Exit codes, output artifacts, and batch behavior of the command line."""
 
 import gzip
-import importlib
 import json
 import multiprocessing
 import os
@@ -14,13 +13,11 @@ import numpy as np
 import pytest
 
 from defacepipe import (
-    brain_extraction,
     cli,
     defacing,
     evaluation,
     geometry,
     nifti,
-    registration,
     synthetic,
 )
 from defacepipe.brain_extraction import extract_brain
@@ -238,6 +235,19 @@ def test_qc_json_into_missing_directory_is_an_error_line(workspace, tmp_path, ca
     assert "1.000000" in captured.out
     assert captured.err.startswith(f"error: {report}: ")
     assert not report.parent.exists()
+
+
+@pytest.mark.parametrize("report", ["", "."])
+def test_qc_json_naming_a_directory_is_an_error_line(workspace, tmp_path, capsys, report):
+    """--json "" reads as ".", a directory: the table, then one error line
+    naming it, with exit 1 and no traceback."""
+    root, _head, _subject = workspace
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text(f"{root / 'subj.nii.gz'} {root / 'subj.nii.gz'}\n")
+    assert main(["qc", str(manifest), "--json", report]) == 1
+    captured = capsys.readouterr()
+    assert "1.000000" in captured.out
+    assert captured.err.startswith("error: .: ")
 
 
 def test_qc_corrupted_pair_exit_1(workspace, tmp_path):
@@ -691,26 +701,3 @@ def test_deface_failed_subject_leaves_no_provenance(workspace, tmp_path, monkeyp
     for suffix in ARTIFACTS:
         assert (out / f"s31{suffix}").exists()
     assert not [f for f in os.listdir(out) if f.startswith(".")]
-
-
-def test_benchmark_tracer_restores_every_patched_name(monkeypatch):
-    """The traced benchmark (perfbench/spans.py) patches names that these
-    modules look up; it must still find them, and put every one back."""
-    modules = (cli, defacing, registration, brain_extraction, evaluation)
-    before = [dict(vars(m)) for m in modules]
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
-    tracer = importlib.import_module("spans").Tracer()
-    tracer.install()
-    try:
-        patched = [
-            name
-            for m, names in zip(modules, before)
-            for name, obj in vars(m).items()
-            if names.get(name) is not obj
-        ]
-    finally:
-        tracer.uninstall()
-    assert len(patched) >= 1
-    for m, names in zip(modules, before):
-        assert vars(m).keys() == names.keys()
-        assert all(vars(m)[name] is obj for name, obj in names.items())

@@ -211,14 +211,6 @@ def test_template_sha256_stable(pack):
     assert other.sha256 != pack.sha256
 
 
-def test_keep_volume_built_once_per_pack(pack):
-    """Stage 7 resamples the same uint8 keep-volume for every subject."""
-    assert pack.keep_volume is pack.keep_volume
-    assert pack.keep_volume.data.dtype == np.uint8
-    np.testing.assert_array_equal(pack.keep_volume.data, pack.keep_mask.data)
-    np.testing.assert_array_equal(pack.keep_volume.affine, pack.keep_mask.affine)
-
-
 # ---------------------------------------------------------------------------
 # deface pipeline
 

@@ -8,7 +8,7 @@ from scipy import ndimage
 
 from defacepipe import geometry
 from defacepipe.errors import AmbiguousOrientation, SingularTransform
-from defacepipe.volume import Volume
+from defacepipe.volume import BinaryMask, Volume
 
 
 def _z_turn(angle, scale=1.0):
@@ -263,6 +263,25 @@ def test_resample_mask_stays_binary():
     m = _z_turn(0.4) @ geometry.translation((0.3, -0.6, 0.2))
     out = geometry.resample(v, v.dims, v.affine, m, interp="nearest")
     assert set(np.unique(out.data)).issubset({0, 1})
+    # A BinaryMask resamples to a BinaryMask: its uint8 volume resampled,
+    # then read above 0.
+    for _ in range(20):
+        dims = tuple(rng.integers(4, 12, 3))
+        mask = BinaryMask(rng.random(dims) < rng.uniform(0.2, 0.8),
+                          np.diag([*rng.uniform(0.7, 1.5, 3), 1.0]))
+        world_map = geometry.affine_matrix(
+            rng.uniform(-2, 2, 3), rng.uniform(-0.5, 0.5, 3), rng.uniform(0.8, 1.2, 3),
+            rng.uniform(-0.2, 0.2, 3), rng.uniform(0, 8, 3))
+        target_dims = tuple(rng.integers(4, 12, 3))
+        got = geometry.resample(mask, target_dims, mask.affine, world_map, interp="nearest")
+        want = geometry.resample(Volume(mask.data.astype(np.uint8), mask.affine),
+                                 target_dims, mask.affine, world_map, interp="nearest")
+        assert type(got) is BinaryMask and got.data.dtype == bool
+        np.testing.assert_array_equal(got.data, want.data > 0)
+        np.testing.assert_array_equal(got.affine, want.affine)
+    # trilinear values cast to bool would dilate the mask
+    with pytest.raises(ValueError):
+        geometry.resample(mask, target_dims, mask.affine, world_map, interp="trilinear")
 
 
 def test_resample_round_trip_inverse():
@@ -349,18 +368,23 @@ def test_resample_matches_dense_reference(dtype, interp):
 
 
 def test_resample_allocates_no_per_voxel_coordinates():
-    """A nearest resample of a 64^3 uint8 mask allocates at most 3 bytes per
-    target voxel above entry: it writes its uint8 output directly, with no
-    float64 output (8 bytes) and no coordinate array (24 bytes)."""
+    """A nearest resample of a 64^3 mask writes its output directly. As a
+    uint8 Volume it allocates at most 3 bytes per target voxel above entry,
+    with no float64 output (8 bytes) and no coordinate array (24 bytes). As
+    a BinaryMask it allocates at most 1.5 bytes: its bool output (1.006
+    bytes measured), and no uint8 copy to read above 0 (2 bytes)."""
     dims = (64, 64, 64)
-    mask = Volume(np.ones(dims, dtype=np.uint8), np.eye(4))
     world_map = _z_turn(0.1) @ geometry.translation((0.3, -0.2, 0.1))
-    tracemalloc.start()
-    try:
-        entry = tracemalloc.get_traced_memory()[0]
-        out = geometry.resample(mask, dims, mask.affine, world_map, interp="nearest")
-        peak = tracemalloc.get_traced_memory()[1] - entry
-    finally:
-        tracemalloc.stop()
-    assert out.data.dtype == np.uint8
-    assert peak <= 3 * np.prod(dims)
+    for mask, bound in (
+        (Volume(np.ones(dims, dtype=np.uint8), np.eye(4)), 3.0),
+        (BinaryMask(np.ones(dims, dtype=bool), np.eye(4)), 1.5),
+    ):
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            out = geometry.resample(mask, dims, mask.affine, world_map, interp="nearest")
+            peak = tracemalloc.get_traced_memory()[1] - entry
+        finally:
+            tracemalloc.stop()
+        assert out.data.dtype == mask.data.dtype
+        assert peak <= bound * np.prod(dims)

@@ -643,18 +643,28 @@ def test_template_with_no_coarse_sample_raises_empty_mask():
         prepare(template)
 
 
-def test_non_finite_template_voxels_read_as_background(pack):
-    """A NaN and a +inf voxel in the template's brain prepare exactly as
-    zeros there do."""
-    data = pack.template.data.astype(np.float64)
-    brain = np.argwhere(data > 0)
-    voxels = tuple(brain[[len(brain) // 3, 2 * len(brain) // 3]].T)
-    zeroed = data.copy()
-    zeroed[voxels] = 0.0
-    data[voxels] = (np.nan, np.inf)
-    got = prepare(Volume(data, pack.template.affine))
-    want = prepare(Volume(zeroed, pack.template.affine))
+def test_non_finite_template_voxels_read_as_background(pack, fixed, head):
+    """A NaN and a +inf voxel in the brain read exactly as zeros there do:
+    in the template prepare reads, and in a subject register_affine reads
+    when called directly."""
+
+    def spoiled(v: Volume, brain_mask: np.ndarray) -> tuple[Volume, Volume]:
+        data = v.data.astype(np.float64)
+        brain = np.argwhere(brain_mask)
+        voxels = tuple(brain[[len(brain) // 3, 2 * len(brain) // 3]].T)
+        zeroed = data.copy()
+        zeroed[voxels] = 0.0
+        data[voxels] = (np.nan, np.inf)
+        return Volume(data, v.affine), Volume(zeroed, v.affine)
+
+    got, want = (prepare(v) for v in spoiled(pack.template, pack.template.data > 0))
     assert np.array_equal(got.center, want.center)
     for g, w in zip(got.levels, want.levels, strict=True):
         assert np.array_equal(g.fgT, w.fgT)
         assert np.array_equal(g.fixed_bins, w.fixed_bins)
+
+    subject = synthetic.random_subject(head, seed=1)
+    got, want = (register_affine(fixed, v)
+                 for v in spoiled(subject.volume, subject.brain_mask.data))
+    assert np.array_equal(got[0], want[0])
+    assert got[1] == want[1]
