@@ -6,7 +6,12 @@ Runs, through ``defacepipe.cli.main`` from this checkout's ``src/``:
 ``phantom`` with seeds 0-3 (one directory each), ``make-template-pack`` on
 seed 0, ``quickshear --brain-mask`` on each subject (seeds 1-3), one
 ``deface --jobs 1`` over the three subjects, and one ``qc --json`` over the
-(original, defaced) and (original, sheared) pairs. Prints one
+(original, defaced) and (original, sheared) pairs. Then it writes seed 1's
+phantom and brain mask once more, in ``noncanonical/``, stored with permuted
+and flipped voxel axes and the affine that keeps every voxel's world
+position, and runs ``quickshear --brain-mask`` and ``deface --jobs 1`` on
+it: the RAS phantoms skip the reorientation copies, this subject does not.
+Prints one
 ``sha256  path`` line per output file, paths relative to OUTDIR. A
 ``.nii.gz`` is hashed by its decompressed stream, so a change to the
 compression alone (level, deflate stream, gzip header) leaves its hash
@@ -14,7 +19,9 @@ unchanged. A ``_prov.json`` is hashed without its ``timing`` and
 ``input`` keys, which hold wall times and the absolute input path; the qc
 manifest, an input holding absolute paths, is not hashed. Run it at two
 commits and diff the output: an empty diff means the seeded outputs are
-byte-identical once decompressed.
+byte-identical once decompressed. To check a change against a commit whose
+script lacks part of this flow, copy this script into that commit's
+checkout and run it there too.
 """
 
 import contextlib
@@ -24,9 +31,15 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parents[1]
 SUBJECT_SEEDS = (1, 2, 3)
 MANIFEST = "qc_manifest.txt"
+# Stored axis j of the non-canonical subject is RAS axis STORED_AXES[j],
+# reversed where STORED_FLIPS[j] is set.
+STORED_AXES = (2, 0, 1)
+STORED_FLIPS = (True, True, False)
 
 
 def _run(argv):
@@ -50,6 +63,36 @@ def _digest(path: Path) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _stored(data, affine):
+    """data with its axes stored as STORED_AXES and STORED_FLIPS say, and
+    the affine that gives each voxel its old world position."""
+    rev = tuple(j for j in range(3) if STORED_FLIPS[j])
+    stored = np.flip(np.transpose(data, STORED_AXES), rev)
+    to_ras = np.zeros((4, 4))  # stored voxel index -> RAS voxel index
+    to_ras[3, 3] = 1.0
+    for j, (axis, flip) in enumerate(zip(STORED_AXES, STORED_FLIPS)):
+        to_ras[axis, j] = -1.0 if flip else 1.0
+        to_ras[axis, 3] = stored.shape[j] - 1 if flip else 0.0
+    return stored, affine @ to_ras
+
+
+def write_noncanonical(ras: Path, out: Path) -> Path:
+    """Write the phantom in directory ras, and its brain mask, to directory
+    out with their voxel axes stored as _stored says; return the phantom's
+    path."""
+    from defacepipe import nifti
+    from defacepipe.volume import BinaryMask, Volume
+
+    out.mkdir()
+    volume, sidecar = nifti.read_nifti(ras / "phantom.nii.gz")
+    nifti.write_nifti(Volume(*_stored(volume.data, volume.affine)), sidecar,
+                      out / "phantom.nii.gz")
+    mask, _ = nifti.read_nifti(ras / "phantom_brainmask.nii.gz")
+    nifti.write_mask(BinaryMask(*_stored(mask.data, mask.affine)),
+                     out / "phantom_brainmask.nii.gz")
+    return out / "phantom.nii.gz"
+
+
 def run_flow(out: Path) -> None:
     for seed in (0, *SUBJECT_SEEDS):
         _run(["phantom", "--seed", str(seed), "--output-dir", str(out / f"seed-{seed}")])
@@ -67,6 +110,13 @@ def run_flow(out: Path) -> None:
         f"{s} {s.parent / ('phantom' + suffix + '.nii.gz')}\n"
         for s in subjects for suffix in ("_defaced", "_quickshear")))
     _run(["qc", str(manifest), "--json", str(out / "qc.json")])
+
+    stored = write_noncanonical(out / f"seed-{SUBJECT_SEEDS[0]}", out / "noncanonical")
+    _run(["quickshear", str(stored),
+          "--brain-mask", str(stored.parent / "phantom_brainmask.nii.gz")])
+    _run(["deface", str(stored), "--jobs", "1",
+          "--template", str(out / "pack" / "phantom_stripped.nii.gz"),
+          "--face-mask", str(out / "pack" / "phantom_keepmask.nii.gz")])
 
 
 def main(argv=None) -> int:

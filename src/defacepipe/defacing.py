@@ -174,6 +174,22 @@ def convex_hull_2d(points) -> list[tuple[float, float]]:
     return hull
 
 
+def _section_ends(section: np.ndarray) -> np.ndarray:
+    """(row, column) indices of the first and last True element of every row
+    and every column of a 2D mask, some more than once. Every mask point on
+    the boundary of the mask's convex hull is one of them, so their hull is
+    the mask's; when the mask's points are collinear, all of them are."""
+    rows = np.flatnonzero(section.any(axis=1))
+    cols = np.flatnonzero(section.any(axis=0))
+    n_rows, n_cols = section.shape
+    return np.concatenate([
+        np.stack([rows, section[rows].argmax(axis=1)], axis=1),
+        np.stack([rows, n_cols - 1 - section[rows, ::-1].argmax(axis=1)], axis=1),
+        np.stack([section[:, cols].argmax(axis=0), cols], axis=1),
+        np.stack([n_rows - 1 - section[::-1, cols].argmax(axis=0), cols], axis=1),
+    ])
+
+
 def _shear_plane(brain: BinaryMask, buffer_mm: float) -> np.ndarray:
     """Face side of the hull-derived shear plane, as a boolean array on the
     brain's (canonical) grid.
@@ -190,7 +206,7 @@ def _shear_plane(brain: BinaryMask, buffer_mm: float) -> np.ndarray:
         raise EmptyMask("empty brain mask")
     mid = int((xs[0] + xs[-1]) // 2)
     sp = brain.spacing
-    hull = convex_hull_2d(np.argwhere(brain.data[mid]) * sp[1:3])
+    hull = convex_hull_2d(_section_ends(brain.data[mid]) * sp[1:3])
 
     # Outward normal per CCW edge; pick the edge facing anterior-inferior.
     target = np.array([1.0, -1.0]) / np.sqrt(2.0)

@@ -8,7 +8,7 @@ from scipy import ndimage
 
 from .errors import AmbiguousOrientation, SingularTransform
 from .nifti import atomic_file
-from .volume import BinaryMask, Volume
+from .volume import BinaryMask, Volume, copy_into
 
 DET_EPS = 1e-12
 
@@ -90,11 +90,15 @@ class AxisPermutation:
         return np.flip(out, rev) if rev else out
 
     def undo(self, data: np.ndarray) -> np.ndarray:
-        """Inverse of apply, as a contiguous array."""
+        """Inverse of apply, as a C-contiguous array: a view of data when it
+        already is one, as for the identity, else a new array."""
         rev = tuple(j for j in range(3) if self.flips[j])
-        out = np.flip(data, rev) if rev else data
-        inv = np.argsort(self.perm)
-        return np.ascontiguousarray(np.transpose(out, inv))
+        view = np.transpose(np.flip(data, rev) if rev else data, np.argsort(self.perm))
+        if view.flags.c_contiguous:
+            return view
+        out = np.empty(view.shape, view.dtype)
+        copy_into(out, view)
+        return out
 
 
 def reorient_to_canonical(v: Volume) -> tuple[Volume, AxisPermutation]:
@@ -123,7 +127,9 @@ def reorient_to_canonical(v: Volume) -> tuple[Volume, AxisPermutation]:
             aff[:3, i] = -aff[:3, i]
     out_aff = aff.copy()
     out_aff[:3, :3] = aff[:3, [perm[0], perm[1], perm[2]]]
-    data = np.ascontiguousarray(rec.apply(v.data))
+    view = rec.apply(v.data)
+    data = np.empty(view.shape, view.dtype)
+    copy_into(data, view)
     return Volume(data, out_aff), rec
 
 

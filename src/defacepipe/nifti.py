@@ -26,7 +26,7 @@ from .errors import (
     UnsupportedDatatype,
     UnsupportedDims,
 )
-from .volume import DTYPE_TO_CODE, SUPPORTED_DTYPES, Volume
+from .volume import DTYPE_TO_CODE, SUPPORTED_DTYPES, Volume, copy_into
 
 HEADER_SIZE = 348
 VOX_OFFSET = 352
@@ -202,14 +202,15 @@ def read_nifti(path) -> tuple[Volume, HeaderSidecar]:
     except OSError as e:
         raise IoError(f"{path}: {e}") from e
 
-    # One assignment swaps the byte order, casts and reorders x-fastest
-    # file order into a C-contiguous array. A signalling NaN voxel, cast, and
-    # a scaled value past float64's range read as NaN and inf, with no
-    # floating-point warning: the pipeline reads a non-finite voxel as
-    # background.
+    # One copy swaps the byte order, casts and reorders x-fastest file order
+    # into a C-contiguous array, tile by tile so neither side is walked at a
+    # plane's stride; every value is cast as one assignment casts it. A
+    # signalling NaN voxel, cast, and a scaled value past float64's range
+    # read as NaN and inf, with no floating-point warning: the pipeline reads
+    # a non-finite voxel as background.
     data = np.empty(shape, np.float64 if scaling else dtype.newbyteorder("="))
     with np.errstate(invalid="ignore", over="ignore"):
-        data[...] = payload.view(dtype).reshape(shape, order="F")
+        copy_into(data, payload.view(dtype).reshape(shape, order="F"))
         if scaling:
             slope, inter = scaling
             data *= slope
@@ -269,7 +270,9 @@ def _encode_payload(volume: Volume, sidecar: HeaderSidecar, path) -> np.ndarray:
     """The voxels as the file stores them: the sidecar's datatype in its
     byte order, x fastest, as one C-contiguous array. Scaled data and float
     data bound for an integer type are rounded in float64 and range-checked;
-    any other data is cast in the one copy that reorders it."""
+    any other data is cast in the one copy that reorders it, which goes tile
+    by tile (volume.copy_into) and leaves every value as one assignment
+    would."""
     dtype = np.dtype(SUPPORTED_DTYPES[sidecar.datatype_code])
     data = volume.data
     scaling = _scaling(sidecar.scl_slope, sidecar.scl_inter, path)
@@ -289,7 +292,7 @@ def _encode_payload(volume: Volume, sidecar: HeaderSidecar, path) -> np.ndarray:
                     f"value outside {dtype} range [{info.min}, {info.max}] or not finite"
                 )
     payload = np.empty(data.shape[::-1], dtype.newbyteorder(sidecar.byte_order))
-    payload[...] = data.T
+    copy_into(payload, data.T)
     return payload
 
 

@@ -18,6 +18,28 @@ DTYPE_TO_CODE = {np.dtype(v): k for k, v in SUPPORTED_DTYPES.items()}
 
 GRID_ATOL = 1e-6
 
+# Block of a tiled copy, in dst's axes. A 16 x 32 x 16 block of float64 is
+# 64 KiB a side, so both sides of the block stay in cache while it is copied.
+COPY_TILE = (16, 32, 16)
+
+
+def copy_into(dst: np.ndarray, src: np.ndarray) -> None:
+    """dst[...] = src for two 3D arrays of one shape, each element copied or
+    cast as that one assignment would. When src's last axis is not its
+    contiguous one, numpy would walk src at a stride of a whole plane or row
+    for every element of dst, so the copy goes block by block in COPY_TILE
+    tiles instead."""
+    if abs(src.strides[-1]) == src.itemsize:
+        dst[...] = src
+        return
+    ti, tj, tk = COPY_TILE
+    ni, nj, nk = dst.shape
+    for i in range(0, ni, ti):
+        for j in range(0, nj, tj):
+            for k in range(0, nk, tk):
+                block = np.s_[i:i + ti, j:j + tj, k:k + tk]
+                dst[block] = src[block]
+
 
 class Grid:
     """Geometry shared by every array on a grid: a 3D ``data`` array indexed

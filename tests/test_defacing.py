@@ -4,6 +4,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from defacepipe import defacing, synthetic
 from defacepipe.defacing import (
@@ -95,6 +97,28 @@ def test_hull_matches_brute_force_random():
         assert set(hull) == brute_force_hull(pts)
 
 
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(
+    section=st.tuples(st.integers(1, 24), st.integers(1, 24), st.floats(0.0, 1.0),
+                      st.integers(0, 2**32 - 1)).map(
+        lambda t: np.random.default_rng(t[3]).random(t[:2]) < t[2]),
+    spacing=st.tuples(*[st.sampled_from([1.0, 0.9375, 1.2, 1 / 3, 2.5, 0.7])] * 2),
+)
+def test_hull_of_section_ends_is_hull_of_section(section, spacing):
+    """On random masks and anisotropic spacings, the hull of the first and
+    last voxel of each row and column is the hull of every voxel, and a
+    mask with no hull fails with the same error."""
+    sp = np.array(spacing)
+
+    def hull(points):
+        try:
+            return convex_hull_2d(points * sp)
+        except DegenerateHull as e:
+            return str(e)
+
+    assert hull(defacing._section_ends(section)) == hull(np.argwhere(section))
+
+
 # ---------------------------------------------------------------------------
 # quickshear
 
@@ -113,6 +137,34 @@ def test_quickshear_removes_face_blobs(head):
     # the nose sits well anterior-inferior of the brain hull plane
     nose = head.face_mask.data & (head.volume.data == 30.0)
     assert (out.data[nose] == 0).mean() > 0.5
+
+
+@pytest.mark.parametrize("axes, flips", [
+    ((2, 0, 1), (True, True, False)),
+    ((1, 2, 0), (False, True, True)),
+    ((0, 2, 1), (True, False, True)),
+])
+def test_quickshear_on_stored_axes_matches_ras(head, axes, flips):
+    """The phantom stored with permuted and flipped voxel axes, its affine
+    permuted to match, is sheared to the RAS output stored the same way,
+    bit for bit."""
+    rev = [j for j in range(3) if flips[j]]
+
+    def stored(data):
+        return np.ascontiguousarray(np.flip(np.transpose(data, axes), rev))
+
+    to_ras = np.zeros((4, 4))  # stored voxel index -> RAS voxel index
+    to_ras[3, 3] = 1.0
+    for j, (axis, flip) in enumerate(zip(axes, flips)):
+        to_ras[axis, j] = -1.0 if flip else 1.0
+        to_ras[axis, 3] = head.volume.dims[axis] - 1 if flip else 0.0
+    affine = head.volume.affine @ to_ras
+    out = quickshear(Volume(stored(head.volume.data), affine),
+                     BinaryMask(stored(head.brain_mask.data), affine), buffer_mm=2.0)
+    ras = quickshear(head.volume, head.brain_mask, buffer_mm=2.0)
+    want = stored(ras.data)
+    assert out.data.dtype == want.dtype and out.data.tobytes() == want.tobytes()
+    np.testing.assert_array_equal(out.affine, affine)
 
 
 @pytest.mark.parametrize("buffer_mm", [-5.0, -1e-9, np.nan, np.inf])

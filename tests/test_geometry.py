@@ -1,5 +1,6 @@
 """Affine algebra, canonical reorientation, resampling."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -208,6 +209,40 @@ def test_axis_permutation_round_trip():
     data = rng.random((2, 3, 4))
     rec = geometry.AxisPermutation((2, 0, 1), (True, False, True))
     np.testing.assert_array_equal(rec.undo(rec.apply(data)), data)
+
+
+ORIENTATIONS = [(perm, flips) for perm in itertools.permutations(range(3))
+                for flips in itertools.product((False, True), repeat=3)]
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.int16, bool])
+def test_reorientation_copies_every_orientation_bit_for_bit(dtype):
+    """All 48 axis permutations and flips of a volume spanning several
+    copy tiles, with ragged last tiles: reorient_to_canonical and undo give
+    C-contiguous arrays with the bits of np.ascontiguousarray of the same
+    view, and undo gives back the original."""
+    data = np.random.default_rng(17).integers(0, 2 if dtype is bool else 1000,
+                                               size=(17, 33, 20)).astype(dtype)
+    spacing = (0.9, 1.2, 1.5)
+    for perm, flips in ORIENTATIONS:
+        aff = np.eye(4)
+        aff[:3, :3] = 0.0
+        for j in range(3):  # voxel axis perm[j] runs along world axis j
+            aff[j, perm[j]] = -spacing[j] if flips[j] else spacing[j]
+        out, rec = geometry.reorient_to_canonical(Volume(data, aff))
+        assert (rec.perm, rec.flips) == (perm, flips)
+        assert out.data.flags.c_contiguous
+        assert _same_bits(out.data, np.ascontiguousarray(rec.apply(data)))
+        back = rec.undo(out.data)
+        assert back.flags.c_contiguous
+        assert _same_bits(back, data)
+        view = np.transpose(np.flip(out.data, [j for j in range(3) if flips[j]]),
+                            np.argsort(perm))
+        assert _same_bits(back, np.ascontiguousarray(view))
 
 
 def test_resample_identity_nearest_bit_identical():

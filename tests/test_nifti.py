@@ -11,7 +11,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from defacepipe import nifti, synthetic
@@ -239,46 +239,65 @@ def test_read_qform_quaternion_past_unit_length_is_normalised(tmp_path):
 _FLOAT32 = st.floats(width=32)
 
 
-@settings(max_examples=300, derandomize=True, database=None, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(
-    byte_order=st.sampled_from("<>"),
-    dim=st.lists(st.one_of(st.integers(-2, 5), st.just(30000)), min_size=8, max_size=8),
-    datatype=st.sampled_from([0, 1, 2, 4, 8, 16, 64, 128, 256, 512, 768, 1024, -1]),
-    vox_offset=st.one_of(_FLOAT32, st.sampled_from([0.0, 348.0, 352.0, 356.0, 1e30])),
-    codes=st.tuples(st.integers(-1, 4), st.integers(-1, 4)),
-    geometry=st.lists(_FLOAT32, min_size=26, max_size=26),
-    payload=st.binary(max_size=200),
-    compress=st.booleans(),
+# dim[0..7]: a 3D volume padded with singleton dimensions up to a dim[0] of
+# 3 to 7, which the reader squeezes, or any values.
+_DIMS = st.one_of(
+    st.tuples(st.integers(3, 7), st.lists(st.integers(1, 3), min_size=3, max_size=3)).map(
+        lambda t: [t[0], *t[1], 1, 1, 1, 1]),
+    st.lists(st.one_of(st.integers(-2, 5), st.just(30000)), min_size=8, max_size=8),
 )
-def test_read_fuzzed_header_reads_or_raises_typed_error(
-    tmp_path, byte_order, dim, datatype, vox_offset, codes, geometry, payload, compress
-):
+_DATATYPES = st.one_of(
+    st.sampled_from(list(DT_CODES.values())),
+    st.sampled_from([0, 1, 2, 4, 8, 16, 64, 128, 256, 512, 768, 1024, -1]),
+)
+
+
+def test_read_fuzzed_header_reads_or_raises_typed_error(tmp_path):
     """Every header field the reader interprets, fuzzed: the file either
     reads into a volume with a finite affine and the declared 3D shape, or
-    fails with a DefacepipeError."""
-    bo = byte_order
-    hdr = bytearray(348)
-    struct.pack_into(bo + "i", hdr, 0, 348)
-    struct.pack_into(bo + "8h", hdr, 40, *dim)
-    struct.pack_into(bo + "h", hdr, 70, datatype)
-    struct.pack_into(bo + "f", hdr, 108, vox_offset)
-    struct.pack_into(bo + "2h", hdr, 252, *codes)
-    struct.pack_into(bo + "8f", hdr, 76, *geometry[:8])  # pixdim
-    struct.pack_into(bo + "6f", hdr, 256, *geometry[8:14])  # quaternion, offsets
-    struct.pack_into(bo + "12f", hdr, 280, *geometry[14:])  # srow_x, _y, _z
-    struct.pack_into("<4s", hdr, 344, b"n+1\x00")
-    blob = bytes(hdr) + bytes(4) + payload
-    path = tmp_path / "fuzz.nii"
-    path.write_bytes(gzip.compress(blob) if compress else blob)
-    try:
-        vol, _ = nifti.read_nifti(path)
-    except DefacepipeError:
-        return
-    assert vol.data.ndim == 3
-    assert vol.dims == tuple(dim[1:4])
-    assert vol.data.size * vol.data.itemsize <= len(payload)
-    assert np.isfinite(vol.affine).all()
+    fails with a DefacepipeError. Some examples read, so the properties are
+    checked, not only the errors."""
+    reads = []
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(
+        byte_order=st.sampled_from("<>"),
+        dim=_DIMS,
+        datatype=_DATATYPES,
+        vox_offset=st.one_of(st.sampled_from([0.0, 348.0, 352.0, 356.0, 1e30]), _FLOAT32),
+        codes=st.tuples(st.integers(-1, 4), st.integers(-1, 4)),
+        geometry=st.lists(_FLOAT32, min_size=26, max_size=26),
+        # past 3 * 3 * 3 float64 voxels at offset 356, or any length
+        payload=st.one_of(st.binary(min_size=220, max_size=240), st.binary(max_size=240)),
+        compress=st.booleans(),
+    )
+    def read(byte_order, dim, datatype, vox_offset, codes, geometry, payload, compress):
+        bo = byte_order
+        hdr = bytearray(348)
+        struct.pack_into(bo + "i", hdr, 0, 348)
+        struct.pack_into(bo + "8h", hdr, 40, *dim)
+        struct.pack_into(bo + "h", hdr, 70, datatype)
+        struct.pack_into(bo + "f", hdr, 108, vox_offset)
+        struct.pack_into(bo + "2h", hdr, 252, *codes)
+        struct.pack_into(bo + "8f", hdr, 76, *geometry[:8])  # pixdim
+        struct.pack_into(bo + "6f", hdr, 256, *geometry[8:14])  # quaternion, offsets
+        struct.pack_into(bo + "12f", hdr, 280, *geometry[14:])  # srow_x, _y, _z
+        struct.pack_into("<4s", hdr, 344, b"n+1\x00")
+        blob = bytes(hdr) + bytes(4) + payload
+        path = tmp_path / "fuzz.nii"
+        path.write_bytes(gzip.compress(blob) if compress else blob)
+        try:
+            vol, _ = nifti.read_nifti(path)
+        except DefacepipeError:
+            return
+        reads.append(vol.dims)
+        assert vol.data.ndim == 3
+        assert vol.dims == tuple(dim[1:4])
+        assert vol.data.size * vol.data.itemsize <= len(payload)
+        assert np.isfinite(vol.affine).all()
+
+    read()
+    assert len(reads) > 0
 
 
 def test_read_fuzzed_geometry_reads_or_raises_typed_error(tmp_path):
@@ -286,8 +305,10 @@ def test_read_fuzzed_geometry_reads_or_raises_typed_error(tmp_path):
     only the fields that set geometry and scaling fuzzed (pixdim, the
     quaternion and offsets, the srows, the qform and sform codes, scl): the
     file either reads into a volume with a finite affine and the declared
-    shape, or fails with a DefacepipeError. Most examples read, so the
-    properties are checked, not only the errors."""
+    shape, or fails with a DefacepipeError. A volume that reads holds the
+    payload decoded x fastest, with the declared scaling applied as NIfTI-1
+    defines it. Most examples read, so the properties are checked, not only
+    the errors."""
     reads = []
 
     @settings(max_examples=300, derandomize=True, database=None, deadline=None)
@@ -329,6 +350,17 @@ def test_read_fuzzed_geometry_reads_or_raises_typed_error(tmp_path):
         assert vol.dims == tuple(dims)
         assert vol.data.size * itemsize == len(payload)
         assert np.isfinite(vol.affine).all()
+        stored = np.frombuffer(payload, np.dtype(dtype).newbyteorder(bo)).reshape(
+            dims, order="F")
+        slope, inter = struct.unpack_from(bo + "2f", hdr, 112)
+        with np.errstate(all="ignore"):  # scaled past float64's range is inf
+            if slope == 0 or not np.isfinite(slope) or (slope, inter) == (1, 0):
+                want = stored.astype(dtype)
+            else:
+                want = stored.astype(np.float64) * slope + inter
+        assert vol.data.dtype == want.dtype
+        np.testing.assert_array_equal(vol.data, want)  # NaN equals NaN
+        assert vol.data.tobytes() == want.tobytes()  # and keeps its bits
 
     read()
     assert len(reads) > 0
@@ -430,6 +462,9 @@ def test_write_nonfinite_into_integer_type_fails_and_leaves_no_file(
 
 
 _SCALINGS = {False: (1.0, 0.0), True: (2.0, -3.0)}
+# Shapes spanning several tiles of volume.copy_into with ragged last tiles,
+# and ones thinner than a tile on some axes.
+RAGGED_SHAPES = [(33, 70, 17), (1, 40, 3), (40, 1, 2)]
 
 
 @pytest.mark.parametrize("dtype", list(DT_CODES))
@@ -438,37 +473,48 @@ _SCALINGS = {False: (1.0, 0.0), True: (2.0, -3.0)}
 def test_written_bytes_are_header_then_fortran_order_payload(tmp_path, dtype, byte_order, scaled):
     """Read back through write_nifti, a hand-built file comes out byte for
     byte as it went in (header, 4 zero extension bytes, x-fastest payload in
-    the header's byte order), and a .nii.gz decompresses to the same bytes."""
-    stored = np.random.default_rng(7).integers(0, 100, size=(3, 4, 5)).astype(dtype)
-    slope, inter = _SCALINGS[scaled]
-    source = build_nifti_bytes(stored, scl_slope=slope, scl_inter=inter, byte_order=byte_order)
-    src = tmp_path / "src.nii"
-    src.write_bytes(source)
-    vol, sidecar = nifti.read_nifti(src)
-    np.testing.assert_array_equal(vol.data, stored * slope + inter)
-    nifti.write_nifti(vol, sidecar, tmp_path / "out.nii")
-    nifti.write_nifti(vol, sidecar, tmp_path / "out.nii.gz")
-    assert (tmp_path / "out.nii").read_bytes() == source
-    assert gzip.decompress((tmp_path / "out.nii.gz").read_bytes()) == source
+    the header's byte order), and a .nii.gz decompresses to the same bytes.
+    The shapes past (3, 4, 5) span several tiles of the reordering copy,
+    with ragged last tiles."""
+    rng = np.random.default_rng(7)
+    for shape in [(3, 4, 5), *RAGGED_SHAPES]:
+        stored = rng.integers(0, 100, size=shape).astype(dtype)
+        slope, inter = _SCALINGS[scaled]
+        source = build_nifti_bytes(stored, scl_slope=slope, scl_inter=inter,
+                                   byte_order=byte_order)
+        src = tmp_path / "src.nii"
+        src.write_bytes(source)
+        vol, sidecar = nifti.read_nifti(src)
+        np.testing.assert_array_equal(vol.data, stored * slope + inter)
+        nifti.write_nifti(vol, sidecar, tmp_path / "out.nii")
+        nifti.write_nifti(vol, sidecar, tmp_path / "out.nii.gz")
+        assert (tmp_path / "out.nii").read_bytes() == source
+        assert gzip.decompress((tmp_path / "out.nii.gz").read_bytes()) == source
 
 
-@pytest.mark.parametrize("shape", [(3, 4, 5), (1, 1, 6), (6, 1, 1)])
+@pytest.mark.parametrize("shape", [(3, 4, 5), (1, 1, 6), (6, 1, 1), *RAGGED_SHAPES])
 @pytest.mark.parametrize("byte_order", "<>")
 @pytest.mark.parametrize("dtype, scaled", [
     (np.uint8, False), (np.int16, False), (np.int16, True), (np.float32, False),
-    (np.float64, False),
+    (np.float64, False), (np.uint8, True), (np.int32, False), (np.int32, True),
+    (np.float32, True), (np.float64, True),
 ])
 def test_read_data_is_writable_c_contiguous_native(tmp_path, shape, byte_order, dtype, scaled):
-    stored = np.arange(np.prod(shape), dtype=dtype).reshape(shape)
+    """Every datatype, byte order and scaling reads, from a .nii and from a
+    .nii.gz, into a writable C-contiguous native array of the stored
+    values, x fastest in the file."""
+    stored = (np.arange(np.prod(shape)) % 251).astype(dtype).reshape(shape)
     slope, inter = _SCALINGS[scaled]
-    path = tmp_path / "v.nii.gz"
-    path.write_bytes(gzip.compress(build_nifti_bytes(
-        stored, scl_slope=slope, scl_inter=inter, byte_order=byte_order)))
-    data = nifti.read_nifti(path)[0].data
-    assert data.flags.writeable and data.flags.c_contiguous
-    assert data.dtype.isnative
-    np.testing.assert_array_equal(data, stored * slope + inter if scaled else stored)
-    data[(0, 0, 0)] = 9  # writable in fact, not only by flag
+    blob = build_nifti_bytes(stored, scl_slope=slope, scl_inter=inter, byte_order=byte_order)
+    for name, contents in [("v.nii", blob), ("v.nii.gz", gzip.compress(blob))]:
+        path = tmp_path / name
+        path.write_bytes(contents)
+        data = nifti.read_nifti(path)[0].data
+        assert data.flags.writeable and data.flags.c_contiguous
+        assert data.dtype.isnative
+        assert data.dtype == (np.float64 if scaled else dtype)
+        np.testing.assert_array_equal(data, stored * slope + inter if scaled else stored)
+        data[(0, 0, 0)] = 9  # writable in fact, not only by flag
 
 
 def _peak_bytes_per_voxel(fn, n_voxels):
