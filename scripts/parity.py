@@ -11,13 +11,16 @@ phantom and brain mask once more, in ``noncanonical/``, stored with permuted
 and flipped voxel axes and the affine that keeps every voxel's world
 position, and runs ``quickshear --brain-mask`` and ``deface --jobs 1`` on
 it: the RAS phantoms skip the reorientation copies, this subject does not.
-Prints one
+Last it writes seed 1's phantom once more, in ``nonfinite/``, with a NaN
+and an inf voxel in the brain and in the face, and runs ``deface --jobs 1``
+and ``qc --json`` on it, so the flow also covers the non-finite voxels
+that registration reads as background. Prints one
 ``sha256  path`` line per output file, paths relative to OUTDIR. A
 ``.nii.gz`` is hashed by its decompressed stream, so a change to the
 compression alone (level, deflate stream, gzip header) leaves its hash
 unchanged. A ``_prov.json`` is hashed without its ``timing`` and
 ``input`` keys, which hold wall times and the absolute input path; the qc
-manifest, an input holding absolute paths, is not hashed. Run it at two
+manifests, inputs holding absolute paths, are not hashed. Run it at two
 commits and diff the output: an empty diff means the seeded outputs are
 byte-identical once decompressed. To check a change against a commit whose
 script lacks part of this flow, copy this script into that commit's
@@ -93,6 +96,24 @@ def write_noncanonical(ras: Path, out: Path) -> Path:
     return out / "phantom.nii.gz"
 
 
+def write_nonfinite(ras: Path, out: Path) -> Path:
+    """Write the phantom in directory ras to directory out with a NaN and
+    an inf voxel each in its brain and in its face; return its path."""
+    from defacepipe import nifti
+    from defacepipe.volume import Volume
+
+    out.mkdir()
+    volume, sidecar = nifti.read_nifti(ras / "phantom.nii.gz")
+    data = volume.data.copy()
+    brain = np.argwhere(nifti.read_nifti(ras / "phantom_brainmask.nii.gz")[0].data)
+    face = np.argwhere(nifti.read_nifti(ras / "phantom_facemask.nii.gz")[0].data)
+    for voxel, value in zip((brain[0], brain[len(brain) // 2], face[0], face[-1]),
+                            (np.nan, np.inf, np.nan, np.inf)):
+        data[tuple(voxel)] = value
+    nifti.write_nifti(Volume(data, volume.affine), sidecar, out / "phantom.nii.gz")
+    return out / "phantom.nii.gz"
+
+
 def run_flow(out: Path) -> None:
     for seed in (0, *SUBJECT_SEEDS):
         _run(["phantom", "--seed", str(seed), "--output-dir", str(out / f"seed-{seed}")])
@@ -117,6 +138,14 @@ def run_flow(out: Path) -> None:
     _run(["deface", str(stored), "--jobs", "1",
           "--template", str(out / "pack" / "phantom_stripped.nii.gz"),
           "--face-mask", str(out / "pack" / "phantom_keepmask.nii.gz")])
+
+    spoiled = write_nonfinite(out / f"seed-{SUBJECT_SEEDS[0]}", out / "nonfinite")
+    _run(["deface", str(spoiled), "--jobs", "1",
+          "--template", str(out / "pack" / "phantom_stripped.nii.gz"),
+          "--face-mask", str(out / "pack" / "phantom_keepmask.nii.gz")])
+    manifest = spoiled.parent / MANIFEST
+    manifest.write_text(f"{spoiled} {spoiled.parent / 'phantom_defaced.nii.gz'}\n")
+    _run(["qc", str(manifest), "--json", str(spoiled.parent / "qc.json")])
 
 
 def main(argv=None) -> int:

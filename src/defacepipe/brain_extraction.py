@@ -61,7 +61,7 @@ def fallback_extract(v: Volume) -> BinaryMask:
         # extractions of the same anatomy (say, before and after defacing)
         # would flip boundary voxels; half the foreground median stays put.
         t = 0.5 * float(np.median(upper))
-    fg = BinaryMask(v.data > t, v.affine.copy())
+    fg = BinaryMask(v.data > t, v.affine)
     if not fg.data.any():
         raise EmptyMask("no foreground above Otsu threshold")
     closed = morphology.erode(morphology.dilate(fg, CLOSING_MM), CLOSING_MM)

@@ -124,7 +124,7 @@ def deface(
     with _stage(8, seconds):
         safe_canon = union(keep_reg, dilated)
     with _stage(9, seconds):
-        safe_native = BinaryMask(perm.undo(safe_canon.data), input_volume.affine.copy())
+        safe_native = BinaryMask(perm.undo(safe_canon.data), input_volume.affine)
         defaced = apply_mask(input_volume, safe_native)
 
     provenance = {
@@ -240,14 +240,14 @@ def quickshear(input_volume: Volume, brain: BinaryMask, buffer_mm: float = 5.0) 
     """
     check_same_grid(input_volume, brain)
     canon_vol, perm = geometry.reorient_to_canonical(input_volume)
-    canon_brain = BinaryMask(perm.apply(brain.data), canon_vol.affine.copy())
+    canon_brain = BinaryMask(perm.apply(brain.data), canon_vol.affine)
 
     face_side = _shear_plane(canon_brain, buffer_mm)
-    keep = BinaryMask(~face_side, canon_vol.affine.copy())
+    keep = BinaryMask(~face_side, canon_vol.affine)
     out_canon = apply_mask(canon_vol, keep)
     return Volume(
         perm.undo(out_canon.data),
-        input_volume.affine.copy(),
+        input_volume.affine,
     )
 
 
@@ -281,11 +281,11 @@ def make_template_pack(
     face_side = _shear_plane(brain, buffer_mm)
 
     head_fg = canon.data > otsu_threshold(canon.data) * 0.25
-    face_tissue = dilate(BinaryMask(face_side & head_fg, canon.affine.copy()), face_dilate_mm)
+    face_tissue = dilate(BinaryMask(face_side & head_fg, canon.affine), face_dilate_mm)
     # Dilation may creep back across the plane; never remove brain.
     removal = face_tissue.data & ~brain.data
 
     return TemplatePack(
         template=stripped,
-        keep_mask=BinaryMask(~removal, canon.affine.copy()),
+        keep_mask=BinaryMask(~removal, canon.affine),
     )

@@ -76,15 +76,9 @@ def multilabel_dice(a: Volume, b: Volume) -> dict[int, float]:
     volume; 0 is background."""
     check_same_grid(a, b)
     labels = np.union1d(np.unique(a.data), np.unique(b.data))
-    out = {}
-    for lab in labels:
-        if lab == 0:
-            continue
-        am = a.data == lab
-        bm = b.data == lab
-        denom = int(am.sum()) + int(bm.sum())
-        out[int(lab)] = 2.0 * int((am & bm).sum()) / denom
-    return out
+    return {int(lab): dice(BinaryMask(a.data == lab, a.affine),
+                           BinaryMask(b.data == lab, b.affine))
+            for lab in labels if lab != 0}
 
 
 def propagate_labels(

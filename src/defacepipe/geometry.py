@@ -19,31 +19,20 @@ def translation(t) -> np.ndarray:
     return m
 
 
-def _euler(rotation) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The x, y and z rotation matrices of Euler angles in radians."""
-    rx, ry, rz = rotation
-    cx, sx = np.cos(rx), np.sin(rx)
-    cy, sy = np.cos(ry), np.sin(ry)
-    cz, sz = np.cos(rz), np.sin(rz)
-    return (
-        np.array([[1, 0, 0], [0, cx, -sx], [0, sx, cx]]),
-        np.array([[cy, 0, sy], [0, 1, 0], [-sy, 0, cy]]),
-        np.array([[cz, -sz, 0], [sz, cz, 0], [0, 0, 1]]),
-    )
-
-
-def _shear(shear) -> np.ndarray:
-    hxy, hxz, hyz = shear
-    return np.array([[1, hxy, hxz], [0, 1, hyz], [0, 0, 1]])
-
-
 def affine_matrix(translation, rotation, scale, shear, center) -> np.ndarray:
     """12-dof transform about a center: x -> R Z H (x - c) + c + t, with
     R = Rz Ry Rx from Euler angles in radians, Z = diag(scale) (linear, per
     axis) and H the upper unit-triangular shear (hxy, hxz, hyz)."""
-    rot_x, rot_y, rot_z = _euler(rotation)
-    rot = rot_z @ rot_y @ rot_x
-    lin = rot @ np.diag(scale) @ _shear(shear)
+    rx, ry, rz = rotation
+    cx, sx = np.cos(rx), np.sin(rx)
+    cy, sy = np.cos(ry), np.sin(ry)
+    cz, sz = np.cos(rz), np.sin(rz)
+    hxy, hxz, hyz = shear
+    lin = (np.array([[cz, -sz, 0], [sz, cz, 0], [0, 0, 1]])
+           @ np.array([[cy, 0, sy], [0, 1, 0], [-sy, 0, cy]])
+           @ np.array([[1, 0, 0], [0, cx, -sx], [0, sx, cx]])
+           @ np.diag(scale)
+           @ np.array([[1, hxy, hxz], [0, 1, hyz], [0, 0, 1]]))
     center = np.asarray(center, dtype=np.float64)
     m = np.eye(4)
     m[:3, :3] = lin
@@ -116,7 +105,7 @@ def reorient_to_canonical(v: Volume) -> tuple[Volume, AxisPermutation]:
 
     rec = AxisPermutation(perm, flips)
     if rec.is_identity:
-        return Volume(v.data, v.affine.copy()), rec
+        return Volume(v.data, v.affine), rec
 
     aff = v.affine.copy()
     # Flip columns in source-axis terms first, then permute.
@@ -125,12 +114,11 @@ def reorient_to_canonical(v: Volume) -> tuple[Volume, AxisPermutation]:
         if flips[j]:
             aff[:3, 3] += aff[:3, i] * (v.dims[i] - 1)
             aff[:3, i] = -aff[:3, i]
-    out_aff = aff.copy()
-    out_aff[:3, :3] = aff[:3, [perm[0], perm[1], perm[2]]]
+    aff[:3, :3] = aff[:3, list(perm)]  # the fancy index reads a copy
     view = rec.apply(v.data)
     data = np.empty(view.shape, view.dtype)
     copy_into(data, view)
-    return Volume(data, out_aff), rec
+    return Volume(data, aff), rec
 
 
 def resample(
@@ -171,4 +159,4 @@ def resample(
     if not nearest and np.issubdtype(dtype, np.integer):
         np.rint(out, out=out)
     data = out.view(dtype) if nearest else out.astype(dtype, copy=False)
-    return type(source)(data, np.asarray(target_affine, float).copy())
+    return type(source)(data, target_affine)

@@ -49,10 +49,10 @@ def _on_bbox(m: BinaryMask, margin, op) -> BinaryMask:
     caller chooses margin so that this equals op on the whole grid."""
     box = _bbox(m.data, margin)
     if box is None:
-        return BinaryMask(m.data.copy(), m.affine.copy())
+        return BinaryMask(m.data.copy(), m.affine)
     out = np.zeros(m.dims, dtype=bool)
     out[box] = op(m.data[box])
-    return BinaryMask(out, m.affine.copy())
+    return BinaryMask(out, m.affine)
 
 
 def check_radius(radius_mm: float, name: str = "radius_mm") -> None:
@@ -68,7 +68,7 @@ def dilate(m: BinaryMask, radius_mm: float) -> BinaryMask:
     A negative or non-finite radius raises ValueError."""
     check_radius(radius_mm)
     if radius_mm == 0:
-        return BinaryMask(m.data.copy(), m.affine.copy())
+        return BinaryMask(m.data.copy(), m.affine)
     sp = np.asarray(m.spacing, dtype=np.float64)
     reach = np.floor(radius_mm / sp + 1e-9).astype(int)
     if (reach * 2 + 1).prod() > 125:
@@ -95,7 +95,7 @@ def erode(m: BinaryMask, radius_mm: float) -> BinaryMask:
     raises ValueError."""
     check_radius(radius_mm)
     if radius_mm == 0:
-        return BinaryMask(m.data.copy(), m.affine.copy())
+        return BinaryMask(m.data.copy(), m.affine)
     structure = ball_structure(radius_mm, m.spacing)
     return _on_bbox(m, 0, lambda crop: ndimage.binary_erosion(crop, structure=structure))
 
@@ -103,12 +103,12 @@ def erode(m: BinaryMask, radius_mm: float) -> BinaryMask:
 def apply_mask(v: Volume, m: BinaryMask) -> Volume:
     check_same_grid(v, m)
     out = np.where(m.data, v.data, 0).astype(v.data.dtype)
-    return Volume(out, v.affine.copy())
+    return Volume(out, v.affine)
 
 
 def union(a: BinaryMask, b: BinaryMask) -> BinaryMask:
     check_same_grid(a, b)
-    return BinaryMask(a.data | b.data, a.affine.copy())
+    return BinaryMask(a.data | b.data, a.affine)
 
 
 def largest_connected_component(m: BinaryMask) -> BinaryMask:

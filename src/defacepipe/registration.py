@@ -36,13 +36,17 @@ the jittered samples of one eroded foreground mask and their fixed bins);
 against one template prepares the template once. Each of them first reads
 a non-finite voxel of its image as background 0. Both images are smoothed
 and interpolated alike at each level, so at the fine level the fixed image
-is read unsmoothed, as the moving one is. A coarse level's Gaussian
-smoothing runs one axis at a time, on the nonzero voxels' bounding box and
-at the level's grid points only: the same values, bit for bit, as smoothing
-the whole grid and then striding it.
+is read unsmoothed, as the moving one is. ``_level`` builds every level of
+both: it writes the level's float64 voxels once, into the zero-padded array
+the kernel reads, and windows them, so the fine level is one cast of the
+image. A coarse level's Gaussian smoothing runs one axis at a time, on the
+nonzero voxels' bounding box, cropped before the cast, and at the level's
+grid points only: the same values, bit for bit, as smoothing the whole grid
+and then striding it.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy import ndimage, optimize
@@ -150,11 +154,6 @@ def _foreground_centroid(v: Volume) -> np.ndarray:
 _MARGIN = 2
 
 
-def _pad(data: np.ndarray) -> np.ndarray:
-    """data as float64 with _MARGIN zero voxels on each side of each axis."""
-    return np.pad(np.asarray(data, dtype=np.float64), _MARGIN)
-
-
 # Most samples per _trilinear block, n being split into equal blocks: one
 # for each of a 64^3 deface's coarse levels (280 and 2,250 samples) and
 # two for its fine level (17,634), where smaller blocks cost more calls.
@@ -165,11 +164,12 @@ _BLOCK = 1 << 14
 
 
 def _trilinear(padded: np.ndarray, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Trilinear values (n,) and voxel gradients (3, n) of the volume that
-    ``_pad`` padded, at voxel coordinates (3, n) of the unpadded volume,
-    each clamped into the margin, [-2, dims]. Below -1 and from dims up both
-    corners along an axis are padding, so a point there reads 0 with a zero
-    gradient; between, the image falls linearly to 0 over one voxel.
+    """Trilinear values (n,) and voxel gradients (3, n) of a volume padded
+    with _MARGIN zero voxels per side, as a level's ``padded`` array is, at
+    voxel coordinates (3, n) of the unpadded volume, each clamped into the
+    margin, [-2, dims]. Below -1 and from dims up both corners along an axis
+    are padding, so a point there reads 0 with a zero gradient; between, the
+    image falls linearly to 0 over one voxel.
 
     The interpolation is seven linear ones, low + t (high - low), t being
     the point's offset from its lower corner: the four corner pairs along
@@ -238,7 +238,21 @@ def _trilinear(padded: np.ndarray, coords: np.ndarray) -> tuple[np.ndarray, np.n
     return values, grad
 
 
-def _downsample(v: Volume, factor: int, sigma_mm: float) -> Volume:
+class _Level(NamedTuple):
+    """One pyramid level of an image: its voxels as float64 with _MARGIN
+    zero voxels on each side of each axis, its voxel -> world affine, and
+    the robust_range window of its voxels."""
+
+    padded: np.ndarray
+    affine: np.ndarray
+    window: tuple[float, float]
+
+    @property
+    def dims(self) -> tuple[int, int, int]:
+        return tuple(n - 2 * _MARGIN for n in self.padded.shape)
+
+
+def _level(v: Volume, factor: int, sigma_mm: float) -> _Level:
     """v smoothed by sigma_mm and read at every factor-th voxel from voxel 0
     of each axis, plus the last voxel where that stride misses it, so that
     the coarse grid reaches the last voxel plane.
@@ -246,28 +260,33 @@ def _downsample(v: Volume, factor: int, sigma_mm: float) -> Volume:
     The smoothing is ``ndimage.gaussian_filter``'s, bit for bit, computed at
     the kept points only: one axis at a time, each filtered at its full
     length, so that its ``reflect`` boundary is unchanged, then cut to its
-    kept indices. The axes not yet filtered stay cropped to the nonzero
-    voxels' bounding box, since the lines outside it hold only zeros, which
-    filter to zeros (a -0.0 there reads as +0.0). Unsmoothed, a level is a
-    plain gather, and at factor 1 the data itself.
+    kept indices. The voxels are cropped to the nonzero voxels' bounding box
+    before they are cast to float64, and the axes not yet filtered stay
+    cropped, since the lines outside it hold only zeros, which filter to
+    zeros (a -0.0 there reads as +0.0). Unsmoothed, a level is a plain
+    gather, and at factor 1 the data itself. Either way its values are
+    written once, into the padded array.
     """
-    data = np.asarray(v.data, dtype=np.float64)
     keep = [np.minimum(np.arange(0, n + (-(n - 1)) % factor, factor), n - 1)
-            for n in data.shape]
+            for n in v.dims]
+    padded = np.zeros([len(k) + 2 * _MARGIN for k in keep])
+    inner = padded[(slice(_MARGIN, -_MARGIN),) * 3]
     if sigma_mm > 0:
         # an all-zero volume crops to nothing and pads back to zeros
-        box = _bbox(data != 0) or (slice(0, 0),) * 3
-        data = data[box]
+        box = _bbox(v.data != 0) or (slice(0, 0),) * 3
+        data = v.data[box]
         for axis, sigma in enumerate(sigma_mm / v.spacing):
-            width = [(0, 0)] * 3
-            width[axis] = (box[axis].start, v.dims[axis] - box[axis].stop)
-            data = ndimage.gaussian_filter1d(np.pad(data, width), sigma, axis=axis)
+            # the axis at its full length, zero outside the box, in float64
+            line = np.zeros(data.shape[:axis] + (v.dims[axis],) + data.shape[axis + 1:])
+            line[(slice(None),) * axis + (box[axis],)] = data
+            data = ndimage.gaussian_filter1d(line, sigma, axis=axis)
             data = data.take(keep[axis], axis=axis)
-    elif factor > 1:
-        data = data[np.ix_(*keep)]
+        inner[...] = data
+    else:
+        inner[...] = v.data[np.ix_(*keep)] if factor > 1 else v.data
     aff = v.affine.copy()
     aff[:3, :3] *= factor
-    return Volume(np.ascontiguousarray(data), aff)
+    return _Level(padded, aff, robust_range(inner))
 
 
 # Bounds of |translation| (mm) and of each entry of L - I. A bound of 1 on
@@ -320,7 +339,7 @@ def prepare(fixed: Volume) -> FixedSide:
 
     Every level samples one mask, the fixed foreground eroded by 2 voxels
     at full resolution, at the level's grid points: coarse voxel k is
-    full-resolution voxel factor * k, as ``_downsample`` strides it. Raises
+    full-resolution voxel factor * k, as ``_level`` strides it. Raises
     EmptyMask when a level's grid points hold no voxel of that mask.
     """
     fixed = _zero_non_finite(fixed)
@@ -331,8 +350,7 @@ def prepare(fixed: Volume) -> FixedSide:
     interior = ndimage.binary_erosion(fixed.data > 0, iterations=2)
     levels = []
     for level, (factor, sigma) in enumerate(LEVELS):
-        f_level = _downsample(fixed, factor, sigma)
-        fixed_range = robust_range(f_level.data)
+        f_level = _level(fixed, factor, sigma)
         fg = np.argwhere(interior[::factor, ::factor, ::factor]).astype(np.float64)
         if fg.shape[0] == 0:
             raise EmptyMask(
@@ -344,14 +362,14 @@ def prepare(fixed: Volume) -> FixedSide:
         # duplication halves the sampling noise it introduces.
         fg = np.concatenate([fg + rng.uniform(-0.5, 0.5, fg.shape) for _ in range(2)])
         fg = np.clip(fg, 0.0, np.asarray(f_level.dims, dtype=np.float64) - 1.0)
-        fixed_vals, _ = _trilinear(_pad(f_level.data), fg.T)
+        fixed_vals, _ = _trilinear(f_level.padded, fg.T)
         levels.append(_FixedLevel(
             factor=factor,
             sigma=sigma,
             affine=_frozen(f_level.affine),
             fgT=_frozen(np.ascontiguousarray(fg.T)),
             fixed_bins=_frozen(
-                _bin_indices(fixed_vals, fixed_range, RegistrationConfig.bins)),
+                _bin_indices(fixed_vals, f_level.window, RegistrationConfig.bins)),
         ))
     return FixedSide(center, tuple(levels))
 
@@ -389,30 +407,28 @@ def _log_ratio_steps(counts: np.ndarray) -> np.ndarray:
     return np.diff(np.log(log_ratio, out=log_ratio).ravel())
 
 
-def _level_cost(f_level: _FixedLevel, m_level: Volume, center: np.ndarray, bins: int):
+def _level_cost(f_level: _FixedLevel, m_level: _Level, center: np.ndarray, bins: int):
     """(value, gradient): the cost -MI of one pyramid level and its
     gradient, as functions of the optimizer-unit parameters x (internal
     parameters x * _UNITS). Both come from one pass over every sample, and
     the last point is kept, because L-BFGS-B asks for the value and the
     gradient of each point in separate calls.
     """
-    moving_range = robust_range(m_level.data)
     # The cost interpolates the moving intensity before binning instead of
     # spreading partial-volume weights: PV weighting couples the histogram
     # to the sampling grid and displaces the MI optimum by more than the
     # recovery tolerance.
-    mpadded = _pad(m_level.data)
     m_inv = invert(m_level.affine)
     # d(bin position) / d(moving value) inside the window's range
-    slope = bins / (moving_range[1] - moving_range[0])
+    slope = bins / (m_level.window[1] - m_level.window[0])
     row_cells = f_level.fixed_bins * bins
     last = {}
 
     def evaluate(x):
         if "x" in last and np.array_equal(last["x"], x):
             return last["value"], last["gradient"]
-        vals, vgrad = _trilinear(mpadded, _moving_voxels(f_level, m_inv, center, x))
-        b0, w1, sloped = _parzen_window(vals, moving_range, bins)
+        vals, vgrad = _trilinear(m_level.padded, _moving_voxels(f_level, m_inv, center, x))
+        b0, w1, sloped = _parzen_window(vals, m_level.window, bins)
         cells = row_cells + b0
         counts = _joint_counts(cells, w1, bins)
         value = -mutual_information(counts)
@@ -467,7 +483,7 @@ def register_affine(fixed: FixedSide, moving: Volume) -> tuple[np.ndarray, dict]
     diagnostics = {"levels": [], "seed": RegistrationConfig.seed,
                    "bins": RegistrationConfig.bins}
     for f_level in fixed.levels:
-        m_level = _downsample(moving, f_level.factor, f_level.sigma)
+        m_level = _level(moving, f_level.factor, f_level.sigma)
         value, gradient = _level_cost(f_level, m_level, center, RegistrationConfig.bins)
         res = optimize.minimize(
             value, x, jac=gradient, method="L-BFGS-B", bounds=_UNIT_BOUNDS,

@@ -41,13 +41,24 @@ def copy_into(dst: np.ndarray, src: np.ndarray) -> None:
                 dst[block] = src[block]
 
 
+@dataclass
 class Grid:
     """Geometry shared by every array on a grid: a 3D ``data`` array indexed
     [x, y, z] and a 4x4 ``affine`` mapping homogeneous voxel indices to
-    world mm."""
+    world mm. The grid keeps its own read-only float64 copy of the affine,
+    so no caller needs to copy one in, and no grid can change another's."""
 
     data: np.ndarray
     affine: np.ndarray
+
+    def __post_init__(self):
+        if self.data.ndim != 3:
+            raise ValueError(f"expected 3D data, got shape {self.data.shape}")
+        affine = np.array(self.affine, dtype=np.float64)
+        if affine.shape != (4, 4):
+            raise ValueError(f"affine must be 4x4, got shape {affine.shape}")
+        affine.flags.writeable = False
+        self.affine = affine
 
     @property
     def dims(self) -> tuple[int, int, int]:
@@ -73,32 +84,19 @@ class Volume(Grid):
     voxel a mask removes or a resample leaves uncovered, is 0.
     """
 
-    data: np.ndarray
-    affine: np.ndarray
-
-    def __post_init__(self):
-        if self.data.ndim != 3:
-            raise ValueError(f"expected 3D data, got shape {self.data.shape}")
-        self.affine = np.asarray(self.affine, dtype=np.float64)
-        if self.affine.shape != (4, 4):
-            raise ValueError("affine must be 4x4")
-
 
 @dataclass
 class BinaryMask(Grid):
-    """A {0,1} volume on a stated grid."""
-
-    data: np.ndarray  # bool
-    affine: np.ndarray
+    """A {0,1} volume on a stated grid, its data bool."""
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=bool)  # bool data is not copied
-        self.affine = np.asarray(self.affine, dtype=np.float64)
+        super().__post_init__()
 
     @classmethod
     def from_volume(cls, v: Volume) -> "BinaryMask":
         """Every voxel of v above 0 (a NaN voxel is not)."""
-        return cls(v.data > 0, v.affine.copy())
+        return cls(v.data > 0, v.affine)
 
     def count(self) -> int:
         return int(self.data.sum())

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,12 +15,12 @@ from defacepipe.geometry import affine_matrix, invert, translation
 from defacepipe.volume import Volume
 from defacepipe.registration import (
     RegistrationConfig,
-    _downsample,
+    _MARGIN,
     _fixed_to_moving,
     _joint_counts,
+    _level,
     _level_cost,
     _log_ratio_steps,
-    _pad,
     _parzen_window,
     _trilinear,
     _UNIT_BOUNDS,
@@ -135,6 +136,12 @@ def test_mi_invariant_under_affine_intensity_remap():
     assert mi[0] == pytest.approx(mi[1], abs=1e-9)
 
 
+def padded(data):
+    """data as the trilinear kernel reads it: its unsmoothed full-resolution
+    level's zero-padded array."""
+    return _level(Volume(data, np.eye(4)), 1, 0.0).padded
+
+
 def boundary_coords(dims, rng, n=400):
     """Voxel coordinates in [0, dims - 1] (3, m): random points, integer
     points, the far corner, points on every face, and points on every
@@ -168,15 +175,15 @@ def test_trilinear_matches_map_coordinates(dims, sign):
     elif sign == "mixed":
         data -= 50.0
     coords = boundary_coords(dims, rng)
-    padded = _pad(data)
+    array = padded(data)
     want = ndimage.map_coordinates(data, coords, order=1)
     atol = 1e-12 * np.abs(data).max()
-    np.testing.assert_allclose(_trilinear(padded, coords)[0], want, rtol=0, atol=atol)
+    np.testing.assert_allclose(_trilinear(array, coords)[0], want, rtol=0, atol=atol)
     # One point at a time too: no value may depend on how many points a
     # call takes.
     for k in range(0, coords.shape[1], 7):
         np.testing.assert_allclose(
-            _trilinear(padded, coords[:, k:k + 1])[0], want[k:k + 1], rtol=0, atol=atol)
+            _trilinear(array, coords[:, k:k + 1])[0], want[k:k + 1], rtol=0, atol=atol)
 
 
 def test_trilinear_gradient_matches_finite_differences():
@@ -186,19 +193,19 @@ def test_trilinear_gradient_matches_finite_differences():
     rng = np.random.default_rng(31)
     dims = (9, 11, 13)
     data = rng.uniform(-50.0, 50.0, dims)
-    padded = _pad(data)
+    array = padded(data)
     hi = np.asarray(dims, dtype=np.float64).reshape(3, 1) - 1.0
     coords = np.floor(rng.uniform(0.0, 1.0, (3, 500)) * hi) + rng.uniform(0.1, 0.9, (3, 500))
     on_plane = np.floor(coords[:, :100])
     on_plane[:, 0] = 0.0
     h = 1e-3
     for points, offset in ((coords, (-h, h)), (on_plane, (0.0, h))):
-        _, grad = _trilinear(padded, points)
+        _, grad = _trilinear(array, points)
         for axis in range(3):
             step = np.zeros((3, 1))
             step[axis] = 1.0
-            below, _ = _trilinear(padded, points + offset[0] * step)
-            above, _ = _trilinear(padded, points + offset[1] * step)
+            below, _ = _trilinear(array, points + offset[0] * step)
+            above, _ = _trilinear(array, points + offset[1] * step)
             fd = (above - below) / (offset[1] - offset[0])
             np.testing.assert_allclose(grad[axis], fd, rtol=1e-6, atol=1e-6)
 
@@ -209,13 +216,13 @@ def test_trilinear_blocks_match_one_block(monkeypatch):
     rng = np.random.default_rng(9)
     data = rng.uniform(-50.0, 50.0, (17, 23, 31))
     coords = boundary_coords(data.shape, rng)
-    padded = _pad(data)
-    whole, whole_grad = _trilinear(padded, coords)
+    array = padded(data)
+    whole, whole_grad = _trilinear(array, coords)
     want = ndimage.map_coordinates(data, coords, order=1)
     n = coords.shape[1]
     for block in (1, 100, n - 1, n, n + 1):
         monkeypatch.setattr(registration, "_BLOCK", block)
-        blocked, blocked_grad = _trilinear(padded, coords)
+        blocked, blocked_grad = _trilinear(array, coords)
         assert np.array_equal(blocked, whole), block
         assert np.array_equal(blocked_grad, whole_grad), block
         np.testing.assert_allclose(blocked, want, rtol=0, atol=1e-12 * np.abs(data).max(),
@@ -242,7 +249,7 @@ def test_log_ratio_steps_read_as_two_cells():
 
 
 def test_trilinear_of_no_samples_is_empty():
-    values, grad = _trilinear(_pad(np.ones((4, 5, 6))), np.empty((3, 0)))
+    values, grad = _trilinear(padded(np.ones((4, 5, 6))), np.empty((3, 0)))
     assert values.shape == (0,) and grad.shape == (3, 0)
 
 
@@ -264,9 +271,9 @@ def test_trilinear_reads_zero_outside_the_volume(dims):
             face = inside.copy()
             face[axis] = value
             cases.append(face)
-    padded = _pad(data)
+    array = padded(data)
     for coords in cases:
-        values, grad = _trilinear(padded, coords)
+        values, grad = _trilinear(array, coords)
         assert np.array_equal(values, np.zeros(coords.shape[1]))
         assert np.array_equal(grad, np.zeros(coords.shape))
 
@@ -275,30 +282,36 @@ def test_trilinear_is_continuous_across_the_edge():
     """Between the last voxel plane and one voxel beyond it, the image falls
     linearly to 0: no jump at the volume's edge, on either side."""
     data = np.full((4, 5, 6), 10.0)
-    padded = _pad(data)
+    array = padded(data)
     t = np.linspace(0.0, 1.0, 11)
     for axis, n in enumerate(data.shape):
         for edge, outward in ((0.0, -1.0), (n - 1.0, 1.0)):
             coords = np.full((3, t.size), 1.5)
             coords[axis] = edge + outward * t
-            values, _ = _trilinear(padded, coords)
+            values, _ = _trilinear(array, coords)
             np.testing.assert_allclose(values, 10.0 * (1.0 - t), atol=1e-12)
 
 
 @pytest.mark.parametrize("factor", [4, 2])
 def test_downsample_grid_reaches_last_voxel_plane(head, factor):
-    coarse = _downsample(head.volume, factor, float(factor))
+    coarse = _level(head.volume, factor, float(factor))
     last = coarse.affine @ np.append(np.asarray(coarse.dims) - 1.0, 1.0)
     assert np.all(last[:3] >= 63.0)
     # the grid still starts at voxel 0 with spacing factor
     np.testing.assert_array_equal(coarse.affine[:3, 3], head.volume.affine[:3, 3])
-    assert np.all(coarse.spacing == factor)
+    assert np.all(np.linalg.norm(coarse.affine[:3, :3], axis=0) == factor)
     # and its last plane along each axis holds the smoothed last voxel plane
     smooth = ndimage.gaussian_filter(head.volume.data.astype(np.float64), float(factor))
     keep = np.append(np.arange(0, 63, factor), 63)
+    data = unpadded(coarse.padded)
     for axis in range(3):
         want = np.moveaxis(smooth, axis, 0)[63][np.ix_(keep, keep)]
-        np.testing.assert_array_equal(np.moveaxis(coarse.data, axis, 0)[-1], want)
+        np.testing.assert_array_equal(np.moveaxis(data, axis, 0)[-1], want)
+
+
+def unpadded(array):
+    """A level's voxels: its padded array without the margin."""
+    return array[(slice(_MARGIN, -_MARGIN),) * 3]
 
 
 def whole_grid_downsample(v, factor, sigma_mm):
@@ -317,7 +330,9 @@ def whole_grid_downsample(v, factor, sigma_mm):
 def test_downsample_matches_the_whole_grid_filter_bit_for_bit():
     """On random nonzero boxes in grids of 2-39 voxels per axis, anisotropic
     spacing, all-zero volumes, a NaN voxel and float32 data, every
-    (factor, sigma) pair reads exactly what the whole-grid filter does."""
+    (factor, sigma) pair's level holds exactly what the whole-grid filter
+    reads, inside a margin of exact float64 zeros, and its window is that
+    reading's robust_range."""
     rng = np.random.default_rng(22)
     pairs = [(4, 4.0), (2, 2.0), (1, 0.0), (3, 1.5), (2, 0.0), (1, 1.0)]
     for trial in range(80):
@@ -335,10 +350,36 @@ def test_downsample_matches_the_whole_grid_filter_bit_for_bit():
         affine = np.diag([*rng.uniform(0.5, 3.0, 3), 1.0])
         v = Volume(data, affine)
         for factor, sigma in pairs:
-            got = _downsample(v, factor, sigma)
+            got = _level(v, factor, sigma)
             want = whole_grid_downsample(v, factor, sigma)
-            assert np.array_equal(got.data, want, equal_nan=True), (trial, factor, sigma)
+            case = (trial, factor, sigma)
+            assert got.padded.dtype == np.float64
+            assert got.padded.shape == tuple(n + 2 * _MARGIN for n in want.shape), case
+            assert np.array_equal(unpadded(got.padded), want, equal_nan=True), case
+            margin = got.padded.copy()
+            unpadded(margin)[...] = 0.0
+            assert not margin.any() and not np.signbit(margin).any(), case
+            assert np.array_equal(got.window, robust_range(want), equal_nan=True), case
             np.testing.assert_array_equal(got.affine[:3, :3], affine[:3, :3] * factor)
+
+
+def test_fine_level_casts_the_volume_once():
+    """The unsmoothed full-resolution level of a float32 64^3 volume
+    allocates its padded float64 array and robust_range's one float64
+    temporary, and no float64 copy of the volume besides: built, the level
+    holds the padded array alone."""
+    data = np.random.default_rng(6).normal(100.0, 30.0, (64, 64, 64)).astype(np.float32)
+    v = Volume(data, np.eye(4))
+    tracemalloc.start()
+    try:
+        level = _level(v, 1, 0.0)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert level.padded.shape == (68, 68, 68)
+    slack = 1 << 16
+    assert held < level.padded.nbytes + slack, held  # 2.52 MB
+    assert peak < level.padded.nbytes + data.size * 8 + slack, peak  # 2.52 + 2.10 MB
 
 
 def test_foreground_centroid_matches_index_formula():
@@ -503,8 +544,8 @@ def test_cost_gradient_matches_central_differences(head):
     rng = np.random.default_rng(8)
     truth = parameters(invert(phantom.true_transform), fixed.center)
     for f_level in fixed.levels:
-        m_level = _downsample(subject, f_level.factor, f_level.sigma)
-        value, gradient = _level_cost(f_level, m_level, fixed.center, 32)
+        value, gradient = _level_cost(
+            f_level, _level(subject, f_level.factor, f_level.sigma), fixed.center, 32)
         x = truth + 2.0 + rng.normal(0.0, 0.5, 12)
         h = 1e-3
         fd = np.array([(value(x + h * e) - value(x - h * e)) / (2 * h) for e in np.eye(12)])
@@ -513,18 +554,23 @@ def test_cost_gradient_matches_central_differences(head):
         np.testing.assert_allclose(g, fd, rtol=0, atol=0.01 * np.abs(g).max())
 
 
-def plain_level_cost(f_level, m_level, center, bins, x):
-    """One level's (value, gradient) at x, each formula in its plainest
-    form: sample coordinates from the samples in column-major order, the
-    Parzen expression in one line, the upper weights tallied at cells + 1,
-    log ratios through boolean indexing, and the moment's last column as a
-    sum of the scaled gradients."""
-    lo, hi = robust_range(m_level.data)
+def plain_level_cost(f_level, moving, center, bins, x):
+    """One level's (value, gradient) at x against the moving image's level
+    read by whole_grid_downsample, each formula in its plainest form: the
+    level padded by np.pad and windowed by robust_range here, sample
+    coordinates from the samples in column-major order, the Parzen
+    expression in one line, the upper weights tallied at cells + 1, log
+    ratios through boolean indexing, and the moment's last column as a sum
+    of the scaled gradients."""
+    data = whole_grid_downsample(moving, f_level.factor, f_level.sigma)
+    lo, hi = robust_range(data)
     slope = bins / (hi - lo)
-    m_inv = invert(m_level.affine)
+    m_affine = moving.affine.copy()
+    m_affine[:3, :3] *= f_level.factor
+    m_inv = invert(m_affine)
     fgT = np.asfortranarray(f_level.fgT)
     vox_map = m_inv @ _fixed_to_moving(x, center) @ f_level.affine
-    vals, vgrad = _trilinear(_pad(m_level.data), vox_map[:3, :3] @ fgT + vox_map[:3, 3:4])
+    vals, vgrad = _trilinear(np.pad(data, _MARGIN), vox_map[:3, :3] @ fgT + vox_map[:3, 3:4])
     raw = (vals - lo) / (hi - lo) * bins - 0.5
     pos = np.clip(raw, 0.0, bins - 1.0)
     b0 = np.minimum(pos.astype(np.intp), bins - 2)
@@ -553,16 +599,18 @@ def plain_level_cost(f_level, m_level, center, bins, x):
 def test_level_cost_matches_the_plain_formulas_bit_for_bit(head, fixed):
     """Every level's cost value and gradient equal plain_level_cost's, bit
     for bit, at 3 points near the truth of a random subject against the
-    64^3 pack: the cost's fewer temporaries change no rounding."""
+    64^3 pack: neither the level builder nor the cost's fewer temporaries
+    change any rounding."""
     phantom = synthetic.random_subject(head, seed=4)
     truth = parameters(invert(phantom.true_transform), fixed.center)
     rng = np.random.default_rng(22)
     for f_level in fixed.levels:
-        m_level = _downsample(phantom.volume, f_level.factor, f_level.sigma)
-        value, gradient = _level_cost(f_level, m_level, fixed.center, 32)
+        value, gradient = _level_cost(
+            f_level, _level(phantom.volume, f_level.factor, f_level.sigma), fixed.center, 32)
         for _ in range(3):
             x = truth + rng.normal(0.0, 1.0, 12)
-            want_value, want_gradient = plain_level_cost(f_level, m_level, fixed.center, 32, x)
+            want_value, want_gradient = plain_level_cost(
+                f_level, phantom.volume, fixed.center, 32, x)
             assert value(x) == want_value
             np.testing.assert_array_equal(gradient(x), want_gradient)
 

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from defacepipe.volume import BinaryMask, copy_into
+from defacepipe.volume import BinaryMask, Volume, copy_into
 
 
 def test_binary_mask_keeps_bool_data_and_casts_other_types():
@@ -16,6 +16,33 @@ def test_binary_mask_keeps_bool_data_and_casts_other_types():
     cast = BinaryMask(data.astype(np.uint8) * 7, np.eye(4)).data
     assert cast.dtype == bool
     np.testing.assert_array_equal(cast, data)
+
+
+@pytest.mark.parametrize("grid", [Volume, BinaryMask])
+def test_grid_rejects_data_not_3d_and_affine_not_4x4(grid):
+    with pytest.raises(ValueError, match="3D"):
+        grid(np.zeros((3, 3)), np.eye(4))
+    with pytest.raises(ValueError, match="4x4"):
+        grid(np.zeros((3, 3, 3)), np.eye(3))
+    with pytest.raises(ValueError, match="3D"):
+        grid(np.zeros((3, 3)), np.eye(3))
+
+
+@pytest.mark.parametrize("grid", [Volume, BinaryMask])
+def test_grid_keeps_a_read_only_float64_copy_of_the_affine(grid):
+    affine = np.diag([2, 3, 4, 1])  # integers, cast to float64
+    g = grid(np.zeros((2, 3, 4)), affine)
+    assert g.affine.dtype == np.float64
+    np.testing.assert_array_equal(g.affine, affine)
+    with pytest.raises(ValueError, match="read-only"):
+        g.affine[0, 3] = 5.0
+    # the caller's array stays writable, and writing to it moves no grid
+    assert affine.flags.writeable
+    affine[0, 0] = 7
+    assert g.affine[0, 0] == 2.0
+    f64 = np.eye(4)  # a float64 affine is copied too
+    assert not np.shares_memory(grid(np.zeros((2, 2, 2)), f64).affine, f64)
+    np.testing.assert_array_equal(g.spacing, [2.0, 3.0, 4.0])
 
 
 def _same_bits(a, b):
