@@ -14,7 +14,12 @@ it: the RAS phantoms skip the reorientation copies, this subject does not.
 Last it writes seed 1's phantom once more, in ``nonfinite/``, with a NaN
 and an inf voxel in the brain and in the face, and runs ``deface --jobs 1``
 and ``qc --json`` on it, so the flow also covers the non-finite voxels
-that registration reads as background. Prints one
+that registration reads as background. Then it resamples seed 1's phantom
+(trilinear) and brain mask (nearest) onto a 1 x 1 x 2.5 mm grid, in
+``anisotropic/``, and runs ``quickshear --brain-mask``, ``deface --jobs 1``
+and ``qc --json`` on it, so the flow also covers morphology with a
+non-cubic ball, on both sides of ``morphology.dilate``'s switch between the
+ball and the distance transform. Prints one
 ``sha256  path`` line per output file, paths relative to OUTDIR. A
 ``.nii.gz`` is hashed by its decompressed stream, so a change to the
 compression alone (level, deflate stream, gzip header) leaves its hash
@@ -43,6 +48,8 @@ MANIFEST = "qc_manifest.txt"
 # reversed where STORED_FLIPS[j] is set.
 STORED_AXES = (2, 0, 1)
 STORED_FLIPS = (True, True, False)
+# Voxel spacing (mm) of the anisotropic subject; the phantoms are 1 mm.
+ANISOTROPIC_SPACING = (1.0, 1.0, 2.5)
 
 
 def _run(argv):
@@ -114,6 +121,27 @@ def write_nonfinite(ras: Path, out: Path) -> Path:
     return out / "phantom.nii.gz"
 
 
+def write_anisotropic(ras: Path, out: Path) -> Path:
+    """Write the phantom in directory ras, resampled trilinearly onto an
+    ANISOTROPIC_SPACING grid over the same field of view, and its brain mask
+    resampled by nearest neighbour, to directory out; return the phantom's
+    path."""
+    from defacepipe import geometry, nifti
+    from defacepipe.volume import BinaryMask
+
+    out.mkdir()
+    volume, sidecar = nifti.read_nifti(ras / "phantom.nii.gz")
+    mask, _ = nifti.read_nifti(ras / "phantom_brainmask.nii.gz")
+    affine = volume.affine @ np.diag([*ANISOTROPIC_SPACING, 1.0])
+    dims = tuple(int(np.ceil(n / s)) for n, s in zip(volume.dims, ANISOTROPIC_SPACING))
+    nifti.write_nifti(geometry.resample(volume, dims, affine, np.eye(4)), sidecar,
+                      out / "phantom.nii.gz")
+    nifti.write_mask(geometry.resample(BinaryMask.from_volume(mask), dims, affine, np.eye(4),
+                                       interp="nearest"),
+                     out / "phantom_brainmask.nii.gz")
+    return out / "phantom.nii.gz"
+
+
 def run_flow(out: Path) -> None:
     for seed in (0, *SUBJECT_SEEDS):
         _run(["phantom", "--seed", str(seed), "--output-dir", str(out / f"seed-{seed}")])
@@ -146,6 +174,18 @@ def run_flow(out: Path) -> None:
     manifest = spoiled.parent / MANIFEST
     manifest.write_text(f"{spoiled} {spoiled.parent / 'phantom_defaced.nii.gz'}\n")
     _run(["qc", str(manifest), "--json", str(spoiled.parent / "qc.json")])
+
+    coarse = write_anisotropic(out / f"seed-{SUBJECT_SEEDS[0]}", out / "anisotropic")
+    _run(["quickshear", str(coarse),
+          "--brain-mask", str(coarse.parent / "phantom_brainmask.nii.gz")])
+    _run(["deface", str(coarse), "--jobs", "1",
+          "--template", str(out / "pack" / "phantom_stripped.nii.gz"),
+          "--face-mask", str(out / "pack" / "phantom_keepmask.nii.gz")])
+    manifest = coarse.parent / MANIFEST
+    manifest.write_text("".join(
+        f"{coarse} {coarse.parent / ('phantom' + suffix + '.nii.gz')}\n"
+        for suffix in ("_defaced", "_quickshear")))
+    _run(["qc", str(manifest), "--json", str(coarse.parent / "qc.json")])
 
 
 def main(argv=None) -> int:

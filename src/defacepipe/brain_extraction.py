@@ -5,9 +5,10 @@ The accurate extractors used in practice are deep models run outside this
 package; their output, a brain mask or a skull-stripped volume, is passed
 as a file path: every voxel above 0 is brain. The built-in fallback is a
 deterministic classical extractor (Otsu threshold, 2 mm closing, largest
-component, hole fill) adequate for phantoms and smoke tests. Its
-morphology runs on the foreground's bounding box, and it reads non-finite
-voxels as background.
+component, hole fill) adequate for phantoms and smoke tests. Its Otsu
+histogram is counted on one sorted copy of the volume, its morphology runs
+on the foreground's bounding box, the closing as ORs and ANDs of shifted
+slices, and it reads non-finite voxels as background.
 """
 
 from pathlib import Path
@@ -24,18 +25,27 @@ CLOSING_MM = 2.0
 
 def otsu_threshold(data: np.ndarray) -> float:
     """Classic maximum between-class variance threshold over the finite
-    values; 0.0 when there are none."""
-    flat = np.asarray(data, dtype=np.float64).ravel()
-    finite = np.isfinite(flat)
-    if not finite.all():
-        flat = flat[finite]
-        if flat.size == 0:
-            return 0.0
-    lo, hi = flat.min(), flat.max()
+    values; 0.0 when there are none.
+
+    The 256 bins are numpy's histogram bins over the finite minimum to
+    maximum: ``edges = np.linspace(lo, hi, 257)``, bin i holds
+    ``edges[i] <= x < edges[i + 1]`` and the last bin is closed. The counts
+    come from one sorted float64 copy of the data, where a binary search
+    finds where each edge falls; the sort puts -inf first and +inf and NaN
+    last, so the finite values are one slice of it. Unlike numpy's
+    histogram, a finite range too narrow for 256 distinct float64 edges
+    raises no error."""
+    flat = np.ravel(data).astype(np.float64)
+    flat.sort()
+    flat = flat[np.searchsorted(flat, -np.inf, "right"):np.searchsorted(flat, np.inf, "left")]
+    if flat.size == 0:
+        return 0.0
+    lo, hi = flat[0], flat[-1]
     if hi <= lo:
         return lo
-    hist, edges = np.histogram(flat, bins=256, range=(lo, hi))
-    hist = hist.astype(np.float64)
+    edges = np.linspace(lo, hi, 257)
+    below = np.searchsorted(flat, edges[1:-1], "left")
+    hist = np.diff(below, prepend=0, append=flat.size).astype(np.float64)
     centers = (edges[:-1] + edges[1:]) / 2
     w0 = np.cumsum(hist)
     w1 = w0[-1] - w0

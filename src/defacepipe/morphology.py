@@ -4,7 +4,11 @@ safety margin), erosion, mask application, union, components.
 Dilation, erosion, the largest component and hole filling run on the
 bounding box of the mask's True voxels (grown by the radius for dilation)
 and write the result into an all-False grid; the head fills about a third
-of a typical field of view, and the results equal the full-grid ones."""
+of a typical field of view, and the results equal the full-grid ones.
+Erosion, and dilation by a ball of up to 13^3 voxels' extent, OR (dilation)
+or AND (erosion) the crop read at each offset of the ball, each read one
+contiguous slice of a padded flat copy; a larger dilation thresholds a
+Euclidean distance transform, with the same result."""
 
 import numpy as np
 from scipy import ndimage
@@ -71,21 +75,21 @@ def dilate(m: BinaryMask, radius_mm: float) -> BinaryMask:
         return BinaryMask(m.data.copy(), m.affine)
     sp = np.asarray(m.spacing, dtype=np.float64)
     reach = np.floor(radius_mm / sp + 1e-9).astype(int)
-    if (reach * 2 + 1).prod() > 125:
+    if (reach * 2 + 1).prod() > 2197:
         # Same result as the ball below. The ball's cost grows with its
-        # volume and the distance transform's does not. On the bounding box
-        # of a phantom brain mask (one Xeon vCPU), the ball is faster up to
-        # a 5x5x5 extent (the fallback's 2 mm closing at 1 mm: 0.006 s
-        # against 0.023 s at 128^3), the two are within 10 ms at 3 mm, and
-        # at the 7 mm safety margin the distance transform is 10-30x faster
-        # (0.006 s against 0.19 s at 64^3, 0.05 s against 0.52 s at 128^3).
+        # volume and the distance transform's hardly does. CPU ms, ball
+        # against distance transform, on the bounding box of a phantom brain
+        # mask at 1 mm (one Xeon vCPU): 3 mm 0.4 / 2.4 at 64^3, 1.7 / 15 at
+        # 128^3; 6 mm, a 13^3 extent, 3.0 / 3.4 and 10 / 18; 7 mm, the
+        # safety margin, 5.2 / 3.7 and 17 / 19. The ball is faster at both
+        # sizes up to a 13^3 extent and slower at 64^3 past it.
         def op(crop):
             return ndimage.distance_transform_edt(~crop, sampling=sp) <= radius_mm
     else:
         structure = ball_structure(radius_mm, m.spacing)
 
         def op(crop):
-            return ndimage.binary_dilation(crop, structure=structure)
+            return _shifted(crop, structure, np.logical_or)
     return _on_bbox(m, reach, op)
 
 
@@ -97,12 +101,41 @@ def erode(m: BinaryMask, radius_mm: float) -> BinaryMask:
     if radius_mm == 0:
         return BinaryMask(m.data.copy(), m.affine)
     structure = ball_structure(radius_mm, m.spacing)
-    return _on_bbox(m, 0, lambda crop: ndimage.binary_erosion(crop, structure=structure))
+    return _on_bbox(m, 0, lambda crop: _shifted(crop, structure, np.logical_and))
+
+
+def _shifted(crop: np.ndarray, structure: np.ndarray, combine) -> np.ndarray:
+    """combine (np.logical_or: dilation, np.logical_and: erosion) of crop read
+    at every offset of structure, with False beyond crop's faces. structure
+    must be symmetric under negation, as a ball is: dilation reads crop at
+    x - d for each offset d, which is then the same as x + d.
+
+    crop is copied into a flat array padded by the structure's half-extent
+    on every side, so crop read at one offset is one contiguous slice of it,
+    and no offset wraps from one row into the next."""
+    half = np.array(structure.shape) // 2
+    inner = tuple(slice(h, h + n) for h, n in zip(half, crop.shape))
+    padded = np.zeros(np.add(crop.shape, 2 * half), dtype=bool)
+    padded[inner] = crop
+    flat = padded.ravel()
+    steps = np.array(padded.strides)  # one byte per voxel: the flat index steps
+    offsets = (np.argwhere(structure) - half) @ steps
+    first = int(half @ steps)  # crop's first voxel; its last is as far from the end
+
+    def window(o):
+        return flat[first + o:flat.size - first + o]
+
+    out = np.zeros_like(flat)
+    acc = out[first:flat.size - first]
+    acc[:] = window(offsets[0])
+    for o in offsets[1:]:
+        combine(acc, window(o), out=acc)
+    return out.reshape(padded.shape)[inner]
 
 
 def apply_mask(v: Volume, m: BinaryMask) -> Volume:
     check_same_grid(v, m)
-    out = np.where(m.data, v.data, 0).astype(v.data.dtype)
+    out = np.where(m.data, v.data, 0).astype(v.data.dtype, copy=False)
     return Volume(out, v.affine)
 
 

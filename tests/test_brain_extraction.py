@@ -1,9 +1,12 @@
 """Brain masks: an external mask file, or the classical fallback."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from defacepipe import nifti
+from defacepipe import nifti, synthetic
 from defacepipe.brain_extraction import (
     extract_brain,
     fallback_extract,
@@ -27,6 +30,116 @@ def test_otsu_separates_bimodal():
 
 def test_otsu_constant_input():
     assert otsu_threshold(np.full(100, 5.0)) == 5.0
+
+
+def histogram_otsu(data):
+    """Reference: Otsu's threshold from np.histogram's 256 bins over the
+    finite values."""
+    flat = np.asarray(data, dtype=np.float64).ravel()
+    finite = np.isfinite(flat)
+    if not finite.all():
+        flat = flat[finite]
+        if flat.size == 0:
+            return 0.0
+    lo, hi = flat.min(), flat.max()
+    if hi <= lo:
+        return lo
+    hist, edges = np.histogram(flat, bins=256, range=(lo, hi))
+    hist = hist.astype(np.float64)
+    centers = (edges[:-1] + edges[1:]) / 2
+    w0 = np.cumsum(hist)
+    w1 = w0[-1] - w0
+    s0 = np.cumsum(hist * centers)
+    mu0 = np.divide(s0, w0, out=np.zeros_like(s0), where=w0 > 0)
+    mu1 = np.divide(s0[-1] - s0, w1, out=np.zeros_like(s0), where=w1 > 0)
+    between = w0 * w1 * (mu0 - mu1) ** 2
+    return float(centers[int(np.argmax(between))])
+
+
+@st.composite
+def otsu_inputs(draw):
+    """float32, float64, int16 and uint8 arrays: random, constant and
+    two-valued, or float64 values exactly on the 257 bin edges of their
+    range and one ulp either side; float arrays may also hold NaN and
+    +-inf, or nothing else."""
+    kind = draw(st.sampled_from(["random", "constant", "two", "edges", "nonfinite"]))
+    dtype = np.dtype(draw(st.sampled_from([np.float32, np.float64, np.int16, np.uint8])))
+    if kind in ("edges", "nonfinite"):
+        dtype = np.dtype(np.float64)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 400))
+    if dtype.kind == "f":
+        value = st.floats(-1e6, 1e6, width=dtype.itemsize * 8)
+    else:
+        info = np.iinfo(dtype)
+        value = st.integers(int(info.min), int(info.max))
+    lo, hi = sorted((draw(value), draw(value)))
+    if kind == "random":
+        data = lo + (hi - lo) * rng.random(n) ** draw(st.sampled_from([1, 4]))
+    elif kind == "constant":
+        data = np.full(n, lo)
+    elif kind == "two":
+        data = rng.choice([lo, hi], n)
+    elif kind == "edges":
+        hi += 1.0
+        on = rng.choice(np.linspace(lo, hi, 257), n)
+        data = np.clip(np.concatenate(
+            [on, np.nextafter(on, np.inf), np.nextafter(on, -np.inf), [lo, hi]]), lo, hi)
+    else:
+        data = np.zeros(0)
+    data = np.asarray(data).astype(dtype)
+    if dtype.kind == "f":
+        specials = [np.full(draw(st.integers(0, 3)), x) for x in (np.nan, np.inf, -np.inf)]
+        data = rng.permutation(np.concatenate([data, *specials]).astype(dtype))
+    return data if data.size else np.array([np.nan])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=otsu_inputs())
+def test_otsu_equals_histogram_reference(data):
+    """The sorted count gives np.histogram's bins. Where the finite range
+    is too narrow for 256 distinct float64 bins (a few hundred ulps),
+    np.histogram raises; the sorted count still gives a threshold inside
+    the range. The caller's array is left as it was."""
+    before = data.copy()
+    got = otsu_threshold(data)
+    np.testing.assert_array_equal(data, before)
+    try:
+        want = histogram_otsu(data)
+    except ValueError as e:
+        assert "Too many bins" in str(e)
+        finite = data[np.isfinite(data)].astype(np.float64)
+        assert finite.min() <= got <= finite.max()
+    else:
+        assert got == want
+
+
+def test_otsu_range_of_a_few_ulps():
+    data = np.array([1.0, np.nextafter(1.0, 2.0), 1.0, np.nan])
+    with pytest.raises(ValueError, match="Too many bins"):
+        histogram_otsu(data)
+    assert 1.0 <= otsu_threshold(data) <= np.nextafter(1.0, 2.0)
+
+
+@pytest.mark.parametrize("size", [64, 128])
+def test_otsu_equals_histogram_reference_on_phantoms(size):
+    data = synthetic.random_subject(synthetic.nominal_head(size), seed=1).volume.data
+    assert otsu_threshold(data) == histogram_otsu(data)
+
+
+def test_otsu_peak_memory_one_float64_copy_and_a_mask():
+    """float32 64^3 data, a few voxels NaN: the peak is at most one float64
+    copy of the data plus one byte per voxel."""
+    rng = np.random.default_rng(3)
+    data = rng.normal(100, 30, (64, 64, 64)).astype(np.float32)
+    data[rng.random(data.shape) < 0.01] = np.nan
+    tracemalloc.start()
+    try:
+        otsu_threshold(data)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= data.size * (8 + 1)
 
 
 def test_external_mask_loaded_verbatim(head, tmp_path):

@@ -122,6 +122,15 @@ def test_apply_mask_half_plane_on_ramp():
     np.testing.assert_array_equal(out.data, np.where(half, data, 0.0))
 
 
+@pytest.mark.parametrize("dtype", [np.uint8, np.int16, np.int32, np.float32, np.float64, bool])
+def test_apply_mask_keeps_dtype(dtype):
+    data = np.arange(27).reshape(3, 3, 3).astype(dtype)
+    mask = BinaryMask(np.arange(27).reshape(3, 3, 3) % 2 == 0, np.eye(4))
+    out = morphology.apply_mask(Volume(data, np.eye(4)), mask).data
+    assert out.dtype == data.dtype
+    np.testing.assert_array_equal(out, np.where(mask.data, data, 0).astype(dtype))
+
+
 def test_apply_mask_grid_mismatch():
     v = Volume(np.zeros((3, 3, 3), dtype=np.float32), np.eye(4))
     m = BinaryMask(np.zeros((3, 3, 3), bool), np.diag([2.0, 1.0, 1.0, 1.0]))
@@ -233,9 +242,11 @@ def masks(draw):
 
 
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
-@given(m=masks(), radius=st.one_of(st.floats(0.0, 7.0), st.sampled_from([1.0, 2.0, 3.0, 7.0])))
+@given(m=masks(), radius=st.one_of(st.floats(0.0, 12.0), st.sampled_from([1.0, 2.0, 3.0, 7.0])))
 def test_cropped_operations_equal_full_grid(m, radius):
-    """Both sides of the 125-voxel ball/distance-transform switch included."""
+    """Both sides of dilate's switch between the ball and the distance
+    transform (a ball extent of 2197 voxels) included: radii up to 12 mm
+    take the distance transform on the finer grids."""
     data = m.data
     ball = morphology.ball_structure(radius, m.spacing)
     want_dilated = ndimage.binary_dilation(data, structure=ball) if radius > 0 else data
@@ -251,6 +262,33 @@ def test_cropped_operations_equal_full_grid(m, radius):
             morphology.largest_connected_component(m).data,
             full_grid_largest_component(data),
         )
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(
+    dims=st.tuples(*[st.integers(1, 6)] * 3),
+    spacing=st.tuples(*[st.sampled_from([0.5, 1.0, 1.5, 2.5])] * 3),
+    radius=st.floats(0.5, 4.0),
+    kind=st.sampled_from(["full", "random", "faces"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_shifted_slices_equal_scipy_ball_morphology(dims, spacing, radius, kind, seed):
+    """On arrays thinner than the ball's reach (down to one voxel) and masks
+    that touch every face, ORing and ANDing the shifted reads of a ball give
+    scipy's dilation and erosion with that ball."""
+    ball = morphology.ball_structure(radius, spacing)
+    if kind == "full":
+        data = np.ones(dims, bool)
+    else:
+        data = np.random.default_rng(seed).random(dims) < 0.5
+        if kind == "faces":  # True on all six faces, random inside
+            data[[0, -1]] = True
+            data[:, [0, -1]] = True
+            data[:, :, [0, -1]] = True
+    np.testing.assert_array_equal(morphology._shifted(data, ball, np.logical_or),
+                                  ndimage.binary_dilation(data, structure=ball))
+    np.testing.assert_array_equal(morphology._shifted(data, ball, np.logical_and),
+                                  ndimage.binary_erosion(data, structure=ball))
 
 
 def _fill(data):
