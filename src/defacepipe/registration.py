@@ -104,7 +104,8 @@ def _parzen_window(moving_values, moving_range, bins):
     raw /= mhi - mlo
     raw *= bins
     raw -= 0.5
-    pos = np.clip(raw, 0.0, bins - 1.0)
+    pos = np.maximum(raw, 0.0)
+    np.minimum(pos, bins - 1.0, out=pos)
     b0 = np.minimum(pos.astype(np.intp), bins - 2)
     pos -= b0
     return b0, pos, (raw > 0.0) & (raw < bins - 1.0)
@@ -199,7 +200,8 @@ def _trilinear(padded: np.ndarray, coords: np.ndarray) -> tuple[np.ndarray, np.n
     for k in range(count):
         block = slice(k * n // count, (k + 1) * n // count)
         v, g = values[block], grad[:, block]
-        t = np.clip(coords[:, block], -_MARGIN, top)
+        t = np.maximum(coords[:, block], -_MARGIN)
+        np.minimum(t, top, out=t)
         floor = np.floor(t)
         base = (strides @ floor + origin).astype(np.intp)
         tx, ty, tz = np.subtract(t, floor, out=t)

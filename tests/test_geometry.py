@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import ndimage
 
 from defacepipe import geometry
@@ -345,13 +346,14 @@ def test_resample_background_fill():
 def _dense_resample(source, target_dims, target_affine, world_map, interp):
     """Reference: the source coordinate of every target voxel, read by
     map_coordinates and zeroed outside the valid range ("nearest": within
-    half a voxel of the volume, open at both ends; "trilinear": [0, n - 1])."""
+    half a voxel of the volume, [-0.5, n - 0.5), since c = -0.5 reads voxel
+    0 and c = n - 0.5 reads voxel n; "trilinear": [0, n - 1])."""
     vox_map = geometry.invert(source.affine) @ world_map @ target_affine
     idx = np.indices(target_dims, dtype=np.float64).reshape(3, -1)
     coords = vox_map[:3, :3] @ idx + vox_map[:3, 3:4]
     n = np.array(source.dims, dtype=np.float64).reshape(3, 1)
     if interp == "nearest":
-        valid = np.all((coords > -0.5) & (coords < n - 0.5), axis=0)
+        valid = np.all((coords >= -0.5) & (coords < n - 0.5), axis=0)
     else:
         valid = np.all((coords >= 0.0) & (coords <= n - 1.0), axis=0)
     out = ndimage.map_coordinates(
@@ -383,16 +385,27 @@ def test_resample_matches_dense_reference(dtype, interp):
     the dense per-voxel formula: exactly, except float64 trilinear, which
     may sum the interpolation weights in another order."""
     rng = np.random.default_rng(61)
+    cases = []
     for _ in range(60):
         src_dims = tuple(int(d) for d in rng.integers(2, 9, 3))
         tgt_dims = tuple(int(d) for d in rng.integers(2, 9, 3))
-        data = (rng.random(src_dims) * 200).astype(dtype)
-        source = Volume(data, _random_grid(rng, src_dims))
-        target_affine = _random_grid(rng, tgt_dims)
         world_map = geometry.affine_matrix(
             rng.uniform(-1.5, 1.5, 3), rng.uniform(-0.4, 0.4, 3),
             rng.uniform(0.8, 1.25, 3), rng.uniform(-0.1, 0.1, 3), np.zeros(3),
         )
+        cases.append((src_dims, _random_grid(rng, src_dims), tgt_dims,
+                      _random_grid(rng, tgt_dims), world_map))
+    # Exact half-voxel coordinates on axis-aligned grids: a shift of -0.5
+    # puts target voxel 0 at c = -0.5, and +0.5 puts the last voxel of a
+    # target as long as the source at c = n - 0.5.
+    for shift, zoom in itertools.product((-0.5, 0.5), (1.0, 2.0)):
+        world_map = np.diag([zoom, zoom, zoom, 1.0]) @ geometry.translation(np.full(3, shift))
+        cases.append(((5, 6, 7), np.eye(4), (5, 6, 7), np.eye(4), world_map))
+        cases.append(((4, 5, 6), np.diag([1.0, 2.0, 0.5, 1.0]), (6, 5, 4),
+                      np.diag([1.0, 2.0, 0.5, 1.0]), world_map))
+    for src_dims, src_affine, tgt_dims, target_affine, world_map in cases:
+        data = (rng.random(src_dims) * 200).astype(dtype)
+        source = Volume(data, src_affine)
         out = geometry.resample(source, tgt_dims, target_affine, world_map, interp)
         want = _dense_resample(source, tgt_dims, target_affine, world_map, interp)
         assert out.data.dtype == want.dtype
@@ -402,24 +415,91 @@ def test_resample_matches_dense_reference(dtype, interp):
             np.testing.assert_array_equal(out.data, want)
 
 
+@st.composite
+def nearest_inputs(draw):
+    """A source volume of any dtype resample reads, non-finite voxels in
+    float ones, its grid and a target grid of 1-12 voxels an axis, and a map
+    between them: "oblique" on random permuted, flipped, anisotropic and
+    oblique grids, zooms 0.5-2; "half-voxel" on axis-aligned grids with
+    dyadic spacings, zooms and shifts, so that coordinates fall exactly on
+    half voxels and the edges at -0.5 and n - 0.5; "decimal", a voxel map
+    of tenths, whose sums round differently in another order; "disjoint"
+    with no overlap at all."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dtype = np.dtype(draw(st.sampled_from([bool, np.uint8, np.int16, np.int32,
+                                           np.float32, np.float64])))
+    src_dims, tgt_dims = (tuple(draw(st.lists(st.integers(1, 12), min_size=3, max_size=3)))
+                          for _ in range(2))
+    if dtype == bool:
+        data = rng.random(src_dims) < 0.5
+    elif dtype.kind in "iu":
+        info = np.iinfo(dtype)
+        data = rng.integers(info.min, info.max, src_dims, dtype=dtype, endpoint=True)
+    else:
+        data = (rng.standard_normal(src_dims) * 1e3).astype(dtype)
+        for value in (np.nan, np.inf, -np.inf):
+            data[tuple(rng.integers(0, src_dims))] = value
+    kind = draw(st.sampled_from(["oblique", "half-voxel", "decimal", "disjoint"]))
+    if kind == "decimal":
+        grids = [np.eye(4), np.eye(4)]
+        world_map = np.eye(4)
+        world_map[:3] = rng.integers(-20, 21, (3, 4)) / 10
+    elif kind == "half-voxel":
+        grids = []
+        for dims in (src_dims, tgt_dims):
+            aff = np.eye(4)
+            aff[:3, :3] = (np.eye(3)[:, rng.permutation(3)] * rng.choice([-1.0, 1.0], 3)
+                           * rng.choice([0.5, 1.0, 2.0], 3))
+            aff[:3, 3] = rng.integers(-8, 9, 3) / 2
+            grids.append(aff)
+        world_map = np.diag([*rng.choice([-1.0, 0.5, 1.0, 1.5, 2.0], 3), 1.0])
+        world_map[:3, 3] = rng.integers(-9, 10, 3) / 2
+    else:
+        grids = [_random_grid(rng, src_dims), _random_grid(rng, tgt_dims)]
+        world_map = geometry.affine_matrix(
+            rng.uniform(-3.0, 3.0, 3), rng.uniform(-np.pi, np.pi, 3),
+            rng.uniform(0.5, 2.0, 3), rng.uniform(-0.2, 0.2, 3), rng.uniform(-2.0, 2.0, 3))
+        if kind == "disjoint":
+            world_map = geometry.translation(rng.choice([-1.0, 1.0], 3) * 100.0) @ world_map
+    return data, grids[0], tgt_dims, grids[1], world_map
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=nearest_inputs())
+def test_resample_nearest_matches_scipy_bit_for_bit(case):
+    """A nearest resample writes the bytes scipy's affine_transform writes
+    with order 0 and mode "grid-constant" (a bool source read as uint8)."""
+    data, src_affine, tgt_dims, target_affine, world_map = case
+    source = (BinaryMask if data.dtype == bool else Volume)(data, src_affine)
+    out = geometry.resample(source, tgt_dims, target_affine, world_map, interp="nearest")
+    raw = data.view(np.uint8) if data.dtype == bool else data
+    want = ndimage.affine_transform(
+        raw, geometry.invert(src_affine) @ world_map @ target_affine,
+        output_shape=tgt_dims, output=raw.dtype, order=0, mode="grid-constant")
+    assert out.data.dtype == data.dtype and out.data.shape == tgt_dims
+    assert out.data.tobytes() == want.tobytes()
+
+
 def test_resample_allocates_no_per_voxel_coordinates():
     """A nearest resample of a 64^3 mask writes its output directly. As a
     uint8 Volume it allocates at most 3 bytes per target voxel above entry,
     with no float64 output (8 bytes) and no coordinate array (24 bytes). As
-    a BinaryMask it allocates at most 1.5 bytes: its bool output (1.006
-    bytes measured), and no uint8 copy to read above 0 (2 bytes)."""
-    dims = (64, 64, 64)
+    a BinaryMask it allocates at most 1.5 bytes: its bool output and the
+    resample's block buffers (1.38 bytes measured), and no uint8 copy to
+    read above 0 (2 bytes). The block size depends on the dims, so a
+    non-cubic grid is measured too."""
     world_map = _z_turn(0.1) @ geometry.translation((0.3, -0.2, 0.1))
-    for mask, bound in (
-        (Volume(np.ones(dims, dtype=np.uint8), np.eye(4)), 3.0),
-        (BinaryMask(np.ones(dims, dtype=bool), np.eye(4)), 1.5),
-    ):
-        tracemalloc.start()
-        try:
-            entry = tracemalloc.get_traced_memory()[0]
-            out = geometry.resample(mask, dims, mask.affine, world_map, interp="nearest")
-            peak = tracemalloc.get_traced_memory()[1] - entry
-        finally:
-            tracemalloc.stop()
-        assert out.data.dtype == mask.data.dtype
-        assert peak <= bound * np.prod(dims)
+    for dims in ((64, 64, 64), (96, 80, 40)):
+        for mask, bound in (
+            (Volume(np.ones(dims, dtype=np.uint8), np.eye(4)), 3.0),
+            (BinaryMask(np.ones(dims, dtype=bool), np.eye(4)), 1.5),
+        ):
+            tracemalloc.start()
+            try:
+                entry = tracemalloc.get_traced_memory()[0]
+                out = geometry.resample(mask, dims, mask.affine, world_map, interp="nearest")
+                peak = tracemalloc.get_traced_memory()[1] - entry
+            finally:
+                tracemalloc.stop()
+            assert out.data.dtype == mask.data.dtype
+            assert peak <= bound * np.prod(dims)
