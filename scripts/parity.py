@@ -9,8 +9,10 @@ seed 0, ``quickshear --brain-mask`` on each subject (seeds 1-3), one
 (original, defaced) and (original, sheared) pairs. Then it writes seed 1's
 phantom and brain mask once more, in ``noncanonical/``, stored with permuted
 and flipped voxel axes and the affine that keeps every voxel's world
-position, and runs ``quickshear --brain-mask`` and ``deface --jobs 1`` on
-it: the RAS phantoms skip the reorientation copies, this subject does not.
+position, and runs ``quickshear --brain-mask``, ``deface --jobs 1`` and
+``deface --brain-mask`` (into ``noncanonical/external/``) on it: the RAS
+phantoms skip the reorientation copies, this subject and its external
+brain mask do not.
 Last it writes seed 1's phantom once more, in ``nonfinite/``, with a NaN
 and an inf voxel in the brain and in the face, and runs ``deface --jobs 1``
 and ``qc --json`` on it, so the flow also covers the non-finite voxels
@@ -164,6 +166,11 @@ def run_flow(out: Path) -> None:
     _run(["quickshear", str(stored),
           "--brain-mask", str(stored.parent / "phantom_brainmask.nii.gz")])
     _run(["deface", str(stored), "--jobs", "1",
+          "--template", str(out / "pack" / "phantom_stripped.nii.gz"),
+          "--face-mask", str(out / "pack" / "phantom_keepmask.nii.gz")])
+    _run(["deface", str(stored), "--jobs", "1",
+          "--brain-mask", str(stored.parent / "phantom_brainmask.nii.gz"),
+          "--output-dir", str(stored.parent / "external"),
           "--template", str(out / "pack" / "phantom_stripped.nii.gz"),
           "--face-mask", str(out / "pack" / "phantom_keepmask.nii.gz")])
 

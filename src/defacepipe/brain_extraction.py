@@ -84,7 +84,9 @@ def fallback_extract(v: Volume) -> BinaryMask:
 def extract_brain(v: Volume, path: Path | None = None) -> BinaryMask:
     """Brain mask on v's grid: the external mask file at path, or the
     fallback extractor when path is None. v must already be canonically
-    oriented."""
+    oriented. The file is thresholded (every voxel above 0 is brain) before
+    it is reoriented, so the reorientation moves a 1-byte mask, whatever
+    the file's dtype."""
     if path is None:
         mask = fallback_extract(v)
     else:
@@ -92,12 +94,11 @@ def extract_brain(v: Volume, path: Path | None = None) -> BinaryMask:
             loaded, _ = nifti.read_nifti(path)
         except Exception as e:
             raise FileError(f"{path}: {e}") from e
-        loaded, _ = reorient_to_canonical(loaded)
-        if not loaded.same_grid(v):
+        mask, _ = reorient_to_canonical(BinaryMask.from_volume(loaded))
+        if not mask.same_grid(v):
             raise GridMismatch(
                 f"{path}: grid does not match subject after reorientation"
             )
-        mask = BinaryMask.from_volume(loaded)
     if not mask.data.any():
         raise EmptyMask("brain extraction produced an empty mask")
     return mask

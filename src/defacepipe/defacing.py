@@ -52,8 +52,8 @@ class TemplatePack:
     def sha256(self) -> str:
         """Hash of the template and keep-mask voxels, computed once per pack."""
         h = hashlib.sha256()
-        h.update(np.ascontiguousarray(self.template.data).tobytes())
-        h.update(np.ascontiguousarray(self.keep_mask.data).tobytes())
+        h.update(np.ascontiguousarray(self.template.data))
+        h.update(np.ascontiguousarray(self.keep_mask.data))
         return h.hexdigest()
 
     @functools.cached_property
@@ -78,8 +78,6 @@ def _stage(n: int, seconds: dict):
     t0 = time.perf_counter()
     try:
         yield
-    except StageError:
-        raise
     except Exception as exc:
         raise StageError(n, exc) from exc
     seconds[str(n)] = round(time.perf_counter() - t0, 6)
@@ -236,19 +234,14 @@ def quickshear(input_volume: Volume, brain: BinaryMask, buffer_mm: float = 5.0) 
     """Zero everything on the face side of the hull-derived plane.
 
     The plane is offset outward past every brain voxel, so brain tissue is
-    never removed.
+    never removed. Only the brain mask is reoriented: the plane is fitted on
+    the canonical grid and its keep side goes back to the native grid as a
+    1-byte mask, which masks the input there, as stage 9 of deface does.
     """
     check_same_grid(input_volume, brain)
-    canon_vol, perm = geometry.reorient_to_canonical(input_volume)
-    canon_brain = BinaryMask(perm.apply(brain.data), canon_vol.affine)
-
+    canon_brain, perm = geometry.reorient_to_canonical(brain)
     face_side = _shear_plane(canon_brain, buffer_mm)
-    keep = BinaryMask(~face_side, canon_vol.affine)
-    out_canon = apply_mask(canon_vol, keep)
-    return Volume(
-        perm.undo(out_canon.data),
-        input_volume.affine,
-    )
+    return apply_mask(input_volume, BinaryMask(perm.undo(~face_side), input_volume.affine))
 
 
 # ---------------------------------------------------------------------------

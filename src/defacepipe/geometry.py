@@ -90,10 +90,13 @@ class AxisPermutation:
         return out
 
 
-def reorient_to_canonical(v: Volume) -> tuple[Volume, AxisPermutation]:
+def reorient_to_canonical(
+    v: Volume | BinaryMask,
+) -> tuple[Volume | BinaryMask, AxisPermutation]:
     """Permute/flip voxel axes so each affine column is dominant-positive on
-    the diagonal (closest-to-RAS). World geometry is unchanged: every voxel
-    keeps its world coordinate exactly."""
+    the diagonal (closest-to-RAS), as the same type as v, so a BinaryMask
+    moves 1 byte a voxel. World geometry is unchanged: every voxel keeps its
+    world coordinate exactly."""
     lin = v.affine[:3, :3]
     dominant = np.argmax(np.abs(lin), axis=0)  # world axis of each voxel axis
     if len(set(dominant.tolist())) != 3:
@@ -105,7 +108,7 @@ def reorient_to_canonical(v: Volume) -> tuple[Volume, AxisPermutation]:
 
     rec = AxisPermutation(perm, flips)
     if rec.is_identity:
-        return Volume(v.data, v.affine), rec
+        return type(v)(v.data, v.affine), rec
 
     aff = v.affine.copy()
     # Flip columns in source-axis terms first, then permute.
@@ -118,7 +121,7 @@ def reorient_to_canonical(v: Volume) -> tuple[Volume, AxisPermutation]:
     view = rec.apply(v.data)
     data = np.empty(view.shape, view.dtype)
     copy_into(data, view)
-    return Volume(data, aff), rec
+    return type(v)(data, aff), rec
 
 
 # Most target voxels in one block of a nearest resample, which is made of

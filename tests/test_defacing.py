@@ -1,13 +1,15 @@
 """Pipeline orchestration, QuickShear baseline, convex hull, template packs."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from defacepipe import defacing, synthetic
+from defacepipe import defacing, nifti, synthetic
+from defacepipe.brain_extraction import extract_brain
 from defacepipe.defacing import (
     TemplatePack,
     convex_hull_2d,
@@ -139,32 +141,63 @@ def test_quickshear_removes_face_blobs(head):
     assert (out.data[nose] == 0).mean() > 0.5
 
 
-@pytest.mark.parametrize("axes, flips", [
+# Orientations a RAS phantom is stored in: stored axis j is RAS axis
+# axes[j], reversed where flips[j] is set.
+STORED_ORIENTATIONS = [
     ((2, 0, 1), (True, True, False)),
     ((1, 2, 0), (False, True, True)),
     ((0, 2, 1), (True, False, True)),
-])
-def test_quickshear_on_stored_axes_matches_ras(head, axes, flips):
-    """The phantom stored with permuted and flipped voxel axes, its affine
-    permuted to match, is sheared to the RAS output stored the same way,
-    bit for bit."""
+]
+
+
+def _stored_data(data, axes, flips):
     rev = [j for j in range(3) if flips[j]]
+    return np.ascontiguousarray(np.flip(np.transpose(data, axes), rev))
 
-    def stored(data):
-        return np.ascontiguousarray(np.flip(np.transpose(data, axes), rev))
 
+def _stored(grid, axes, flips):
+    """grid (a Volume or BinaryMask on a RAS grid) with its voxels stored as
+    axes and flips say, and the affine that keeps every voxel's world
+    position."""
     to_ras = np.zeros((4, 4))  # stored voxel index -> RAS voxel index
     to_ras[3, 3] = 1.0
     for j, (axis, flip) in enumerate(zip(axes, flips)):
         to_ras[axis, j] = -1.0 if flip else 1.0
-        to_ras[axis, 3] = head.volume.dims[axis] - 1 if flip else 0.0
-    affine = head.volume.affine @ to_ras
-    out = quickshear(Volume(stored(head.volume.data), affine),
-                     BinaryMask(stored(head.brain_mask.data), affine), buffer_mm=2.0)
+        to_ras[axis, 3] = grid.dims[axis] - 1 if flip else 0.0
+    return type(grid)(_stored_data(grid.data, axes, flips), grid.affine @ to_ras)
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("axes, flips", STORED_ORIENTATIONS)
+def test_quickshear_on_stored_axes_matches_ras(head, axes, flips):
+    """The phantom stored with permuted and flipped voxel axes, its affine
+    permuted to match, is sheared to the RAS output stored the same way,
+    bit for bit."""
+    volume = _stored(head.volume, axes, flips)
+    out = quickshear(volume, _stored(head.brain_mask, axes, flips), buffer_mm=2.0)
     ras = quickshear(head.volume, head.brain_mask, buffer_mm=2.0)
-    want = stored(ras.data)
-    assert out.data.dtype == want.dtype and out.data.tobytes() == want.tobytes()
-    np.testing.assert_array_equal(out.affine, affine)
+    assert _same_bits(out.data, _stored_data(ras.data, axes, flips))
+    np.testing.assert_array_equal(out.affine, volume.affine)
+
+
+def test_quickshear_on_stored_axes_copies_no_volume(head):
+    """On a volume stored with permuted and flipped axes, QuickShear
+    reorients the 1-byte brain mask only and masks the input on its own
+    grid: its peak is the output plus a few bytes a voxel, with no copy of
+    the input volume."""
+    axes, flips = STORED_ORIENTATIONS[0]
+    volume = _stored(head.volume, axes, flips)
+    brain = _stored(head.brain_mask, axes, flips)
+    tracemalloc.start()
+    try:
+        quickshear(volume, brain, buffer_mm=2.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < volume.data.nbytes + 3 * volume.data.size
 
 
 @pytest.mark.parametrize("buffer_mm", [-5.0, -1e-9, np.nan, np.inf])
@@ -268,8 +301,6 @@ def test_template_sha256_stable(pack):
 
 
 def _mask_path(head, tmp_path):
-    from defacepipe import nifti
-
     path = tmp_path / "brainmask.nii"
     nifti.write_mask(head.brain_mask, path)
     return path
@@ -297,6 +328,25 @@ def test_deface_phantom_end_to_end(head, pack, tmp_path):
     assert prov["tool"] == "defacepipe"
     assert prov["brain_source"] == "external_file"
     assert prov["removed_voxels"] == int((~result.brain_safe_mask.data).sum())
+
+
+@pytest.mark.parametrize("axes, flips", STORED_ORIENTATIONS)
+def test_external_mask_on_stored_axes_matches_ras(head, pack, tmp_path, axes, flips):
+    """A subject and its external brain mask, both stored with permuted and
+    flipped voxel axes: the mask reads back as the RAS mask bit for bit, and
+    deface, registration included, gives the RAS run's outputs stored the
+    same way."""
+    subject = synthetic.random_subject(head, seed=3)
+    path = tmp_path / "stored_brainmask.nii"
+    nifti.write_mask(_stored(subject.brain_mask, axes, flips), path)
+    assert _same_bits(extract_brain(subject.volume, path).data, subject.brain_mask.data)
+
+    out = deface(_stored(subject.volume, axes, flips), pack, path)
+    ras = deface(subject.volume, pack, _mask_path(subject, tmp_path))
+    assert _same_bits(out.defaced.data, _stored_data(ras.defaced.data, axes, flips))
+    assert _same_bits(out.brain_safe_mask.data,
+                      _stored_data(ras.brain_safe_mask.data, axes, flips))
+    np.testing.assert_array_equal(out.transform, ras.transform)
 
 
 def test_deface_brain_safe_even_with_adversarial_transform(

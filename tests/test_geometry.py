@@ -225,7 +225,9 @@ def test_reorientation_copies_every_orientation_bit_for_bit(dtype):
     """All 48 axis permutations and flips of a volume spanning several
     copy tiles, with ragged last tiles: reorient_to_canonical and undo give
     C-contiguous arrays with the bits of np.ascontiguousarray of the same
-    view, and undo gives back the original."""
+    view, and undo gives back the original. The same data as a BinaryMask
+    comes back as a BinaryMask with the same record and the bits of the
+    Volume case cast to bool."""
     data = np.random.default_rng(17).integers(0, 2 if dtype is bool else 1000,
                                                size=(17, 33, 20)).astype(dtype)
     spacing = (0.9, 1.2, 1.5)
@@ -236,7 +238,11 @@ def test_reorientation_copies_every_orientation_bit_for_bit(dtype):
             aff[j, perm[j]] = -spacing[j] if flips[j] else spacing[j]
         out, rec = geometry.reorient_to_canonical(Volume(data, aff))
         assert (rec.perm, rec.flips) == (perm, flips)
-        assert out.data.flags.c_contiguous
+        assert type(out) is Volume and out.data.flags.c_contiguous
+        mask, mask_rec = geometry.reorient_to_canonical(BinaryMask(data, aff))
+        assert type(mask) is BinaryMask and mask_rec == rec
+        assert _same_bits(mask.data, out.data.astype(bool))
+        np.testing.assert_array_equal(mask.affine, out.affine)
         assert _same_bits(out.data, np.ascontiguousarray(rec.apply(data)))
         back = rec.undo(out.data)
         assert back.flags.c_contiguous
