@@ -22,7 +22,12 @@ that registration reads as background. Then it resamples seed 1's phantom
 and ``qc --json`` on it, so the flow also covers morphology with a
 non-cubic ball, on both sides of ``morphology.dilate``'s switch between the
 ball and the distance transform. Prints one
-``sha256  path`` line per output file, paths relative to OUTDIR. A
+``sha256  path`` line per output file, paths relative to OUTDIR. It also
+hashes, in process, the volume and both masks of
+``synthetic.random_subject(nominal_head(n), seed)`` for n = 64 (seeds 1-5)
+and n = 128 (seeds 1-2), the benchmark's phantoms at both of its sizes,
+each as its dtype, shape and bytes, under the path
+``random_subject/N/seed-S/NAME``. A
 ``.nii.gz`` is hashed by its decompressed stream, so a change to the
 compression alone (level, deflate stream, gzip header) leaves its hash
 unchanged. A ``_prov.json`` is hashed without its ``timing`` and
@@ -52,6 +57,8 @@ STORED_AXES = (2, 0, 1)
 STORED_FLIPS = (True, True, False)
 # Voxel spacing (mm) of the anisotropic subject; the phantoms are 1 mm.
 ANISOTROPIC_SPACING = (1.0, 1.0, 2.5)
+# Seeds of the random_subject phantoms hashed in process, by grid size.
+PHANTOM_SEEDS = {64: (1, 2, 3, 4, 5), 128: (1, 2)}
 
 
 def _run(argv):
@@ -144,6 +151,25 @@ def write_anisotropic(ras: Path, out: Path) -> Path:
     return out / "phantom.nii.gz"
 
 
+def phantom_digests() -> dict:
+    """sha256 of the dtype, shape and bytes of each random_subject phantom's
+    volume and masks, by pseudo-path."""
+    from defacepipe import synthetic
+
+    digests = {}
+    for size, seeds in PHANTOM_SEEDS.items():
+        head = synthetic.nominal_head(size)
+        for seed in seeds:
+            phantom = synthetic.random_subject(head, seed)
+            for name, grid in (("volume", phantom.volume), ("brain_mask", phantom.brain_mask),
+                               ("face_mask", phantom.face_mask)):
+                data = np.ascontiguousarray(grid.data)
+                h = hashlib.sha256(f"{data.dtype.str} {data.shape}\n".encode())
+                h.update(data.tobytes())
+                digests[f"random_subject/{size}/seed-{seed}/{name}"] = h.hexdigest()
+    return digests
+
+
 def run_flow(out: Path) -> None:
     for seed in (0, *SUBJECT_SEEDS):
         _run(["phantom", "--seed", str(seed), "--output-dir", str(out / f"seed-{seed}")])
@@ -206,9 +232,12 @@ def main(argv=None) -> int:
         return 2
     sys.path.insert(0, str(ROOT / "src"))
     run_flow(out)
-    outputs = [p for p in out.rglob("*") if p.is_file() and p.name != MANIFEST]
-    for path in sorted(outputs):
-        print(f"{_digest(path)}  {path.relative_to(out)}")
+    digests = phantom_digests()
+    for path in out.rglob("*"):
+        if path.is_file() and path.name != MANIFEST:
+            digests[str(path.relative_to(out))] = _digest(path)
+    for name in sorted(digests):
+        print(f"{digests[name]}  {name}")
     return 0
 
 

@@ -35,9 +35,10 @@ def _bbox(data: np.ndarray, margin=0) -> tuple[slice, ...] | None:
     voxels (a scalar or one per axis) and clamped to the array; None when no
     voxel is True."""
     margin = np.broadcast_to(margin, (3,))
-    xy = data.any(axis=2)
+    # Reductions over the leading axes, which numpy runs fastest.
+    yz = data.any(axis=0)
     box = []
-    for axis, hit in enumerate((xy.any(axis=1), xy.any(axis=0), data.any(axis=(0, 1)))):
+    for axis, hit in enumerate((data.any(axis=(1, 2)), yz.any(axis=1), yz.any(axis=0))):
         idx = np.flatnonzero(hit)
         if idx.size == 0:
             return None

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import ndimage
 
 from defacepipe import geometry
@@ -424,18 +424,26 @@ def test_resample_matches_dense_reference(dtype, interp):
 @st.composite
 def nearest_inputs(draw):
     """A source volume of any dtype resample reads, non-finite voxels in
-    float ones, its grid and a target grid of 1-12 voxels an axis, and a map
-    between them: "oblique" on random permuted, flipped, anisotropic and
-    oblique grids, zooms 0.5-2; "half-voxel" on axis-aligned grids with
-    dyadic spacings, zooms and shifts, so that coordinates fall exactly on
-    half voxels and the edges at -0.5 and n - 0.5; "decimal", a voxel map
-    of tenths, whose sums round differently in another order; "disjoint"
-    with no overlap at all."""
+    float ones (a whole plane next to the last among them), its grid and a
+    target grid of 1-12 voxels an axis, and a map between them: "oblique"
+    on random permuted, flipped, anisotropic and oblique grids, zooms 0.5-2;
+    "half-voxel" on axis-aligned grids with dyadic spacings, zooms and
+    shifts, so that coordinates fall exactly on half voxels and whole ones,
+    the edges at -0.5, 0, n - 1 and n - 0.5 among them; "whole-voxel", a
+    permutation of the axes onto a target of the source's dims and a shift
+    of at most a voxel, so that every coordinate is a voxel index; "decimal",
+    a voxel map of tenths, whose sums round differently in another order;
+    "disjoint" with no overlap at all; "rank-deficient", an oblique map that
+    collapses one world axis or all three. A "sparse" source is zero outside
+    a random, possibly empty, sub-box, with -0.0 voxels in the zero region
+    of a float one, so that only the target voxels near that box read it."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     dtype = np.dtype(draw(st.sampled_from([bool, np.uint8, np.int16, np.int32,
                                            np.float32, np.float64])))
     src_dims, tgt_dims = (tuple(draw(st.lists(st.integers(1, 12), min_size=3, max_size=3)))
                           for _ in range(2))
+    kind = draw(st.sampled_from(["oblique", "half-voxel", "whole-voxel", "decimal",
+                                 "disjoint", "rank-deficient"]))
     if dtype == bool:
         data = rng.random(src_dims) < 0.5
     elif dtype.kind in "iu":
@@ -445,8 +453,27 @@ def nearest_inputs(draw):
         data = (rng.standard_normal(src_dims) * 1e3).astype(dtype)
         for value in (np.nan, np.inf, -np.inf):
             data[tuple(rng.integers(0, src_dims))] = value
-    kind = draw(st.sampled_from(["oblique", "half-voxel", "decimal", "disjoint"]))
-    if kind == "decimal":
+        axis = rng.integers(3)
+        if src_dims[axis] > 1:
+            # A trilinear read at c = n - 1 weighs voxel n - 2 by 0, and
+            # scipy still reads it: a NaN there makes the voxel NaN.
+            np.moveaxis(data, axis, 0)[-2] = rng.choice([np.nan, np.inf])
+    if draw(st.sampled_from(["dense", "sparse"])) == "sparse":
+        lo = rng.integers(0, src_dims, endpoint=True)
+        hi = rng.integers(lo, src_dims, endpoint=True)
+        keep = np.zeros(src_dims, dtype=bool)
+        keep[tuple(slice(a, b) for a, b in zip(lo, hi))] = True
+        data[~keep] = 0
+        if dtype.kind == "f":
+            data[~keep & (rng.random(src_dims) < 0.5)] = -0.0
+    if kind == "whole-voxel":
+        grids = [np.eye(4), np.eye(4)]
+        perm = rng.permutation(3)
+        tgt_dims = tuple(src_dims[a] for a in perm)
+        world_map = np.eye(4)
+        world_map[:3, :3] = np.eye(3)[:, perm]
+        world_map[:3, 3] = rng.integers(-1, 2, 3)
+    elif kind == "decimal":
         grids = [np.eye(4), np.eye(4)]
         world_map = np.eye(4)
         world_map[:3] = rng.integers(-20, 21, (3, 4)) / 10
@@ -467,6 +494,10 @@ def nearest_inputs(draw):
             rng.uniform(0.5, 2.0, 3), rng.uniform(-0.2, 0.2, 3), rng.uniform(-2.0, 2.0, 3))
         if kind == "disjoint":
             world_map = geometry.translation(rng.choice([-1.0, 1.0], 3) * 100.0) @ world_map
+        elif kind == "rank-deficient":
+            collapse = np.eye(4)
+            collapse[:3, :3] = 0.0 if rng.random() < 0.25 else np.diag(rng.permutation([0, 1, 1]))
+            world_map = world_map @ collapse
     return data, grids[0], tgt_dims, grids[1], world_map
 
 
@@ -486,24 +517,68 @@ def test_resample_nearest_matches_scipy_bit_for_bit(case):
     assert out.data.tobytes() == want.tobytes()
 
 
+def _scipy_trilinear(source, tgt_dims, target_affine, world_map):
+    """scipy's affine_transform with order 1 and mode "constant" into
+    float64, rounded for an integer source and cast to its dtype."""
+    want = ndimage.affine_transform(
+        source.data, geometry.invert(source.affine) @ world_map @ target_affine,
+        output_shape=tgt_dims, output=np.float64, order=1, mode="constant")
+    if np.issubdtype(source.data.dtype, np.integer):
+        np.rint(want, out=want)
+    return want.astype(source.data.dtype)
+
+
+def _edge_case(shift):
+    """A map that puts the last plane of target voxels at c = n - 1 + shift
+    on axis 0 of a source whose plane n - 2 is NaN, with an inf inside."""
+    data = np.arange(5 * 3 * 4, dtype=np.float64).reshape(5, 3, 4)
+    data[3] = np.nan
+    data[1, 1, 1] = np.inf
+    return data, np.eye(4), data.shape, np.eye(4), geometry.translation((shift, 0.0, 0.0))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=nearest_inputs())
+@example(case=_edge_case(0.0))  # the mirrored corner, weight 0, makes NaN
+@example(case=_edge_case(-1e-9))  # the corner at n - 2 has weight 1e-9
+@example(case=_edge_case(1e-9))  # outside: 0
+def test_resample_trilinear_matches_scipy_bit_for_bit(case):
+    """A trilinear resample writes the bytes scipy's affine_transform
+    writes with order 1 and mode "constant" into float64, followed by the
+    same rounding of an integer source and cast (a bool source read as a
+    uint8 volume): NaN and inf voxels, -0.0, 1-voxel axes and coordinates on
+    the edges 0 and n - 1 included. At c = n - 1 the upper corner is
+    mirrored to n - 2 with weight 0, so a NaN there makes the voxel NaN."""
+    data, src_affine, tgt_dims, target_affine, world_map = case
+    source = Volume(data.view(np.uint8) if data.dtype == bool else data, src_affine)
+    out = geometry.resample(source, tgt_dims, target_affine, world_map, interp="trilinear")
+    want = _scipy_trilinear(source, tgt_dims, target_affine, world_map)
+    assert out.data.dtype == source.data.dtype and out.data.shape == tgt_dims
+    assert out.data.tobytes() == want.tobytes()
+
+
 def test_resample_allocates_no_per_voxel_coordinates():
     """A nearest resample of a 64^3 mask writes its output directly. As a
     uint8 Volume it allocates at most 3 bytes per target voxel above entry,
     with no float64 output (8 bytes) and no coordinate array (24 bytes). As
     a BinaryMask it allocates at most 1.5 bytes: its bool output and the
     resample's block buffers (1.38 bytes measured), and no uint8 copy to
-    read above 0 (2 bytes). The block size depends on the dims, so a
-    non-cubic grid is measured too."""
+    read above 0 (2 bytes). A trilinear resample allocates at most its
+    output's itemsize and 2 bytes per target voxel, with no float64 output
+    and cast copy of it (10 and 12 bytes for int16 and float32 ones). The
+    block size depends on the dims, so a non-cubic grid is measured too."""
     world_map = _z_turn(0.1) @ geometry.translation((0.3, -0.2, 0.1))
     for dims in ((64, 64, 64), (96, 80, 40)):
-        for mask, bound in (
-            (Volume(np.ones(dims, dtype=np.uint8), np.eye(4)), 3.0),
-            (BinaryMask(np.ones(dims, dtype=bool), np.eye(4)), 1.5),
+        for mask, bound, interp in (
+            (Volume(np.ones(dims, dtype=np.uint8), np.eye(4)), 3.0, "nearest"),
+            (BinaryMask(np.ones(dims, dtype=bool), np.eye(4)), 1.5, "nearest"),
+            (Volume(np.ones(dims, dtype=np.float32), np.eye(4)), 4 + 2.0, "trilinear"),
+            (Volume(np.ones(dims, dtype=np.int16), np.eye(4)), 2 + 2.0, "trilinear"),
         ):
             tracemalloc.start()
             try:
                 entry = tracemalloc.get_traced_memory()[0]
-                out = geometry.resample(mask, dims, mask.affine, world_map, interp="nearest")
+                out = geometry.resample(mask, dims, mask.affine, world_map, interp=interp)
                 peak = tracemalloc.get_traced_memory()[1] - entry
             finally:
                 tracemalloc.stop()
