@@ -12,6 +12,7 @@ failure is reported on stderr as ``error: <path>: ...``.
 
 import argparse
 import concurrent.futures
+import functools
 import json
 import logging
 import math
@@ -170,6 +171,10 @@ def _parse_manifest(path: Path) -> list[tuple[str, Path, Path]]:
     return items
 
 
+def _read_pair(orig_path: Path, defaced_path: Path):
+    return nifti.read_nifti(orig_path)[0], nifti.read_nifti(defaced_path)[0]
+
+
 def cmd_qc(args) -> int:
     try:
         entries = _parse_manifest(args.manifest)
@@ -177,17 +182,12 @@ def cmd_qc(args) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
 
-    def read_pair(orig_path, defaced_path):
-        try:
-            return nifti.read_nifti(orig_path)[0], nifti.read_nifti(defaced_path)[0]
-        except DefacepipeError as e:
-            print(f"error: {orig_path}: {e}", file=sys.stderr)
-            return None, None  # qc_report records the pair as failed
-
-    # Read as qc_report asks, one pair at a time; the generator keeps no
-    # reference to a pair it has handed out.
-    pairs = ((item_id, *read_pair(orig, defaced)) for item_id, orig, defaced in entries)
-    report = qc_report(pairs, threshold=args.threshold)
+    readers = ((item_id, functools.partial(_read_pair, orig, defaced))
+               for item_id, orig, defaced in entries)
+    report = qc_report(readers, threshold=args.threshold)
+    for (_, orig, _), (_, _, _, error) in zip(entries, report.per_item):
+        if error is not None:
+            print(f"error: {orig}: {error}", file=sys.stderr)
     print(report.to_table())
     if args.json:
         try:

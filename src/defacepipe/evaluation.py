@@ -7,7 +7,7 @@ import numpy as np
 
 from . import geometry
 from .brain_extraction import extract_brain
-from .errors import BothEmpty, FileError
+from .errors import BothEmpty
 from .geometry import reorient_to_canonical
 from .volume import BinaryMask, Volume, check_same_grid
 
@@ -97,30 +97,28 @@ def propagate_labels(
     )
 
 
-def _pair_dice(original: Volume | None, defaced: Volume | None) -> float:
+def _pair_dice(original: Volume, defaced: Volume) -> float:
     """Dice of the fallback brain masks of the two volumes."""
-    if original is None or defaced is None:
-        raise FileError("unreadable input")
     masks = [extract_brain(reorient_to_canonical(v)[0]) for v in (original, defaced)]
     return dice(*masks)
 
 
 def qc_report(items, threshold: float = 0.99) -> DiceReport:
-    """For each (id, original Volume, defaced Volume) of items, an iterable
-    taken one item at a time, re-extract brain masks on both with the
-    fallback extractor and Dice them. Per-item errors are recorded, not
-    fatal; a pair whose original or defaced volume is None (it could not be
-    read) is recorded as failed in its place."""
+    """For each (id, read) of items, an iterable taken one item at a time,
+    read() returns the pair (original Volume, defaced Volume); re-extract
+    brain masks on both with the fallback extractor and Dice them. Reading
+    and scoring a pair is one step: an error in either is recorded as the
+    item's error, not fatal, and the pair is freed before the next item is
+    taken."""
     per_item = []
     values = []
-    for item_id, original, defaced in items:
+    for item_id, read in items:
         try:
-            d = _pair_dice(original, defaced)
+            d = _pair_dice(*read())
             per_item.append((item_id, d, d < threshold, None))
             values.append(d)
         except Exception as e:
             per_item.append((item_id, None, True, str(e)))
-        del original, defaced  # freed before the next pair is read
     if not per_item:
         raise ValueError("qc_report requires at least one item")
     mean = std = None

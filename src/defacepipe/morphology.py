@@ -72,8 +72,6 @@ def dilate(m: BinaryMask, radius_mm: float) -> BinaryMask:
     a True voxel. Runs on the bounding box grown by the radius in voxels.
     A negative or non-finite radius raises ValueError."""
     check_radius(radius_mm)
-    if radius_mm == 0:
-        return BinaryMask(m.data.copy(), m.affine)
     sp = np.asarray(m.spacing, dtype=np.float64)
     reach = np.floor(radius_mm / sp + 1e-9).astype(int)
     if (reach * 2 + 1).prod() > 2197:
@@ -99,8 +97,6 @@ def erode(m: BinaryMask, radius_mm: float) -> BinaryMask:
     as False. Runs on the bounding box. A negative or non-finite radius
     raises ValueError."""
     check_radius(radius_mm)
-    if radius_mm == 0:
-        return BinaryMask(m.data.copy(), m.affine)
     structure = ball_structure(radius_mm, m.spacing)
     return _on_bbox(m, 0, lambda crop: _shifted(crop, structure, np.logical_and))
 

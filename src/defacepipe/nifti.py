@@ -86,16 +86,12 @@ def _read_exactly(f, nbytes: int) -> np.ndarray | None:
     return out
 
 
-def _unpack(fmt, raw, offset):
-    return struct.unpack_from(fmt, raw, offset)
-
-
 def _quaternion_affine(raw: bytes, bo: str) -> np.ndarray:
     """The qform affine; all NaN when a quaternion, offset or spacing field
     is not finite, which the caller rejects or ignores."""
-    b, c, d = _unpack(bo + "3f", raw, 256)
-    ox, oy, oz = _unpack(bo + "3f", raw, 268)
-    pixdim = _unpack(bo + "8f", raw, 76)
+    b, c, d = struct.unpack_from(bo + "3f", raw, 256)
+    ox, oy, oz = struct.unpack_from(bo + "3f", raw, 268)
+    pixdim = struct.unpack_from(bo + "8f", raw, 76)
     if not all(map(math.isfinite, (b, c, d, ox, oy, oz, *pixdim[1:4]))):
         return np.full((4, 4), np.nan)
     qfac = -1.0 if pixdim[0] < 0 else 1.0
@@ -154,20 +150,20 @@ def read_nifti(path) -> tuple[Volume, HeaderSidecar]:
             if magic != NIFTI1_MAGIC:
                 raise NotNifti(f"{path}: bad magic {magic!r}")
             bo = "<"
-            (sizeof_hdr,) = _unpack(bo + "i", raw, 0)
+            (sizeof_hdr,) = struct.unpack_from(bo + "i", raw, 0)
             if sizeof_hdr != HEADER_SIZE:
                 bo = ">"
-                (sizeof_hdr,) = _unpack(bo + "i", raw, 0)
+                (sizeof_hdr,) = struct.unpack_from(bo + "i", raw, 0)
                 if sizeof_hdr != HEADER_SIZE:
                     raise NotNifti(f"{path}: sizeof_hdr is {sizeof_hdr}")
 
-            dim = _unpack(bo + "8h", raw, 40)
-            (datatype,) = _unpack(bo + "h", raw, 70)
-            pixdim = _unpack(bo + "8f", raw, 76)
-            (vox_offset,) = _unpack(bo + "f", raw, 108)
-            scl_slope, scl_inter = _unpack(bo + "2f", raw, 112)
+            dim = struct.unpack_from(bo + "8h", raw, 40)
+            (datatype,) = struct.unpack_from(bo + "h", raw, 70)
+            pixdim = struct.unpack_from(bo + "8f", raw, 76)
+            (vox_offset,) = struct.unpack_from(bo + "f", raw, 108)
+            scl_slope, scl_inter = struct.unpack_from(bo + "2f", raw, 112)
             scaling = _scaling(scl_slope, scl_inter, path)
-            qform_code, sform_code = _unpack(bo + "2h", raw, 252)
+            qform_code, sform_code = struct.unpack_from(bo + "2h", raw, 252)
 
             ndim = dim[0]
             if not 1 <= ndim <= 7:
@@ -221,9 +217,9 @@ def read_nifti(path) -> tuple[Volume, HeaderSidecar]:
 
     if sform_code > 0:
         affine = np.eye(4)
-        affine[0, :] = _unpack(bo + "4f", raw, 280)
-        affine[1, :] = _unpack(bo + "4f", raw, 296)
-        affine[2, :] = _unpack(bo + "4f", raw, 312)
+        affine[0, :] = struct.unpack_from(bo + "4f", raw, 280)
+        affine[1, :] = struct.unpack_from(bo + "4f", raw, 296)
+        affine[2, :] = struct.unpack_from(bo + "4f", raw, 312)
         if qform_code > 0:
             qaff = _quaternion_affine(raw, bo)
             if not np.allclose(qaff, affine, atol=1e-3):

@@ -312,6 +312,7 @@ class _FixedLevel:
     affine: np.ndarray  # level voxel -> world
     fgT: np.ndarray  # (3, n) jittered voxel coordinates of the samples
     fixed_bins: np.ndarray  # fixed intensity bin of each sample
+    bins: int  # the MI histogram's bins per axis, fixed_bins' count
 
 
 @dataclass(frozen=True)
@@ -372,6 +373,7 @@ def prepare(fixed: Volume) -> FixedSide:
             fgT=_frozen(np.ascontiguousarray(fg.T)),
             fixed_bins=_frozen(
                 _bin_indices(fixed_vals, f_level.window, RegistrationConfig.bins)),
+            bins=RegistrationConfig.bins,
         ))
     return FixedSide(center, tuple(levels))
 
@@ -409,7 +411,7 @@ def _log_ratio_steps(counts: np.ndarray) -> np.ndarray:
     return np.diff(np.log(log_ratio, out=log_ratio).ravel())
 
 
-def _level_cost(f_level: _FixedLevel, m_level: _Level, center: np.ndarray, bins: int):
+def _level_cost(f_level: _FixedLevel, m_level: _Level, center: np.ndarray):
     """(value, gradient): the cost -MI of one pyramid level and its
     gradient, as functions of the optimizer-unit parameters x (internal
     parameters x * _UNITS). Both come from one pass over every sample, and
@@ -421,6 +423,7 @@ def _level_cost(f_level: _FixedLevel, m_level: _Level, center: np.ndarray, bins:
     # to the sampling grid and displaces the MI optimum by more than the
     # recovery tolerance.
     m_inv = invert(m_level.affine)
+    bins = f_level.bins
     # d(bin position) / d(moving value) inside the window's range
     slope = bins / (m_level.window[1] - m_level.window[0])
     row_cells = f_level.fixed_bins * bins
@@ -483,10 +486,10 @@ def register_affine(fixed: FixedSide, moving: Volume) -> tuple[np.ndarray, dict]
     x[:3] = _foreground_centroid(moving) - center
 
     diagnostics = {"levels": [], "seed": RegistrationConfig.seed,
-                   "bins": RegistrationConfig.bins}
+                   "bins": fixed.levels[0].bins}
     for f_level in fixed.levels:
         m_level = _level(moving, f_level.factor, f_level.sigma)
-        value, gradient = _level_cost(f_level, m_level, center, RegistrationConfig.bins)
+        value, gradient = _level_cost(f_level, m_level, center)
         res = optimize.minimize(
             value, x, jac=gradient, method="L-BFGS-B", bounds=_UNIT_BOUNDS,
             # maxcor: corrections kept for the inverse-Hessian estimate

@@ -66,13 +66,42 @@ def test_traced_fallback_paths_record_their_spans():
     tracer.install()
     try:
         defacing.make_template_pack(head)
-        evaluation.qc_report([("a", head, head)])
+        evaluation.qc_report([("a", lambda: (head, head))])
     finally:
         tracer.uninstall()
     names = [sp["name"] for sp in tracer.take()]
     assert names.count("brain_extraction.fallback_extract") == 3
     assert names.count("brain_extraction.extract_brain") == 2
     assert names.count("evaluation.dice") == 1
+
+
+def test_traced_qc_reads_each_pair_inside_its_item_span(tmp_path):
+    """A traced ``qc`` reads each pair inside that pair's
+    ``evaluation.qc_item`` span, as it scores it, and every item span is
+    covered by its self time plus its children."""
+    head = synthetic.nominal_head(size=24)
+    sc = nifti.sidecar_for_dtype(np.float32)
+    lines = []
+    for seed in (1, 2):
+        path = tmp_path / f"s{seed}.nii.gz"
+        nifti.write_nifti(synthetic.random_subject(head, seed=seed).volume, sc, path)
+        lines.append(f"{path} {path}\n")
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text("".join(lines))
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        assert cli.main(["qc", str(manifest)]) == 0
+    finally:
+        tracer.uninstall()
+    taken = tracer.take()
+    by_id = {sp["id"]: sp for sp in taken}
+    reads = [sp for sp in taken if sp["name"] == "nifti.read_nifti"]
+    assert len(reads) == 4
+    assert [by_id[sp["parent"]]["name"] for sp in reads] == ["evaluation.qc_item"] * 4
+    assert [by_id[sp["parent"]]["subject"] for sp in reads] == [
+        "s1.nii.gz", "s1.nii.gz", "s2.nii.gz", "s2.nii.gz"]
+    assert spans.accounting_errors(taken) == []
 
 
 def test_names_the_benchmark_calls_exist_and_work(tmp_path):

@@ -23,6 +23,7 @@ from defacepipe import (
 from defacepipe.brain_extraction import extract_brain
 from defacepipe.cli import build_parser, main
 from defacepipe.defacing import quickshear
+from defacepipe.errors import DefacepipeError
 from defacepipe.morphology import apply_mask
 from defacepipe.volume import Volume
 
@@ -281,7 +282,7 @@ def test_qc_unreadable_pair_keeps_manifest_position(workspace, tmp_path, capsys)
     assert "missing.nii.gz" in captured.err and "no such file" in captured.err
     payload = json.loads((tmp_path / "report.json").read_text())
     assert [i["id"] for i in payload["items"]] == ids
-    assert payload["items"][1]["error"] == "unreadable input"
+    assert payload["items"][1]["error"] == f"no such file: {tmp_path / 'missing.nii.gz'}"
     assert payload["failed"] == ["missing.nii.gz"]
     assert payload["n"] == 2
 
@@ -301,6 +302,36 @@ def test_qc_corrupt_header_is_a_failed_row(workspace, tmp_path, capsys):
     rows = [r.split() for r in captured.out.splitlines()[1:3]]
     assert [r[2] for r in rows] == ["FAILED", "ok"]
     assert "vox_offset" in captured.err and "Traceback" not in captured.err
+
+
+def test_qc_failed_pairs_record_their_reason_in_json_and_on_stderr(workspace, tmp_path, capsys):
+    """Every FAILED pair prints one line, error: <original path>: <reason>,
+    and its --json error is that reason: the reader's message for a corrupt
+    defaced file, the extractor's for an all-zero defaced volume."""
+    root, head, _subject = workspace
+    subj = root / "subj.nii.gz"
+    originals = [shutil.copy(subj, tmp_path / f"{name}.nii.gz")
+                 for name in ("good", "corrupt", "blank")]
+    corrupt = tmp_path / "corrupt_defaced.nii"
+    raw = bytearray(gzip.decompress(subj.read_bytes()))
+    struct.pack_into("<f", raw, 108, float("inf"))  # vox_offset
+    corrupt.write_bytes(raw)
+    with pytest.raises(DefacepipeError) as unreadable:
+        nifti.read_nifti(corrupt)
+    blank = tmp_path / "blank_defaced.nii.gz"
+    zeros = Volume(np.zeros_like(head.volume.data), head.volume.affine)
+    nifti.write_nifti(zeros, nifti.sidecar_for_dtype(np.float32), blank)
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text("".join(
+        f"{o} {d}\n" for o, d in zip(originals, (subj, corrupt, blank))))
+    report = tmp_path / "report.json"
+    assert main(["qc", str(manifest), "--json", str(report)]) == 1
+    errors = [item["error"] for item in json.loads(report.read_text())["items"]]
+    assert errors == [None, str(unreadable.value), "no foreground above Otsu threshold"]
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {originals[1]}: {errors[1]}",
+        f"error: {originals[2]}: {errors[2]}",
+    ]
 
 
 def test_qc_all_pairs_unreadable_exit_1(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Dice, multilabel propagation, and the batch QC report."""
 
+import functools
 import json
 import weakref
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from defacepipe import evaluation, synthetic
-from defacepipe.errors import BothEmpty, GridMismatch
+from defacepipe.errors import BothEmpty, FileError, GridMismatch
 from defacepipe.evaluation import (
     DiceReport,
     dice,
@@ -119,8 +120,13 @@ def test_propagate_integer_shift():
     np.testing.assert_array_equal(out.data, expected)
 
 
+def _read(original, defaced):
+    """A qc_report reader of a pair already in memory."""
+    return lambda: (original, defaced)
+
+
 def test_qc_identical_pairs(head):
-    items = [(f"s{i}", head.volume, head.volume) for i in range(3)]
+    items = [(f"s{i}", _read(head.volume, head.volume)) for i in range(3)]
     report = qc_report(items)
     assert report.mean == 1.0
     assert report.std == 0.0
@@ -132,8 +138,8 @@ def test_qc_flags_corrupted_brain(head):
     corrupted = Volume(head.volume.data.copy(), head.volume.affine)
     # zero a brain octant: Dice drops well below 0.99
     corrupted.data[32:, 30:, 38:] = 0.0
-    report = qc_report([("good", head.volume, head.volume),
-                        ("bad", head.volume, corrupted)])
+    report = qc_report([("good", _read(head.volume, head.volume)),
+                        ("bad", _read(head.volume, corrupted))])
     assert "bad" in report.flagged
     assert "good" not in report.flagged
 
@@ -141,19 +147,28 @@ def test_qc_flags_corrupted_brain(head):
 def test_qc_mixed_batch_aggregation(head):
     corrupted = Volume(head.volume.data.copy(), head.volume.affine)
     corrupted.data[32:, 30:, 38:] = 0.0
-    report = qc_report([("a", head.volume, head.volume),
-                        ("b", head.volume, corrupted)])
+    report = qc_report([("a", _read(head.volume, head.volume)),
+                        ("b", _read(head.volume, corrupted))])
     values = [d for _i, d, _f, _e in report.per_item]
     assert report.mean == pytest.approx(np.mean(values), abs=1e-12)
     assert report.std == pytest.approx(np.std(values), abs=1e-12)
 
 
 def test_qc_per_item_error_recorded(head):
+    """A pair that fails to score, or whose read() raises, is a failed item
+    carrying that error's message; the other pairs are scored."""
     zero = Volume(np.zeros_like(head.volume.data), head.volume.affine)
-    report = qc_report([("ok", head.volume, head.volume),
-                        ("broken", head.volume, zero)])
-    assert report.failed == ["broken"]
+
+    def unreadable():
+        raise FileError("c.nii: not a NIfTI-1 file")
+
+    report = qc_report([("ok", _read(head.volume, head.volume)),
+                        ("broken", _read(head.volume, zero)),
+                        ("unreadable", unreadable)])
+    assert report.failed == ["broken", "unreadable"]
     assert report.n == 1
+    assert [item[3] for item in report.per_item] == [
+        None, "no foreground above Otsu threshold", "c.nii: not a NIfTI-1 file"]
 
 
 def test_qc_empty_items():
@@ -189,15 +204,17 @@ def test_qc_report_releases_each_pair_before_reading_the_next(monkeypatch):
     monkeypatch.setattr(evaluation, "extract_brain", extract_brain)
     shifted = head.affine @ translation((1.0, 0.0, 0.0))
 
+    def read(k):
+        # pair 1's volumes lie on different grids, so its Dice fails
+        pair = (Volume(head.data.copy(), head.affine),
+                Volume(head.data.copy(), shifted if k == 1 else head.affine))
+        alive.extend(weakref.ref(obj) for v in pair for obj in (v, v.data))
+        return pair
+
     def pairs():
         for k in range(3):
             assert not any(ref() is not None for ref in alive), f"pair {k - 1} alive"
-            # pair 1's volumes lie on different grids, so its Dice fails
-            pair = (Volume(head.data.copy(), head.affine),
-                    Volume(head.data.copy(), shifted if k == 1 else head.affine))
-            alive.extend(weakref.ref(obj) for v in pair for obj in (v, v.data))
-            yield (f"p{k}", *pair)
-            del pair
+            yield (f"p{k}", functools.partial(read, k))
 
     report = qc_report(pairs())
     assert report.n == 2 and report.failed == ["p1"]

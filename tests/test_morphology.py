@@ -57,9 +57,15 @@ def test_binarise_strict_inequality():
 
 
 def test_dilate_radius_zero_identity(rng):
-    m = BinaryMask(rng.random((5, 5, 5)) > 0.7, np.eye(4))
-    out = morphology.dilate(m, 0.0)
-    np.testing.assert_array_equal(out.data, m.data)
+    """Dilation and erosion by radius 0 return a copy of the mask, empty or
+    not, on an anisotropic grid too."""
+    for spacing in ((1.0, 1.0, 1.0), (0.3, 1.0, 2.5)):
+        for data in (rng.random((5, 6, 7)) > 0.7, np.zeros((5, 6, 7), bool)):
+            m = BinaryMask(data, np.diag([*spacing, 1.0]))
+            for op in (morphology.dilate, morphology.erode):
+                out = op(m, 0.0)
+                np.testing.assert_array_equal(out.data, m.data)
+                assert not np.shares_memory(out.data, m.data)
 
 
 @pytest.mark.parametrize("op", [morphology.dilate, morphology.erode])

@@ -545,7 +545,7 @@ def test_cost_gradient_matches_central_differences(head):
     truth = parameters(invert(phantom.true_transform), fixed.center)
     for f_level in fixed.levels:
         value, gradient = _level_cost(
-            f_level, _level(subject, f_level.factor, f_level.sigma), fixed.center, 32)
+            f_level, _level(subject, f_level.factor, f_level.sigma), fixed.center)
         x = truth + 2.0 + rng.normal(0.0, 0.5, 12)
         h = 1e-3
         fd = np.array([(value(x + h * e) - value(x - h * e)) / (2 * h) for e in np.eye(12)])
@@ -554,7 +554,7 @@ def test_cost_gradient_matches_central_differences(head):
         np.testing.assert_allclose(g, fd, rtol=0, atol=0.01 * np.abs(g).max())
 
 
-def plain_level_cost(f_level, moving, center, bins, x):
+def plain_level_cost(f_level, moving, center, x):
     """One level's (value, gradient) at x against the moving image's level
     read by whole_grid_downsample, each formula in its plainest form: the
     level padded by np.pad and windowed by robust_range here, sample
@@ -562,6 +562,7 @@ def plain_level_cost(f_level, moving, center, bins, x):
     expression in one line, the upper weights tallied at cells + 1, log
     ratios through boolean indexing, and the moment's last column as a sum
     of the scaled gradients."""
+    bins = f_level.bins
     data = whole_grid_downsample(moving, f_level.factor, f_level.sigma)
     lo, hi = robust_range(data)
     slope = bins / (hi - lo)
@@ -606,11 +607,11 @@ def test_level_cost_matches_the_plain_formulas_bit_for_bit(head, fixed):
     rng = np.random.default_rng(22)
     for f_level in fixed.levels:
         value, gradient = _level_cost(
-            f_level, _level(phantom.volume, f_level.factor, f_level.sigma), fixed.center, 32)
+            f_level, _level(phantom.volume, f_level.factor, f_level.sigma), fixed.center)
         for _ in range(3):
             x = truth + rng.normal(0.0, 1.0, 12)
             want_value, want_gradient = plain_level_cost(
-                f_level, phantom.volume, fixed.center, 32, x)
+                f_level, phantom.volume, fixed.center, x)
             assert value(x) == want_value
             np.testing.assert_array_equal(gradient(x), want_gradient)
 
