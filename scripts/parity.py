@@ -4,9 +4,11 @@
 
 Runs, through ``defacepipe.cli.main`` from this checkout's ``src/``:
 ``phantom`` with seeds 0-3 (one directory each), ``make-template-pack`` on
-seed 0, ``quickshear --brain-mask`` on each subject (seeds 1-3), one
-``deface --jobs 1`` over the three subjects, and one ``qc --json`` over the
-(original, defaced) and (original, sheared) pairs. Then it writes seed 1's
+seed 0, once with the fallback extractor and once with ``--brain-mask`` on
+seed 0's brain mask (into ``pack-external/``), ``quickshear --brain-mask``
+on each subject (seeds 1-3), one ``deface --jobs 1`` over the three
+subjects, and one ``qc --json`` over the (original, defaced) and
+(original, sheared) pairs. Then it writes seed 1's
 phantom and brain mask once more, in ``noncanonical/``, stored with permuted
 and flipped voxel axes and the affine that keeps every voxel's world
 position, and runs ``quickshear --brain-mask``, ``deface --jobs 1`` and
@@ -175,6 +177,9 @@ def run_flow(out: Path) -> None:
         _run(["phantom", "--seed", str(seed), "--output-dir", str(out / f"seed-{seed}")])
     template = out / "seed-0" / "phantom.nii.gz"
     _run(["make-template-pack", str(template), "--output-dir", str(out / "pack")])
+    _run(["make-template-pack", str(template),
+          "--brain-mask", str(template.parent / "phantom_brainmask.nii.gz"),
+          "--output-dir", str(out / "pack-external")])
     subjects = [out / f"seed-{s}" / "phantom.nii.gz" for s in SUBJECT_SEEDS]
     for subject in subjects:
         _run(["quickshear", str(subject),

@@ -1,26 +1,32 @@
-"""Tight brain-mask production from an external mask path, or the fallback
-when there is none.
+"""Brain masks: external mask files read as masks, and the fallback
+extractor for when there is none.
 
 The accurate extractors used in practice are deep models run outside this
-package; their output, a brain mask or a skull-stripped volume, is passed
-as a file path: every voxel above 0 is brain. The built-in fallback is a
-deterministic classical extractor (Otsu threshold, 2 mm closing, largest
-component, hole fill) adequate for phantoms and smoke tests. Its Otsu
-histogram is counted on one sorted copy of the volume, its morphology runs
-on the foreground's bounding box, the closing as ORs and ANDs of shifted
-slices, and it reads non-finite voxels as background.
+package; their output, a brain mask or a skull-stripped volume, is a NIfTI
+file that read_mask turns into a BinaryMask: every voxel above 0 is brain.
+The built-in fallback is a deterministic classical extractor (Otsu
+threshold, 2 mm closing, largest component, hole fill) adequate for
+phantoms and smoke tests. Its Otsu histogram is counted on one sorted copy
+of the volume, its morphology runs on the foreground's bounding box, the
+closing as ORs and ANDs of shifted slices, and it reads non-finite voxels
+as background.
 """
-
-from pathlib import Path
 
 import numpy as np
 
 from . import morphology, nifti
-from .errors import EmptyMask, FileError, GridMismatch
+from .errors import EmptyMask, GridMismatch
 from .geometry import reorient_to_canonical
 from .volume import BinaryMask, Volume
 
 CLOSING_MM = 2.0
+
+
+def read_mask(path) -> BinaryMask:
+    """The mask file at path as a BinaryMask on the file's own grid, as
+    stored: every voxel above 0 is set, whatever the file's dtype, so the
+    mask is one byte a voxel from here on. The reader's errors propagate."""
+    return BinaryMask.from_volume(nifti.read_nifti(path)[0])
 
 
 def otsu_threshold(data: np.ndarray) -> float:
@@ -81,24 +87,16 @@ def fallback_extract(v: Volume) -> BinaryMask:
     return morphology.fill_holes(comp)
 
 
-def extract_brain(v: Volume, path: Path | None = None) -> BinaryMask:
-    """Brain mask on v's grid: the external mask file at path, or the
-    fallback extractor when path is None. v must already be canonically
-    oriented. The file is thresholded (every voxel above 0 is brain) before
-    it is reoriented, so the reorientation moves a 1-byte mask, whatever
-    the file's dtype."""
-    if path is None:
+def extract_brain(v: Volume, mask: BinaryMask | None = None) -> BinaryMask:
+    """Brain mask on v's grid: the external mask reoriented to canonical
+    axes, or the fallback extractor when mask is None. v must already be
+    canonically oriented, and the reoriented mask must lie on its grid."""
+    if mask is None:
         mask = fallback_extract(v)
     else:
-        try:
-            loaded, _ = nifti.read_nifti(path)
-        except Exception as e:
-            raise FileError(f"{path}: {e}") from e
-        mask, _ = reorient_to_canonical(BinaryMask.from_volume(loaded))
+        mask, _ = reorient_to_canonical(mask)
         if not mask.same_grid(v):
-            raise GridMismatch(
-                f"{path}: grid does not match subject after reorientation"
-            )
+            raise GridMismatch("brain mask grid does not match subject after reorientation")
     if not mask.data.any():
         raise EmptyMask("brain extraction produced an empty mask")
     return mask

@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, geometry, nifti
+from .brain_extraction import read_mask
 from .defacing import (
     TemplatePack,
     deface,
@@ -32,7 +33,6 @@ from .defacing import (
 from .errors import DefacepipeError, IoError, StageError
 from .evaluation import qc_report
 from .synthetic import nominal_head, random_subject
-from .volume import BinaryMask
 
 log = logging.getLogger("defacepipe")
 
@@ -53,8 +53,7 @@ def _out_path(input_path: Path, output_dir: Path | None, suffix: str, ext=None) 
 
 def _load_pack(template_path: Path, face_mask_path: Path) -> TemplatePack:
     template, _ = nifti.read_nifti(template_path)
-    mask_vol, _ = nifti.read_nifti(face_mask_path)
-    return TemplatePack(template, BinaryMask.from_volume(mask_vol))
+    return TemplatePack(template, read_mask(face_mask_path))
 
 
 def _artifacts(input_path: Path, output_dir: Path | None) -> list[Path]:
@@ -66,9 +65,10 @@ def _artifacts(input_path: Path, output_dir: Path | None) -> list[Path]:
 def _deface_one(input_path: Path, pack: TemplatePack, brain_mask, margin_mm, output_dir):
     try:
         volume, sidecar = nifti.read_nifti(input_path)
+        mask = None if brain_mask is None else read_mask(brain_mask)
     except Exception as e:
         raise StageError(0, e) from e  # stage 0 = ingestion
-    result = deface(volume, pack, brain_mask, margin_mm)
+    result = deface(volume, pack, mask, margin_mm)
     result.provenance["input"] = str(input_path)
     result.provenance["header_warnings"] = sidecar.warnings
 
@@ -146,8 +146,7 @@ def cmd_deface(args) -> int:
 
 def cmd_quickshear(args) -> int:
     volume, sidecar = nifti.read_nifti(args.input)
-    mask_vol, _ = nifti.read_nifti(args.brain_mask)
-    sheared = quickshear(volume, BinaryMask.from_volume(mask_vol), args.buffer_mm)
+    sheared = quickshear(volume, read_mask(args.brain_mask), args.buffer_mm)
     if args.output_dir:
         args.output_dir.mkdir(parents=True, exist_ok=True)
     out = _out_path(args.input, args.output_dir, "_quickshear")
@@ -206,7 +205,7 @@ def cmd_make_template_pack(args) -> int:
         return 2
     pack = make_template_pack(
         head,
-        brain_mask=args.brain_mask,
+        brain_mask=None if args.brain_mask is None else read_mask(args.brain_mask),
         buffer_mm=args.buffer_mm,
         face_dilate_mm=args.face_dilate_mm,
     )

@@ -13,7 +13,6 @@ import functools
 import hashlib
 import time
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -86,13 +85,14 @@ def _stage(n: int, seconds: dict):
 def deface(
     input_volume: Volume,
     pack: TemplatePack,
-    brain_mask: Path | None = None,
+    brain_mask: BinaryMask | None = None,
     margin_mm: float = 7.0,
 ) -> DefaceResult:
     """Run the nine-stage pipeline; output stays on the input's native grid.
 
-    brain_mask is an external brain mask file (voxels above 0 are brain);
-    None extracts the mask with the fallback extractor.
+    brain_mask is an external brain mask (read_mask reads one from a file),
+    stored on any axes of input_volume's grid; None extracts the mask with
+    the fallback extractor.
 
     Stage 6 registers to pack.fixed, the pack's prepared template; a batch
     passes one pack for every subject, so the template is prepared once.
@@ -101,7 +101,8 @@ def deface(
     """
     started = time.time()
     t0 = time.perf_counter()
-    # Stage 3 (binarise) runs inside stage 2's extraction and is timed there.
+    # Stage 3 (binarise) has no time of its own: an external mask is binarised
+    # when it is read, before this call, and the fallback's inside stage 2.
     seconds = {"3": 0.0}
 
     with _stage(1, seconds):
@@ -250,15 +251,15 @@ def quickshear(input_volume: Volume, brain: BinaryMask, buffer_mm: float = 5.0) 
 
 def make_template_pack(
     head: Volume,
-    brain_mask: Path | None = None,
+    brain_mask: BinaryMask | None = None,
     buffer_mm: float = 5.0,
     face_dilate_mm: float = 3.0,
 ) -> TemplatePack:
     """Build a TemplatePack from a skull-containing (or already stripped)
     template: tight-stripped template + a keep-mask that removes head tissue
     on the face side of the template brain's shear plane. The template
-    brain is read from the brain_mask file, or found by the fallback
-    extractor when brain_mask is None.
+    brain is brain_mask, stored on any axes of head's grid, or found by the
+    fallback extractor when brain_mask is None.
 
     For a brain-only input the face region is empty and the keep-mask is
     all ones. A negative or non-finite face_dilate_mm raises ValueError.

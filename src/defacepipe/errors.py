@@ -29,10 +29,6 @@ class IoError(DefacepipeError):
     """Generic file read/write failure."""
 
 
-class FileError(DefacepipeError):
-    """A referenced auxiliary file could not be used."""
-
-
 class SingularTransform(DefacepipeError):
     """Affine transform has a (near-)singular linear part."""
 

@@ -128,3 +128,25 @@ def test_names_the_benchmark_calls_exist_and_work(tmp_path):
                                phantom.true_transform, rtol=0, atol=1e-9)
     tol = registration.RegistrationConfig().convergence_tol
     assert isinstance(tol, float) and tol > 0
+
+
+def test_traced_quickshear_counts_both_files_it_reads(tmp_path):
+    """A traced ``quickshear --brain-mask`` records one ``nifti.read_nifti``
+    span per file it reads, the volume and its brain mask, each with that
+    file's size, so the traced benchmark counts mask reads too."""
+    head = synthetic.nominal_head(size=24)
+    volume, mask = tmp_path / "head.nii.gz", tmp_path / "brain.nii.gz"
+    nifti.write_nifti(head.volume, nifti.sidecar_for_dtype(np.float32), volume)
+    nifti.write_mask(head.brain_mask, mask)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        with tracer.span("cli.main", subject="head"):
+            assert cli.main(["quickshear", str(volume), "--brain-mask", str(mask),
+                             "--output-dir", str(tmp_path / "out")]) == 0
+    finally:
+        tracer.uninstall()
+    taken = tracer.take()
+    reads = [sp["bytes"] for sp in taken if sp["name"] == "nifti.read_nifti"]
+    assert reads == [volume.stat().st_size, mask.stat().st_size]
+    assert spans.accounting_errors(taken) == []

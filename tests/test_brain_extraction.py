@@ -11,8 +11,9 @@ from defacepipe.brain_extraction import (
     extract_brain,
     fallback_extract,
     otsu_threshold,
+    read_mask,
 )
-from defacepipe.errors import EmptyMask, FileError, GridMismatch
+from defacepipe.errors import EmptyMask, GridMismatch, NotNifti
 from defacepipe.evaluation import dice
 from defacepipe.morphology import apply_mask
 from defacepipe.volume import BinaryMask, Volume
@@ -142,10 +143,8 @@ def test_otsu_peak_memory_one_float64_copy_and_a_mask():
     assert peak <= data.size * (8 + 1)
 
 
-def test_external_mask_loaded_verbatim(head, tmp_path):
-    path = tmp_path / "mask.nii"
-    nifti.write_mask(head.brain_mask, path)
-    out = extract_brain(head.volume, path)
+def test_external_mask_loaded_verbatim(head):
+    out = extract_brain(head.volume, head.brain_mask)
     np.testing.assert_array_equal(out.data, head.brain_mask.data)
 
 
@@ -153,7 +152,7 @@ def test_external_stripped_volume_support(head, tmp_path):
     stripped = apply_mask(head.volume, head.brain_mask)
     path = tmp_path / "stripped.nii"
     nifti.write_nifti(stripped, nifti.sidecar_for_dtype(np.float32), path)
-    out = extract_brain(head.volume, path)
+    out = extract_brain(head.volume, read_mask(path))
     # stage-3 semantics: the stripped volume's nonzero support
     np.testing.assert_array_equal(out.data, stripped.data > 0)
 
@@ -163,14 +162,14 @@ def test_external_grid_mismatch(head, tmp_path):
     path = tmp_path / "small.nii"
     nifti.write_nifti(small, nifti.sidecar_for_dtype(np.float32), path)
     with pytest.raises(GridMismatch):
-        extract_brain(head.volume, path)
+        extract_brain(head.volume, read_mask(path))
 
 
-def test_external_unreadable(head, tmp_path):
+def test_external_unreadable(tmp_path):
     bad = tmp_path / "garbage.nii"
     bad.write_bytes(b"not a nifti")
-    with pytest.raises(FileError):
-        extract_brain(head.volume, bad)
+    with pytest.raises(NotNifti):
+        read_mask(bad)
 
 
 def test_external_empty_mask(head, tmp_path):
@@ -180,7 +179,7 @@ def test_external_empty_mask(head, tmp_path):
     path = tmp_path / "empty.nii"
     nifti.write_mask(zero, path)
     with pytest.raises(EmptyMask):
-        extract_brain(head.volume, path)
+        extract_brain(head.volume, read_mask(path))
 
 
 def test_fallback_empty_input():

@@ -20,7 +20,7 @@ from defacepipe import (
     nifti,
     synthetic,
 )
-from defacepipe.brain_extraction import extract_brain
+from defacepipe.brain_extraction import extract_brain, read_mask
 from defacepipe.cli import build_parser, main
 from defacepipe.defacing import quickshear
 from defacepipe.errors import DefacepipeError
@@ -148,6 +148,24 @@ def test_deface_unreadable_input_continues_batch(workspace, tmp_path, capsys):
     assert "bogus.nii" in err and "stage 0" in err
 
 
+def test_unreadable_brain_mask_is_named_once(workspace, tmp_path, capsys):
+    """A brain mask file that is not NIfTI fails deface at ingestion, stage
+    0, and make-template-pack with exit 1; each error line names the file
+    once."""
+    root, _head, _subject = workspace
+    garbage = tmp_path / "garbage.nii"
+    garbage.write_bytes(b"xxxx" * 100)
+    code = main(_deface_args(root, tmp_path / "out", [str(root / "subj.nii.gz")],
+                             extra=["--brain-mask", str(garbage)]))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "stage 0" in err and err.count(str(garbage)) == 1
+    code = main(["make-template-pack", str(root / "subj.nii.gz"),
+                 "--brain-mask", str(garbage), "--output-dir", str(tmp_path / "pack")])
+    assert code == 1
+    assert capsys.readouterr().err.count(str(garbage)) == 1
+
+
 def test_quickshear_command(workspace, tmp_path):
     root, _head, subject = workspace
     out = tmp_path / "qs"
@@ -197,7 +215,7 @@ def test_probabilistic_mask_file_reads_alike_everywhere(workspace, tmp_path):
         path = tmp_path / f"{name}_brain.nii.gz"
         nifti.write_nifti(brain, nifti.sidecar_for_dtype(np.float32), path)
 
-        mask = extract_brain(subject.volume, path)
+        mask = extract_brain(subject.volume, read_mask(path))
         np.testing.assert_array_equal(mask.data, subject.brain_mask.data)
 
         out = tmp_path / name

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from defacepipe import defacing, nifti, synthetic
-from defacepipe.brain_extraction import extract_brain
+from defacepipe.brain_extraction import extract_brain, read_mask
 from defacepipe.defacing import (
     TemplatePack,
     convex_hull_2d,
@@ -300,16 +300,9 @@ def test_template_sha256_stable(pack):
 # deface pipeline
 
 
-def _mask_path(head, tmp_path):
-    path = tmp_path / "brainmask.nii"
-    nifti.write_mask(head.brain_mask, path)
-    return path
-
-
-def test_deface_phantom_end_to_end(head, pack, tmp_path):
+def test_deface_phantom_end_to_end(head, pack):
     subject = synthetic.random_subject(head, seed=1)
-    brain_mask = _mask_path(subject, tmp_path)
-    result = deface(subject.volume, pack, brain_mask)
+    result = deface(subject.volume, pack, subject.brain_mask)
 
     # native space preserved
     assert result.defaced.dims == subject.volume.dims
@@ -339,10 +332,11 @@ def test_external_mask_on_stored_axes_matches_ras(head, pack, tmp_path, axes, fl
     subject = synthetic.random_subject(head, seed=3)
     path = tmp_path / "stored_brainmask.nii"
     nifti.write_mask(_stored(subject.brain_mask, axes, flips), path)
-    assert _same_bits(extract_brain(subject.volume, path).data, subject.brain_mask.data)
+    stored = read_mask(path)
+    assert _same_bits(extract_brain(subject.volume, stored).data, subject.brain_mask.data)
 
-    out = deface(_stored(subject.volume, axes, flips), pack, path)
-    ras = deface(subject.volume, pack, _mask_path(subject, tmp_path))
+    out = deface(_stored(subject.volume, axes, flips), pack, stored)
+    ras = deface(subject.volume, pack, subject.brain_mask)
     assert _same_bits(out.defaced.data, _stored_data(ras.defaced.data, axes, flips))
     assert _same_bits(out.brain_safe_mask.data,
                       _stored_data(ras.brain_safe_mask.data, axes, flips))
@@ -350,15 +344,14 @@ def test_external_mask_on_stored_axes_matches_ras(head, pack, tmp_path, axes, fl
 
 
 def test_deface_brain_safe_even_with_adversarial_transform(
-    head, pack, register_as, tmp_path
+    head, pack, register_as
 ):
     subject = synthetic.random_subject(head, seed=2)
-    brain_mask = _mask_path(subject, tmp_path)
     # worst case: registration claims the subject sits 500 mm away
     bad = np.eye(4)
     bad[:3, 3] = (500.0, -500.0, 500.0)
     register_as(bad)
-    result = deface(subject.volume, pack, brain_mask)
+    result = deface(subject.volume, pack, subject.brain_mask)
     dil = dilate(subject.brain_mask, 7.0)
     np.testing.assert_array_equal(
         result.defaced.data[dil.data], subject.volume.data[dil.data]
@@ -369,22 +362,21 @@ def test_deface_brain_safe_even_with_adversarial_transform(
 
 @pytest.mark.parametrize("margin_mm", [np.nan, np.inf])
 def test_deface_rejects_non_finite_margin(
-    head, pack, register_as, tmp_path, margin_mm
+    head, pack, register_as, margin_mm
 ):
     """A NaN or infinite margin would dilate the brain to nothing, and a
     wrong transform would then zero the whole brain: stage 4 fails."""
     subject = synthetic.random_subject(head, seed=2)
-    brain_mask = _mask_path(subject, tmp_path)
     bad = np.eye(4)
     bad[:3, 3] = (500.0, -500.0, 500.0)
     register_as(bad)
     with pytest.raises(StageError) as exc:
-        deface(subject.volume, pack, brain_mask, margin_mm)
+        deface(subject.volume, pack, subject.brain_mask, margin_mm)
     assert exc.value.stage == 4
     assert isinstance(exc.value.__cause__, ValueError)
 
 
-def test_deface_prepares_the_pack_once(pack, head, monkeypatch, tmp_path):
+def test_deface_prepares_the_pack_once(pack, head, monkeypatch):
     """Two deface calls on one pack prepare its template once, and stage 6
     registers each subject to that one prepared template. The pack carries
     no registration settings: they are constants."""
@@ -403,8 +395,7 @@ def test_deface_prepares_the_pack_once(pack, head, monkeypatch, tmp_path):
 
     monkeypatch.setattr(defacing, "prepare", prepare)
     monkeypatch.setattr(defacing, "register_affine", register_affine)
-    brain_mask = _mask_path(head, tmp_path)
-    results = [deface(head.volume, fresh, brain_mask) for _ in range(2)]
+    results = [deface(head.volume, fresh, head.brain_mask) for _ in range(2)]
     assert len(prepared) == 1 and prepared[0] is fresh.template
     assert [c is fresh.fixed for c in calls] == [True, True]
     for result in results:
@@ -421,39 +412,38 @@ def test_building_a_pack_leaves_its_template_unprepared():
     assert "fixed" not in built.__dict__
 
 
-def test_deface_records_stage_timings(head, pack, register_as, tmp_path):
+def test_deface_records_stage_timings(head, pack, register_as):
     register_as(np.eye(4))
-    timing = deface(head.volume, pack, _mask_path(head, tmp_path)).provenance["timing"]
+    timing = deface(head.volume, pack, head.brain_mask).provenance["timing"]
     stages = timing["stages"]
     assert sorted(stages) == [str(n) for n in range(1, 10)]
     assert all(s >= 0 for s in stages.values())
     assert sum(stages.values()) <= timing["elapsed_s"]
 
 
-def test_deface_keep_everything_mask_is_identity(head, register_as, tmp_path):
+def test_deface_keep_everything_mask_is_identity(head, register_as):
     stripped = apply_mask(head.volume, head.brain_mask)
     all_keep = TemplatePack(
         template=stripped,
         keep_mask=BinaryMask(np.ones(stripped.dims, bool), stripped.affine),
     )
     register_as(np.eye(4))
-    result = deface(head.volume, all_keep, _mask_path(head, tmp_path))
+    result = deface(head.volume, all_keep, head.brain_mask)
     np.testing.assert_array_equal(result.defaced.data, head.volume.data)
 
 
-def test_deface_full_dilated_mask_is_identity(head, pack, register_as, tmp_path):
+def test_deface_full_dilated_mask_is_identity(head, pack, register_as):
     # a margin large enough to cover the whole grid makes the union full
     register_as(np.eye(4))
-    result = deface(head.volume, pack, _mask_path(head, tmp_path), margin_mm=200.0)
+    result = deface(head.volume, pack, head.brain_mask, margin_mm=200.0)
     np.testing.assert_array_equal(result.defaced.data, head.volume.data)
 
 
-def test_deface_idempotent_on_brain_safe_region(head, pack, register_as, tmp_path):
+def test_deface_idempotent_on_brain_safe_region(head, pack, register_as):
     subject = synthetic.random_subject(head, seed=3)
-    brain_mask = _mask_path(subject, tmp_path)
     register_as(subject.true_transform)
-    first = deface(subject.volume, pack, brain_mask)
-    second = deface(first.defaced, pack, brain_mask)
+    first = deface(subject.volume, pack, subject.brain_mask)
+    second = deface(first.defaced, pack, subject.brain_mask)
     np.testing.assert_array_equal(
         second.defaced.data[first.brain_safe_mask.data],
         first.defaced.data[first.brain_safe_mask.data],

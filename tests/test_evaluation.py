@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from defacepipe import evaluation, synthetic
-from defacepipe.errors import BothEmpty, FileError, GridMismatch
+from defacepipe.errors import BothEmpty, GridMismatch, NotNifti
 from defacepipe.evaluation import (
     DiceReport,
     dice,
@@ -160,7 +160,7 @@ def test_qc_per_item_error_recorded(head):
     zero = Volume(np.zeros_like(head.volume.data), head.volume.affine)
 
     def unreadable():
-        raise FileError("c.nii: not a NIfTI-1 file")
+        raise NotNifti("c.nii: not a NIfTI-1 file")
 
     report = qc_report([("ok", _read(head.volume, head.volume)),
                         ("broken", _read(head.volume, zero)),
@@ -196,10 +196,10 @@ def test_qc_report_releases_each_pair_before_reading_the_next(monkeypatch):
     alive = []
     real_extract = evaluation.extract_brain
 
-    def extract_brain(volume, path=None):
-        mask = real_extract(volume, path)
-        alive.extend(weakref.ref(obj) for obj in (volume, mask, mask.data))
-        return mask
+    def extract_brain(volume, mask=None):
+        brain = real_extract(volume, mask)
+        alive.extend(weakref.ref(obj) for obj in (volume, brain, brain.data))
+        return brain
 
     monkeypatch.setattr(evaluation, "extract_brain", extract_brain)
     shifted = head.affine @ translation((1.0, 0.0, 0.0))
