@@ -16,8 +16,8 @@ import numpy as np
 
 from . import morphology, nifti
 from .errors import EmptyMask, GridMismatch
-from .geometry import reorient_to_canonical
-from .volume import BinaryMask, Volume
+from .geometry import canonical_axes, reorient_to_canonical
+from .volume import GRID_ATOL, BinaryMask, Volume
 
 CLOSING_MM = 2.0
 
@@ -88,14 +88,18 @@ def fallback_extract(v: Volume) -> BinaryMask:
 
 
 def extract_brain(v: Volume, mask: BinaryMask | None = None) -> BinaryMask:
-    """Brain mask on v's grid: the external mask reoriented to canonical
-    axes, or the fallback extractor when mask is None. v must already be
-    canonically oriented, and the reoriented mask must lie on its grid."""
+    """Brain mask on v's canonical grid (geometry.canonical_axes): the
+    external mask reoriented to canonical axes, so it may be stored on any
+    axes of v's world grid, or the fallback extractor's mask of v when mask
+    is None, for which v must already be canonically oriented. A mask off
+    v's grid raises GridMismatch, and an empty one EmptyMask."""
     if mask is None:
         mask = fallback_extract(v)
     else:
+        perm, affine = canonical_axes(v)
         mask, _ = reorient_to_canonical(mask)
-        if not mask.same_grid(v):
+        if mask.dims != tuple(v.dims[i] for i in perm.perm) or not np.allclose(
+                mask.affine, affine, atol=GRID_ATOL):
             raise GridMismatch("brain mask grid does not match subject after reorientation")
     if not mask.data.any():
         raise EmptyMask("brain extraction produced an empty mask")

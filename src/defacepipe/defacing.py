@@ -20,12 +20,7 @@ from . import __version__
 from . import geometry
 from .registration import FixedSide, prepare, register_affine
 from .brain_extraction import extract_brain, fallback_extract, otsu_threshold
-from .errors import (
-    DegenerateHull,
-    EmptyMask,
-    StageError,
-    TemplatePackError,
-)
+from .errors import DegenerateHull, StageError, TemplatePackError
 from .morphology import apply_mask, check_radius, dilate, union
 from .volume import BinaryMask, Volume, check_same_grid
 
@@ -191,7 +186,8 @@ def _section_ends(section: np.ndarray) -> np.ndarray:
 
 def _shear_plane(brain: BinaryMask, buffer_mm: float) -> np.ndarray:
     """Face side of the hull-derived shear plane, as a boolean array on the
-    brain's (canonical) grid.
+    brain's (canonical) grid. brain is not empty, as extract_brain and
+    fallback_extract return it.
 
     The plane is fitted in the (anterior, superior) mm plane of the
     mid-sagittal slice and extruded along x; it is offset so no brain voxel
@@ -201,8 +197,6 @@ def _shear_plane(brain: BinaryMask, buffer_mm: float) -> np.ndarray:
     would move the plane into the brain, and NaN would mark nothing."""
     check_radius(buffer_mm, "buffer_mm")
     xs = np.flatnonzero(brain.data.any(axis=(1, 2)))
-    if len(xs) == 0:
-        raise EmptyMask("empty brain mask")
     mid = int((xs[0] + xs[-1]) // 2)
     sp = brain.spacing
     hull = convex_hull_2d(_section_ends(brain.data[mid]) * sp[1:3])
@@ -234,14 +228,14 @@ def _shear_plane(brain: BinaryMask, buffer_mm: float) -> np.ndarray:
 def quickshear(input_volume: Volume, brain: BinaryMask, buffer_mm: float = 5.0) -> Volume:
     """Zero everything on the face side of the hull-derived plane.
 
-    The plane is offset outward past every brain voxel, so brain tissue is
-    never removed. Only the brain mask is reoriented: the plane is fitted on
-    the canonical grid and its keep side goes back to the native grid as a
-    1-byte mask, which masks the input there, as stage 9 of deface does.
+    brain is read by extract_brain, stored on any axes of input_volume's
+    grid. The plane is offset outward past every brain voxel, so brain
+    tissue is never removed. Only the brain mask is reoriented: the plane is
+    fitted on the canonical grid and its keep side goes back to the native
+    grid as a 1-byte mask, which masks the input there, as deface does.
     """
-    check_same_grid(input_volume, brain)
-    canon_brain, perm = geometry.reorient_to_canonical(brain)
-    face_side = _shear_plane(canon_brain, buffer_mm)
+    perm, _ = geometry.canonical_axes(input_volume)
+    face_side = _shear_plane(extract_brain(input_volume, brain), buffer_mm)
     return apply_mask(input_volume, BinaryMask(perm.undo(~face_side), input_volume.affine))
 
 

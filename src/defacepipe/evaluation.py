@@ -52,7 +52,7 @@ class DiceReport:
     def to_table(self) -> str:
         rows = [("id", "dice", "status")]
         for i, d, f, e in self.per_item:
-            status = "FAILED" if e else ("FLAGGED" if f else "ok")
+            status = "FAILED" if e is not None else ("FLAGGED" if f else "ok")
             rows.append((str(i), _cell(d), status))
         rows.append(("mean", _cell(self.mean), f"n={self.n}"))
         rows.append(("std", _cell(self.std), ""))
@@ -118,7 +118,7 @@ def qc_report(items, threshold: float = 0.99) -> DiceReport:
             per_item.append((item_id, d, d < threshold, None))
             values.append(d)
         except Exception as e:
-            per_item.append((item_id, None, True, str(e)))
+            per_item.append((item_id, None, True, str(e) or type(e).__name__))
     if not per_item:
         raise ValueError("qc_report requires at least one item")
     mean = std = None

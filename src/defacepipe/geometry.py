@@ -100,14 +100,12 @@ class AxisPermutation:
         return out
 
 
-def reorient_to_canonical(
-    v: Volume | BinaryMask,
-) -> tuple[Volume | BinaryMask, AxisPermutation]:
-    """Permute/flip voxel axes so each affine column is dominant-positive on
-    the diagonal (closest-to-RAS), as the same type as v, so a BinaryMask
-    moves 1 byte a voxel. World geometry is unchanged: every voxel keeps its
-    world coordinate exactly."""
-    lin = v.affine[:3, :3]
+def canonical_axes(g: Volume | BinaryMask) -> tuple[AxisPermutation, np.ndarray]:
+    """The reorientation that makes each affine column of g dominant-positive
+    on the diagonal (closest-to-RAS), and the affine of g's voxels on the
+    axes it gives, worked out from g's affine and dims alone: no voxel is
+    read. Every voxel keeps its world coordinate exactly."""
+    lin = g.affine[:3, :3]
     dominant = np.argmax(np.abs(lin), axis=0)  # world axis of each voxel axis
     if len(set(dominant.tolist())) != 3:
         raise AmbiguousOrientation(
@@ -116,18 +114,26 @@ def reorient_to_canonical(
     perm = tuple(int(np.where(dominant == j)[0][0]) for j in range(3))
     flips = tuple(bool(lin[j, perm[j]] < 0) for j in range(3))
 
-    rec = AxisPermutation(perm, flips)
-    if rec.is_identity:
-        return type(v)(v.data, v.affine), rec
-
-    aff = v.affine.copy()
+    aff = g.affine.copy()
     # Flip columns in source-axis terms first, then permute.
     for j in range(3):
         i = perm[j]
         if flips[j]:
-            aff[:3, 3] += aff[:3, i] * (v.dims[i] - 1)
+            aff[:3, 3] += aff[:3, i] * (g.dims[i] - 1)
             aff[:3, i] = -aff[:3, i]
     aff[:3, :3] = aff[:3, list(perm)]  # the fancy index reads a copy
+    return AxisPermutation(perm, flips), aff
+
+
+def reorient_to_canonical(
+    v: Volume | BinaryMask,
+) -> tuple[Volume | BinaryMask, AxisPermutation]:
+    """v's voxels copied onto canonical_axes(v), as the same type as v, so
+    a BinaryMask moves 1 byte a voxel; on axes that are already canonical,
+    v's own data, not copied."""
+    rec, aff = canonical_axes(v)
+    if rec.is_identity:
+        return type(v)(v.data, v.affine), rec
     view = rec.apply(v.data)
     data = np.empty(view.shape, view.dtype)
     copy_into(data, view)

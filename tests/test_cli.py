@@ -205,6 +205,23 @@ def test_quickshear_degenerate_mask_exits_1(workspace, tmp_path, capsys):
     assert "collinear" in capsys.readouterr().err
 
 
+def test_quickshear_takes_a_ras_mask_beside_a_stored_volume(workspace, tmp_path):
+    """quickshear --brain-mask reads the mask as deface does: a RAS mask
+    beside a volume stored on axes (2, 0, 1) of the same world grid."""
+    root, _head, subject = workspace
+    to_ras = np.zeros((4, 4))  # stored voxel index -> RAS voxel index
+    to_ras[[2, 0, 1, 3], [0, 1, 2, 3]] = 1.0
+    volume = Volume(np.ascontiguousarray(np.transpose(subject.volume.data, (2, 0, 1))),
+                    subject.volume.affine @ to_ras)
+    nifti.write_nifti(volume, nifti.sidecar_for_dtype(np.float32), tmp_path / "stored.nii.gz")
+    code = main(["quickshear", str(tmp_path / "stored.nii.gz"),
+                 "--brain-mask", str(root / "subj_brain.nii.gz"),
+                 "--output-dir", str(tmp_path / "out")])
+    assert code == 0
+    sheared, _ = nifti.read_nifti(tmp_path / "out" / "stored_quickshear.nii.gz")
+    np.testing.assert_array_equal(sheared.data, quickshear(volume, subject.brain_mask).data)
+
+
 def test_probabilistic_mask_file_reads_alike_everywhere(workspace, tmp_path):
     """A mask file marks every voxel above 0, whichever command reads it; a
     probabilistic mask and a skull-stripped volume both give the brain."""

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from defacepipe import defacing, nifti, synthetic
+from defacepipe import defacing, geometry, nifti, synthetic
 from defacepipe.brain_extraction import extract_brain, read_mask
 from defacepipe.defacing import (
     TemplatePack,
@@ -17,7 +17,13 @@ from defacepipe.defacing import (
     make_template_pack,
     quickshear,
 )
-from defacepipe.errors import DegenerateHull, EmptyMask, StageError, TemplatePackError
+from defacepipe.errors import (
+    DegenerateHull,
+    EmptyMask,
+    GridMismatch,
+    StageError,
+    TemplatePackError,
+)
 from defacepipe.morphology import apply_mask, dilate
 from defacepipe.volume import BinaryMask, Volume
 
@@ -171,13 +177,16 @@ def _same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+@pytest.mark.parametrize("mask_axes, mask_flips",
+                         [((0, 1, 2), (False, False, False)), *STORED_ORIENTATIONS])
 @pytest.mark.parametrize("axes, flips", STORED_ORIENTATIONS)
-def test_quickshear_on_stored_axes_matches_ras(head, axes, flips):
+def test_quickshear_on_stored_axes_matches_ras(head, axes, flips, mask_axes, mask_flips):
     """The phantom stored with permuted and flipped voxel axes, its affine
     permuted to match, is sheared to the RAS output stored the same way,
-    bit for bit."""
+    bit for bit, whichever axes of the same world grid its brain mask is
+    stored on."""
     volume = _stored(head.volume, axes, flips)
-    out = quickshear(volume, _stored(head.brain_mask, axes, flips), buffer_mm=2.0)
+    out = quickshear(volume, _stored(head.brain_mask, mask_axes, mask_flips), buffer_mm=2.0)
     ras = quickshear(head.volume, head.brain_mask, buffer_mm=2.0)
     assert _same_bits(out.data, _stored_data(ras.data, axes, flips))
     np.testing.assert_array_equal(out.affine, volume.affine)
@@ -198,6 +207,19 @@ def test_quickshear_on_stored_axes_copies_no_volume(head):
     finally:
         tracemalloc.stop()
     assert peak < volume.data.nbytes + 3 * volume.data.size
+
+
+def test_brain_mask_off_the_grid_is_refused_alike(head, pack):
+    """A brain mask shifted by one voxel is refused with one message by
+    quickshear and by deface, whose stage 2 reports it."""
+    shifted = BinaryMask(head.brain_mask.data,
+                         head.brain_mask.affine @ geometry.translation((1.0, 0.0, 0.0)))
+    with pytest.raises(GridMismatch) as direct:
+        quickshear(head.volume, shifted)
+    with pytest.raises(StageError) as staged:
+        deface(head.volume, pack, shifted)
+    assert staged.value.stage == 2 and type(staged.value.cause) is GridMismatch
+    assert str(staged.value.cause) == str(direct.value)
 
 
 @pytest.mark.parametrize("buffer_mm", [-5.0, -1e-9, np.nan, np.inf])

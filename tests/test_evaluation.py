@@ -171,6 +171,19 @@ def test_qc_per_item_error_recorded(head):
         None, "no foreground above Otsu threshold", "c.nii: not a NIfTI-1 file"]
 
 
+def test_qc_error_without_message_is_named():
+    """An error whose message is empty is recorded by its type's name, and
+    its row reads FAILED."""
+    def read():
+        raise MemoryError()
+
+    report = qc_report([("a", read)])
+    assert report.failed == ["a"]
+    assert report.per_item[0][3] == "MemoryError"
+    assert json.loads(report.to_json())["items"][0]["error"] == "MemoryError"
+    assert "FAILED" in report.to_table()
+
+
 def test_qc_empty_items():
     with pytest.raises(ValueError):
         qc_report([])

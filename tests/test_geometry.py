@@ -227,7 +227,8 @@ def test_reorientation_copies_every_orientation_bit_for_bit(dtype):
     C-contiguous arrays with the bits of np.ascontiguousarray of the same
     view, and undo gives back the original. The same data as a BinaryMask
     comes back as a BinaryMask with the same record and the bits of the
-    Volume case cast to bool."""
+    Volume case cast to bool. canonical_axes gives the same record and the
+    same affine bit for bit."""
     data = np.random.default_rng(17).integers(0, 2 if dtype is bool else 1000,
                                                size=(17, 33, 20)).astype(dtype)
     spacing = (0.9, 1.2, 1.5)
@@ -238,6 +239,8 @@ def test_reorientation_copies_every_orientation_bit_for_bit(dtype):
             aff[j, perm[j]] = -spacing[j] if flips[j] else spacing[j]
         out, rec = geometry.reorient_to_canonical(Volume(data, aff))
         assert (rec.perm, rec.flips) == (perm, flips)
+        axes_rec, axes_aff = geometry.canonical_axes(Volume(data, aff))
+        assert axes_rec == rec and _same_bits(axes_aff, out.affine)
         assert type(out) is Volume and out.data.flags.c_contiguous
         mask, mask_rec = geometry.reorient_to_canonical(BinaryMask(data, aff))
         assert type(mask) is BinaryMask and mask_rec == rec
