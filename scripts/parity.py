@@ -18,8 +18,9 @@ brain mask do not.
 Last it writes seed 1's phantom once more, in ``nonfinite/``, with a NaN
 and an inf voxel in the brain and in the face, and runs ``deface --jobs 1``
 and ``qc --json`` on it, so the flow also covers the non-finite voxels
-that registration reads as background. Then it resamples seed 1's phantom
-(trilinear) and brain mask (nearest) onto a 1 x 1 x 2.5 mm grid, in
+that registration reads as background. Then it samples seed 1's phantom
+(synthetic.sample_trilinear) and resamples its brain mask (the nearest
+geometry.resample) onto a 1 x 1 x 2.5 mm grid, in
 ``anisotropic/``, and runs ``quickshear --brain-mask``, ``deface --jobs 1``
 and ``qc --json`` on it, so the flow also covers morphology with a
 non-cubic ball, on both sides of ``morphology.dilate``'s switch between the
@@ -133,11 +134,11 @@ def write_nonfinite(ras: Path, out: Path) -> Path:
 
 
 def write_anisotropic(ras: Path, out: Path) -> Path:
-    """Write the phantom in directory ras, resampled trilinearly onto an
-    ANISOTROPIC_SPACING grid over the same field of view, and its brain mask
-    resampled by nearest neighbour, to directory out; return the phantom's
-    path."""
-    from defacepipe import geometry, nifti
+    """Write the phantom in directory ras, sampled onto an
+    ANISOTROPIC_SPACING grid over the same field of view by
+    synthetic.sample_trilinear, and its brain mask resampled by the nearest
+    geometry.resample, to directory out; return the phantom's path."""
+    from defacepipe import geometry, nifti, synthetic
     from defacepipe.volume import BinaryMask
 
     out.mkdir()
@@ -145,10 +146,9 @@ def write_anisotropic(ras: Path, out: Path) -> Path:
     mask, _ = nifti.read_nifti(ras / "phantom_brainmask.nii.gz")
     affine = volume.affine @ np.diag([*ANISOTROPIC_SPACING, 1.0])
     dims = tuple(int(np.ceil(n / s)) for n, s in zip(volume.dims, ANISOTROPIC_SPACING))
-    nifti.write_nifti(geometry.resample(volume, dims, affine, np.eye(4)), sidecar,
+    nifti.write_nifti(synthetic.sample_trilinear(volume, dims, affine, np.eye(4)), sidecar,
                       out / "phantom.nii.gz")
-    nifti.write_mask(geometry.resample(BinaryMask.from_volume(mask), dims, affine, np.eye(4),
-                                       interp="nearest"),
+    nifti.write_mask(geometry.resample(BinaryMask.from_volume(mask), dims, affine, np.eye(4)),
                      out / "phantom_brainmask.nii.gz")
     return out / "phantom.nii.gz"
 

@@ -113,7 +113,7 @@ def deface(
 
     with _stage(7, seconds):
         keep_reg = geometry.resample(  # transform: subject-world -> template-world pullback
-            pack.keep_mask, canon.dims, canon.affine, transform, interp="nearest"
+            pack.keep_mask, canon.dims, canon.affine, transform
         )
     with _stage(8, seconds):
         safe_canon = union(keep_reg, dilated)

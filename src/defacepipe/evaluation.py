@@ -93,7 +93,6 @@ def propagate_labels(
         tuple(subject_dims),
         subject_affine,
         geometry.invert(np.asarray(atlas_to_subject)),
-        interp="nearest",
     )
 
 

@@ -1,12 +1,12 @@
-"""Affine algebra, canonical (RAS-like) reorientation, and grid resampling.
+"""Affine algebra, canonical (RAS-like) reorientation, and nearest-neighbour
+grid resampling.
 
-resample computes both of its orders by index arithmetic, block by block of
-target rows, and writes the bytes scipy.ndimage.affine_transform writes:
-order 0 with mode "grid-constant" for "nearest", order 1 with mode
-"constant" (into float64, then rounded for an integer source and cast) for
-"trilinear". It computes only the target voxels whose source coordinates
-can reach the bounding box of the source's voxels with any non-zero bit;
-every other target voxel reads +0.0, as in scipy.
+resample reads the nearest source voxel by index arithmetic, block by block
+of target rows, and writes the bytes scipy.ndimage.affine_transform writes
+with order 0 and mode "grid-constant". It computes only the target voxels
+whose source coordinates can reach the bounding box of the source's voxels
+with any non-zero bit; every other target voxel reads +0.0, as in scipy.
+_support, _row_sums and _blocks also serve synthetic.sample_trilinear.
 """
 
 import math
@@ -141,13 +141,11 @@ def reorient_to_canonical(
 
 
 # A resample walks the target in blocks of at most `rows` rows of one plane
-# (_blocks), through buffers allocated once. A block holds at most BLOCK
-# voxels, so that its buffers stay within a core's L2 cache, and the target
-# splits into MIN_BLOCKS blocks at least, so that a small target's buffers
-# stay small beside its output. The buffers take 42 bytes a voxel in a
-# nearest resample and 215-271 bytes in a trilinear one.
-NEAREST_BLOCK, NEAREST_MIN_BLOCKS = 2**14, 128
-TRILINEAR_BLOCK, TRILINEAR_MIN_BLOCKS = 2**13, 256
+# (_blocks), through buffers allocated once, 42 bytes a voxel. A block holds
+# at most BLOCK voxels, so that its buffers stay within a core's L2 cache,
+# and the target splits into MIN_BLOCKS blocks at least, so that a small
+# target's buffers stay small beside its output.
+BLOCK, MIN_BLOCKS = 2**14, 128
 # _blocks finds the k-ranges of whole planes of target rows at once, at most
 # one row per RANGE_VOXELS target voxels (one plane at least). Their arrays
 # take about 120 bytes a row, a byte a target voxel, and are freed before a
@@ -225,18 +223,13 @@ def _blocks(vox_map: np.ndarray, dims, support, rows: int) -> np.ndarray:
     return spans[spans[:, 3] < spans[:, 4]]
 
 
-def _rows(dims, row_length: int, block: int, min_blocks: int) -> int:
-    """Rows of row_length voxels in a block, as the comment on BLOCK says."""
-    return max(1, min(block, int(np.prod(dims)) // min_blocks) // max(row_length, 1))
-
-
 def _carve(buffer: np.ndarray, *shape) -> np.ndarray:
     """The leading part of a flat buffer, as a C-contiguous array of shape."""
     return buffer[:math.prod(shape)].reshape(shape)
 
 
 def _resample_nearest(data: np.ndarray, dims, vox_map: np.ndarray, support) -> np.ndarray:
-    """data read at target voxel (i, j, k) as "nearest" reads it, into a new
+    """data read at target voxel (i, j, k) as resample reads it, into a new
     array of data's dtype, computed on _blocks only. Axis a's source
     coordinate is summed as scipy's affine_transform sums it,
     ((s_a + m_a0 i) + m_a1 j) + m_a2 k, and rounded as it rounds it,
@@ -245,7 +238,7 @@ def _resample_nearest(data: np.ndarray, dims, vox_map: np.ndarray, support) -> n
     numpy buffers such an operand: a row's first two terms are copied across
     it, then the third is added from a block of rows of m_a2 k made once."""
     nz = dims[2]
-    rows = _rows(dims, nz, NEAREST_BLOCK, NEAREST_MIN_BLOCKS)
+    rows = max(1, min(BLOCK, int(np.prod(dims)) // MIN_BLOCKS) // max(nz, 1))
     blocks = _blocks(vox_map, dims, support, rows)
     along_x, along_y = _row_sums(vox_map, dims)
     out = np.zeros(dims, data.dtype)
@@ -292,125 +285,27 @@ def _resample_nearest(data: np.ndarray, dims, vox_map: np.ndarray, support) -> n
     return out
 
 
-def _resample_trilinear(data: np.ndarray, dims, vox_map: np.ndarray, support) -> np.ndarray:
-    """data interpolated at target voxel (i, j, k) as scipy's
-    affine_transform interpolates it with order 1 and mode "constant", into
-    a new array of data's dtype, computed on _blocks only, with scipy's
-    arithmetic. Axis a's coordinate c is summed as for "nearest"; a voxel is
-    inside when 0 <= c <= n - 1 on every axis and reads 0 elsewhere. On each
-    axis f = floor(c), x = c - f, w0 = 1 - x and w1 = 1 - w0; the lower
-    corner is f and the upper one f + 1, except at f = n - 1, where it is
-    mirrored to f - 1 (its weight is 0), and on a 1-voxel axis, where it is
-    f. The value starts at 0.0 and adds, corner by corner with x slowest and
-    z fastest, ((v wx) wy) wz for the corner's voxel v as float64. It is
-    rounded to an integer for an integer source, then cast to data's dtype
-    block by block."""
-    nz = dims[2]
-    rows = _rows(dims, nz, TRILINEAR_BLOCK, TRILINEAR_MIN_BLOCKS)
-    blocks = _blocks(vox_map, dims, support, rows)
-    along_x, along_y = _row_sums(vox_map, dims)
-    out = np.zeros(dims, data.dtype)
-    size = rows * nz
-    src = np.ravel(data)
-    top = (np.asarray(data.shape, dtype=np.float64) - 1.0)[:, None]
-    step = np.array([data.shape[1] * data.shape[2], data.shape[2], 1])[:, None]
-    # The upper corner's offset is min(f s + s, mirror - f s) for stride s:
-    # f s + s below n - 1 and (f - 1) s at it; 0 on a 1-voxel axis.
-    mirror = np.where(top > 0, (2 * top - 1) * step, 0).astype(np.intp)
-    along_z = vox_map[:3, 2:3] * np.arange(nz)
-    weight = np.empty(6 * size)  # w0 on each axis, then w1
-    corner = np.empty(6 * size, dtype=np.intp)  # lower corner offsets, then upper ones
-    pairs = np.empty(4 * size, dtype=np.intp)
-    index8 = np.empty(8 * size, dtype=np.intp)
-    value8 = np.empty(8 * size, dtype=data.dtype)
-    total = np.empty(size)
-    tests = np.empty(7 * size, dtype=bool)
-    integer = np.issubdtype(data.dtype, np.integer)
-    # A voxel outside may hold absurd coordinates, and an inf times a weight
-    # of 0 is NaN, in scipy too: neither warns.
-    with np.errstate(invalid="ignore", over="ignore"):
-        for span in blocks:
-            i, j0, j1, k0, k1 = span.tolist()
-            n = (j1 - j0) * (k1 - k0)
-            w = _carve(weight, 2, 3, n)
-            c = w[1]  # the coordinates, then the fractions x, then w1
-            rows3 = c.reshape(3, j1 - j0, k1 - k0)
-            rows3[...] = (along_x[:, i, None] + along_y[:, j0:j1])[:, :, None]
-            rows3 += along_z[:, None, k0:k1]
-            below, above = _carve(tests, 2, 3, n)
-            np.less(c, 0.0, out=below)
-            np.greater(c, top, out=above)
-            below |= above
-            outside = tests[6 * n:7 * n]
-            np.logical_or.reduce(below, axis=0, out=outside)
-            # A voxel outside may have indices out of range and wrong upper
-            # corners: take clips the one, and the voxel reads 0 anyway.
-            np.floor(c, out=w[0])
-            c -= w[0]  # the fractions x
-            ix = _carve(corner, 2, 3, n)
-            np.copyto(ix[0], w[0], casting="unsafe")
-            ix[0] *= step
-            np.add(ix[0], step, out=ix[1])
-            mirrored = _carve(pairs, 3, n)
-            np.subtract(mirror, ix[0], out=mirrored)
-            np.minimum(ix[1], mirrored, out=ix[1])
-            np.subtract(1.0, c, out=w[0])
-            np.subtract(1.0, w[0], out=w[1])
-            xy = _carve(pairs, 2, 2, n)
-            np.add(ix[:, 0, None], ix[None, :, 1], out=xy)
-            idx = _carve(index8, 2, 2, 2, n)
-            np.add(xy[:, :, None], ix[None, None, :, 2], out=idx)
-            v = _carve(value8, 2, 2, 2, n)
-            src.take(idx, out=v, mode="clip")
-            p = idx.view(np.float64)  # the indices have been read
-            np.copyto(p, v)
-            p *= w[:, None, None, 0]
-            p *= w[None, :, None, 1]
-            p *= w[None, None, :, 2]
-            t = total[:n]
-            # numpy reduces the leading axis in order, so t adds the corners as
-            # scipy adds them.
-            np.add.reduce(p.reshape(8, n), axis=0, out=t, initial=0.0)
-            np.copyto(t, 0.0, where=outside)
-            if integer:
-                np.rint(t, out=t)
-            out[i, j0:j1, k0:k1] = t.reshape(j1 - j0, k1 - k0)
-    return out
-
-
 def resample(
     source: Volume | BinaryMask,
     target_dims: tuple[int, int, int],
     target_affine: np.ndarray,
     world_map: np.ndarray,
-    interp: str = "trilinear",
 ) -> Volume | BinaryMask:
-    """Sample source onto the target grid, as the same type as source.
+    """Sample source onto the target grid by nearest neighbour, as the same
+    type as source.
 
     world_map sends a target voxel's world position to the position in
     source-world at which to sample. Voxel indices refer to voxel centers.
-    At source voxel coordinate c, "nearest" reads voxel floor(c + 0.5), or 0
-    when that voxel is outside the volume; "trilinear" interpolates where c
-    lies within [0, n - 1] on every axis and reads 0 elsewhere. Both work by
-    index arithmetic (_resample_nearest, _resample_trilinear) straight into
-    the source's dtype, a BinaryMask's bool included, and write the bytes
-    scipy's affine_transform writes: with order 0 and mode "grid-constant",
-    and with order 1 and mode "constant" into float64, rounded for an
-    integer source and cast. Only the target voxels that can reach the
-    source's support (_support, _blocks) are computed; the others read
-    +0.0. On a 128^3 phantom "trilinear" takes a third of scipy's CPU time,
-    and "nearest" of its brain mask under a third of a pass over the whole
-    grid.
-    A BinaryMask takes "nearest" only, since casting its trilinear values
-    to bool would dilate it.
+    At source voxel coordinate c it reads voxel floor(c + 0.5), or 0 when
+    that voxel is outside the volume. It works by index arithmetic
+    (_resample_nearest) straight into the source's dtype, a BinaryMask's
+    bool included, and writes the bytes scipy's affine_transform writes with
+    order 0 and mode "grid-constant". Only the target voxels that can reach
+    the source's support (_support, _blocks) are computed; the others read
+    +0.0. On a 128^3 phantom's brain mask it takes under a third of a pass
+    over the whole grid.
     """
-    if interp not in ("nearest", "trilinear"):
-        raise ValueError(f"unknown interpolation {interp!r}")
-    nearest = interp == "nearest"
-    if isinstance(source, BinaryMask) and not nearest:
-        raise ValueError("a BinaryMask is resampled with 'nearest' only")
     vox_map = invert(source.affine) @ np.asarray(world_map) @ np.asarray(target_affine)
-    dims = tuple(target_dims)
-    kernel = _resample_nearest if nearest else _resample_trilinear
-    return type(source)(kernel(source.data, dims, vox_map, _support(source.data)),
-                        target_affine)
+    return type(source)(
+        _resample_nearest(source.data, tuple(target_dims), vox_map, _support(source.data)),
+        target_affine)

@@ -7,7 +7,9 @@ nearest bins. The moving image is interpolated trilinearly by an in-module
 kernel, as seven linear interpolations per point, which agrees with
 ``scipy.ndimage.map_coordinates(order=1)`` to rounding on in-volume points
 of finite data at less cost per call; the same kernel returns the image's
-voxel gradient at each point.
+voxel gradient at each point. ``_trilinear`` is the package's one trilinear
+kernel: it serves this cost and, through ``synthetic.sample_trilinear``,
+the phantoms.
 
 Every sample counts at every transform: the kernel reads the volume
 zero-padded by ``_MARGIN`` voxels per side, where a sample that has left

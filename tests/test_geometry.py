@@ -1,14 +1,15 @@
-"""Affine algebra, canonical reorientation, resampling."""
+"""Affine algebra, canonical reorientation, resampling, and the phantoms'
+trilinear sampler."""
 
 import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 from scipy import ndimage
 
-from defacepipe import geometry
+from defacepipe import geometry, synthetic
 from defacepipe.errors import AmbiguousOrientation, SingularTransform
 from defacepipe.volume import BinaryMask, Volume
 
@@ -259,17 +260,9 @@ def test_resample_identity_nearest_bit_identical():
     rng = np.random.default_rng(5)
     data = rng.integers(0, 50, size=(4, 5, 6)).astype(np.int16)
     v = Volume(data, np.diag([1.0, 1.0, 2.0, 1.0]))
-    out = geometry.resample(v, v.dims, v.affine, np.eye(4), interp="nearest")
+    out = geometry.resample(v, v.dims, v.affine, np.eye(4))
     np.testing.assert_array_equal(out.data, data)
     assert out.data.dtype == np.int16
-
-
-def test_resample_identity_trilinear_voxel_centers():
-    rng = np.random.default_rng(5)
-    data = rng.random((4, 5, 6)).astype(np.float64)
-    v = Volume(data, np.eye(4))
-    out = geometry.resample(v, v.dims, v.affine, np.eye(4), interp="trilinear")
-    np.testing.assert_allclose(out.data, data, atol=1e-12)
 
 
 def test_resample_integer_shift_nearest():
@@ -277,14 +270,14 @@ def test_resample_integer_shift_nearest():
     v = Volume(data, np.eye(4))
     # world_map sends target position to source position: +1 along x
     shift = geometry.translation((1.0, 0.0, 0.0))
-    out = geometry.resample(v, v.dims, v.affine, shift, interp="nearest")
+    out = geometry.resample(v, v.dims, v.affine, shift)
     expected = np.zeros_like(data)
     expected[:3] = data[1:]  # target voxel x samples source voxel x+1
     np.testing.assert_array_equal(out.data, expected)
     # A half-voxel tie reads the voxel above it, at the edge too: target
     # voxel x samples source x - 0.5, which reads voxel x.
     half = geometry.translation((-0.5, 0.0, 0.0))
-    out = geometry.resample(v, v.dims, v.affine, half, interp="nearest")
+    out = geometry.resample(v, v.dims, v.affine, half)
     np.testing.assert_array_equal(out.data, data)
 
 
@@ -293,9 +286,7 @@ def test_resample_half_voxel_shift_on_ramp():
     x = np.arange(nx, dtype=np.float64)
     data = np.broadcast_to(x[:, None, None], (nx, 4, 4)).copy()
     v = Volume(data, np.eye(4))
-    out = geometry.resample(
-        v, v.dims, v.affine, geometry.translation((0.5, 0, 0)), interp="trilinear"
-    )
+    out = synthetic.sample_trilinear(v, v.dims, v.affine, geometry.translation((0.5, 0, 0)))
     interior = out.data[: nx - 1]
     expected = np.broadcast_to((x[: nx - 1] + 0.5)[:, None, None], interior.shape)
     np.testing.assert_allclose(interior, expected, atol=1e-6)
@@ -306,7 +297,7 @@ def test_resample_mask_stays_binary():
     data = (rng.random((6, 6, 6)) > 0.5).astype(np.uint8)
     v = Volume(data, np.eye(4))
     m = _z_turn(0.4) @ geometry.translation((0.3, -0.6, 0.2))
-    out = geometry.resample(v, v.dims, v.affine, m, interp="nearest")
+    out = geometry.resample(v, v.dims, v.affine, m)
     assert set(np.unique(out.data)).issubset({0, 1})
     # A BinaryMask resamples to a BinaryMask: its uint8 volume resampled,
     # then read above 0.
@@ -318,15 +309,12 @@ def test_resample_mask_stays_binary():
             rng.uniform(-2, 2, 3), rng.uniform(-0.5, 0.5, 3), rng.uniform(0.8, 1.2, 3),
             rng.uniform(-0.2, 0.2, 3), rng.uniform(0, 8, 3))
         target_dims = tuple(rng.integers(4, 12, 3))
-        got = geometry.resample(mask, target_dims, mask.affine, world_map, interp="nearest")
+        got = geometry.resample(mask, target_dims, mask.affine, world_map)
         want = geometry.resample(Volume(mask.data.astype(np.uint8), mask.affine),
-                                 target_dims, mask.affine, world_map, interp="nearest")
+                                 target_dims, mask.affine, world_map)
         assert type(got) is BinaryMask and got.data.dtype == bool
         np.testing.assert_array_equal(got.data, want.data > 0)
         np.testing.assert_array_equal(got.affine, want.affine)
-    # trilinear values cast to bool would dilate the mask
-    with pytest.raises(ValueError):
-        geometry.resample(mask, target_dims, mask.affine, world_map, interp="trilinear")
 
 
 def test_resample_round_trip_inverse():
@@ -336,8 +324,8 @@ def test_resample_round_trip_inverse():
     data = 0.3 * i + 0.2 * j - 0.1 * k + 0.05 * i * j + 5.0
     v = Volume(data, np.eye(4))
     m = geometry.translation((0.4, -0.3, 0.2))
-    fwd = geometry.resample(v, v.dims, v.affine, m, interp="trilinear")
-    back = geometry.resample(fwd, v.dims, v.affine, geometry.invert(m), interp="trilinear")
+    fwd = synthetic.sample_trilinear(v, v.dims, v.affine, m)
+    back = synthetic.sample_trilinear(fwd, v.dims, v.affine, geometry.invert(m))
     # compare where both stencils stayed strictly interior
     core = (slice(2, -2),) * 3
     np.testing.assert_allclose(back.data[core], data[core], atol=1e-5)
@@ -345,35 +333,25 @@ def test_resample_round_trip_inverse():
 
 def test_resample_background_fill():
     v = Volume(np.full((3, 3, 3), 7.0, dtype=np.float32), np.eye(4))
-    for interp in ("nearest", "trilinear"):
-        out = geometry.resample(
-            v, v.dims, v.affine, geometry.translation((100.0, 0, 0)), interp=interp
-        )
-        assert np.all(out.data == 0.0)
+    out = geometry.resample(v, v.dims, v.affine, geometry.translation((100.0, 0, 0)))
+    assert np.all(out.data == 0.0)
 
 
-def _dense_resample(source, target_dims, target_affine, world_map, interp):
+def _dense_resample(source, target_dims, target_affine, world_map):
     """Reference: the source coordinate of every target voxel, read by
-    map_coordinates and zeroed outside the valid range ("nearest": within
-    half a voxel of the volume, [-0.5, n - 0.5), since c = -0.5 reads voxel
-    0 and c = n - 0.5 reads voxel n; "trilinear": [0, n - 1])."""
+    map_coordinates and zeroed outside half a voxel of the volume,
+    [-0.5, n - 0.5), since c = -0.5 reads voxel 0 and c = n - 0.5 reads
+    voxel n."""
     vox_map = geometry.invert(source.affine) @ world_map @ target_affine
     idx = np.indices(target_dims, dtype=np.float64).reshape(3, -1)
     coords = vox_map[:3, :3] @ idx + vox_map[:3, 3:4]
     n = np.array(source.dims, dtype=np.float64).reshape(3, 1)
-    if interp == "nearest":
-        valid = np.all((coords >= -0.5) & (coords < n - 0.5), axis=0)
-    else:
-        valid = np.all((coords >= 0.0) & (coords <= n - 1.0), axis=0)
+    valid = np.all((coords >= -0.5) & (coords < n - 0.5), axis=0)
     out = ndimage.map_coordinates(
-        np.asarray(source.data, dtype=np.float64), coords,
-        order=0 if interp == "nearest" else 1, mode="grid-constant",
+        np.asarray(source.data, dtype=np.float64), coords, order=0, mode="grid-constant",
     )
     out[~valid] = 0.0
-    out = out.reshape(target_dims)
-    if np.issubdtype(source.data.dtype, np.integer):
-        out = np.rint(out)
-    return out.astype(source.data.dtype)
+    return out.reshape(target_dims).astype(source.data.dtype)
 
 
 def _random_grid(rng, dims):
@@ -387,12 +365,12 @@ def _random_grid(rng, dims):
     return aff
 
 
-@pytest.mark.parametrize("dtype", [np.uint8, np.int16, np.int32, np.float32, np.float64])
-@pytest.mark.parametrize("interp", ["nearest", "trilinear"])
-def test_resample_matches_dense_reference(dtype, interp):
+# The ids name the interpolation order, then the dtype.
+@pytest.mark.parametrize("dtype", [np.uint8, np.int16, np.int32, np.float32, np.float64],
+                         ids=lambda dtype: f"nearest-{np.dtype(dtype).name}")
+def test_resample_matches_dense_reference(dtype):
     """On random oblique, permuted and anisotropic grids, resample equals
-    the dense per-voxel formula: exactly, except float64 trilinear, which
-    may sum the interpolation weights in another order."""
+    the dense per-voxel formula exactly."""
     rng = np.random.default_rng(61)
     cases = []
     for _ in range(60):
@@ -415,13 +393,10 @@ def test_resample_matches_dense_reference(dtype, interp):
     for src_dims, src_affine, tgt_dims, target_affine, world_map in cases:
         data = (rng.random(src_dims) * 200).astype(dtype)
         source = Volume(data, src_affine)
-        out = geometry.resample(source, tgt_dims, target_affine, world_map, interp)
-        want = _dense_resample(source, tgt_dims, target_affine, world_map, interp)
+        out = geometry.resample(source, tgt_dims, target_affine, world_map)
+        want = _dense_resample(source, tgt_dims, target_affine, world_map)
         assert out.data.dtype == want.dtype
-        if dtype == np.float64 and interp == "trilinear":
-            np.testing.assert_allclose(out.data, want, rtol=1e-12, atol=0)
-        else:
-            np.testing.assert_array_equal(out.data, want)
+        np.testing.assert_array_equal(out.data, want)
 
 
 @st.composite
@@ -511,7 +486,7 @@ def test_resample_nearest_matches_scipy_bit_for_bit(case):
     with order 0 and mode "grid-constant" (a bool source read as uint8)."""
     data, src_affine, tgt_dims, target_affine, world_map = case
     source = (BinaryMask if data.dtype == bool else Volume)(data, src_affine)
-    out = geometry.resample(source, tgt_dims, target_affine, world_map, interp="nearest")
+    out = geometry.resample(source, tgt_dims, target_affine, world_map)
     raw = data.view(np.uint8) if data.dtype == bool else data
     want = ndimage.affine_transform(
         raw, geometry.invert(src_affine) @ world_map @ target_affine,
@@ -522,42 +497,75 @@ def test_resample_nearest_matches_scipy_bit_for_bit(case):
 
 def _scipy_trilinear(source, tgt_dims, target_affine, world_map):
     """scipy's affine_transform with order 1 and mode "constant" into
-    float64, rounded for an integer source and cast to its dtype."""
+    float64, cast to the source's dtype."""
     want = ndimage.affine_transform(
         source.data, geometry.invert(source.affine) @ world_map @ target_affine,
         output_shape=tgt_dims, output=np.float64, order=1, mode="constant")
-    if np.issubdtype(source.data.dtype, np.integer):
-        np.rint(want, out=want)
     return want.astype(source.data.dtype)
 
 
-def _edge_case(shift):
-    """A map that puts the last plane of target voxels at c = n - 1 + shift
-    on axis 0 of a source whose plane n - 2 is NaN, with an inf inside."""
-    data = np.arange(5 * 3 * 4, dtype=np.float64).reshape(5, 3, 4)
-    data[3] = np.nan
-    data[1, 1, 1] = np.inf
-    return data, np.eye(4), data.shape, np.eye(4), geometry.translation((shift, 0.0, 0.0))
-
-
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(case=nearest_inputs())
-@example(case=_edge_case(0.0))  # the mirrored corner, weight 0, makes NaN
-@example(case=_edge_case(-1e-9))  # the corner at n - 2 has weight 1e-9
-@example(case=_edge_case(1e-9))  # outside: 0
-def test_resample_trilinear_matches_scipy_bit_for_bit(case):
-    """A trilinear resample writes the bytes scipy's affine_transform
-    writes with order 1 and mode "constant" into float64, followed by the
-    same rounding of an integer source and cast (a bool source read as a
-    uint8 volume): NaN and inf voxels, -0.0, 1-voxel axes and coordinates on
-    the edges 0 and n - 1 included. At c = n - 1 the upper corner is
-    mirrored to n - 2 with weight 0, so a NaN there makes the voxel NaN."""
-    data, src_affine, tgt_dims, target_affine, world_map = case
-    source = Volume(data.view(np.uint8) if data.dtype == bool else data, src_affine)
-    out = geometry.resample(source, tgt_dims, target_affine, world_map, interp="trilinear")
+def _assert_sampled_as_scipy(source, tgt_dims, target_affine, world_map):
+    """sample_trilinear writes _scipy_trilinear's bytes."""
+    out = synthetic.sample_trilinear(source, tgt_dims, target_affine, world_map)
     want = _scipy_trilinear(source, tgt_dims, target_affine, world_map)
-    assert out.data.dtype == source.data.dtype and out.data.shape == tgt_dims
+    assert out.data.dtype == np.float32 and out.data.shape == tuple(tgt_dims)
     assert out.data.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("size", [32, 64])
+def test_random_subject_is_sampled_as_scipy_samples_it(size):
+    """The head of random_subject, seeds 1-10, holds the bytes scipy's
+    trilinear affine_transform writes into float64, cast to float32: on
+    these subjects the registration kernel's rounding reaches no float32
+    bit (on rare voxels elsewhere it can, see sample_trilinear)."""
+    head = synthetic.nominal_head(size)
+    for seed in range(1, 11):
+        phantom = synthetic.random_subject(head, seed)
+        want = _scipy_trilinear(head.volume, head.volume.dims, head.volume.affine,
+                                phantom.true_transform)
+        assert phantom.volume.data.tobytes() == want.tobytes()
+
+
+def test_sample_trilinear_matches_scipy_on_the_tests_truths(head):
+    """Criterion 4's 20 misalignments, the registration tests' translations
+    (one of them partly out of the field of view) and rotation with scale,
+    and parity's 1 x 1 x 2.5 mm grid over seed 1's subject."""
+    v = head.volume
+    center = np.full(3, 31.5)
+    truths = [synthetic.random_rigid_affine(np.random.default_rng(seed), center, 15.0, 10.0,
+                                            (0.95, 1.05)) for seed in range(20)]
+    truths += [geometry.translation((5.0, -3.0, 2.0)), geometry.translation((25.0, -20.0, 18.0)),
+               geometry.affine_matrix(np.zeros(3), (0.0, 0.0, np.deg2rad(5.0)),
+                                      np.full(3, 1.05), np.zeros(3), center)]
+    for truth in truths:
+        _assert_sampled_as_scipy(v, v.dims, v.affine, truth)
+    subject = synthetic.random_subject(head, 1).volume
+    spacing = (1.0, 1.0, 2.5)
+    dims = tuple(int(np.ceil(n / s)) for n, s in zip(v.dims, spacing))
+    _assert_sampled_as_scipy(subject, dims, v.affine @ np.diag([*spacing, 1.0]), np.eye(4))
+
+
+def test_sample_trilinear_matches_scipy_up_to_the_sources_faces():
+    """A source non-zero up to its faces, on random oblique, permuted and
+    anisotropic grids with 1-8 voxels an axis, and under shifts that put
+    coordinates on 0 and n - 1, a voxel beyond them and 1e-9 beyond them:
+    a point outside [0, n - 1] on any axis reads 0, as in scipy. A disjoint
+    map reads +0.0 everywhere."""
+    rng = np.random.default_rng(62)
+    cases = []
+    for _ in range(60):
+        src_dims, tgt_dims = (tuple(int(d) for d in rng.integers(1, 9, 3)) for _ in range(2))
+        world_map = geometry.affine_matrix(
+            rng.uniform(-1.5, 1.5, 3), rng.uniform(-0.4, 0.4, 3),
+            rng.uniform(0.8, 1.25, 3), rng.uniform(-0.1, 0.1, 3), np.zeros(3))
+        cases.append((src_dims, _random_grid(rng, src_dims), tgt_dims,
+                      _random_grid(rng, tgt_dims), world_map))
+    for shift in (-1.0, -1e-9, 1e-9, 1.0, 100.0):
+        cases.append(((5, 6, 7), np.eye(4), (5, 6, 7), np.eye(4),
+                      geometry.translation(np.full(3, shift))))
+    for src_dims, src_affine, tgt_dims, target_affine, world_map in cases:
+        source = Volume((rng.random(src_dims) * 200 + 1).astype(np.float32), src_affine)
+        _assert_sampled_as_scipy(source, tgt_dims, target_affine, world_map)
 
 
 def test_resample_allocates_no_per_voxel_coordinates():
@@ -566,22 +574,18 @@ def test_resample_allocates_no_per_voxel_coordinates():
     with no float64 output (8 bytes) and no coordinate array (24 bytes). As
     a BinaryMask it allocates at most 1.5 bytes: its bool output and the
     resample's block buffers (1.38 bytes measured), and no uint8 copy to
-    read above 0 (2 bytes). A trilinear resample allocates at most its
-    output's itemsize and 2 bytes per target voxel, with no float64 output
-    and cast copy of it (10 and 12 bytes for int16 and float32 ones). The
-    block size depends on the dims, so a non-cubic grid is measured too."""
+    read above 0 (2 bytes). The block size depends on the dims, so a
+    non-cubic grid is measured too."""
     world_map = _z_turn(0.1) @ geometry.translation((0.3, -0.2, 0.1))
     for dims in ((64, 64, 64), (96, 80, 40)):
-        for mask, bound, interp in (
-            (Volume(np.ones(dims, dtype=np.uint8), np.eye(4)), 3.0, "nearest"),
-            (BinaryMask(np.ones(dims, dtype=bool), np.eye(4)), 1.5, "nearest"),
-            (Volume(np.ones(dims, dtype=np.float32), np.eye(4)), 4 + 2.0, "trilinear"),
-            (Volume(np.ones(dims, dtype=np.int16), np.eye(4)), 2 + 2.0, "trilinear"),
+        for mask, bound in (
+            (Volume(np.ones(dims, dtype=np.uint8), np.eye(4)), 3.0),
+            (BinaryMask(np.ones(dims, dtype=bool), np.eye(4)), 1.5),
         ):
             tracemalloc.start()
             try:
                 entry = tracemalloc.get_traced_memory()[0]
-                out = geometry.resample(mask, dims, mask.affine, world_map, interp=interp)
+                out = geometry.resample(mask, dims, mask.affine, world_map)
                 peak = tracemalloc.get_traced_memory()[1] - entry
             finally:
                 tracemalloc.stop()
