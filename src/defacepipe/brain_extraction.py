@@ -90,11 +90,12 @@ def fallback_extract(v: Volume) -> BinaryMask:
 def extract_brain(v: Volume, mask: BinaryMask | None = None) -> BinaryMask:
     """Brain mask on v's canonical grid (geometry.canonical_axes): the
     external mask reoriented to canonical axes, so it may be stored on any
-    axes of v's world grid, or the fallback extractor's mask of v when mask
-    is None, for which v must already be canonically oriented. A mask off
-    v's grid raises GridMismatch, and an empty one EmptyMask."""
+    axes of v's world grid, or, when mask is None, the fallback extractor's
+    mask of v's voxels reoriented to canonical axes, which on canonical
+    axes are v's own data, not copied. A mask off v's grid raises
+    GridMismatch, and an empty one EmptyMask."""
     if mask is None:
-        mask = fallback_extract(v)
+        mask = fallback_extract(reorient_to_canonical(v)[0])
     else:
         perm, affine = canonical_axes(v)
         mask, _ = reorient_to_canonical(mask)

@@ -1,15 +1,16 @@
-"""Affine algebra, canonical (RAS-like) reorientation, and nearest-neighbour
-grid resampling.
+"""Affine algebra, canonical (RAS-like) reorientation, and the walk over a
+target grid that both of the package's samplers run.
 
-resample reads the nearest source voxel by index arithmetic, block by block
-of target rows, and writes the bytes scipy.ndimage.affine_transform writes
-with order 0 and mode "grid-constant". It computes only the target voxels
-whose source coordinates can reach the bounding box of the source's voxels
-with any non-zero bit; every other target voxel reads +0.0, as in scipy.
-_support, _row_sums and _blocks also serve synthetic.sample_trilinear.
+_walk culls the target to the voxels whose source coordinates can reach
+the bounding box of the source's voxels with any non-zero bit, splits
+them into blocks of rows, and fills each block's coordinates, summed as
+scipy.ndimage.affine_transform sums them, into one reused buffer. resample
+is the nearest kernel over it: it writes the bytes affine_transform writes
+with order 0 and mode "grid-constant", and every voxel outside the blocks
+reads +0.0, as in scipy. synthetic.sample_trilinear is the trilinear
+kernel over the same walk.
 """
 
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -140,16 +141,18 @@ def reorient_to_canonical(
     return type(v)(data, aff), rec
 
 
-# A resample walks the target in blocks of at most `rows` rows of one plane
-# (_blocks), through buffers allocated once, 42 bytes a voxel. A block holds
-# at most BLOCK voxels, so that its buffers stay within a core's L2 cache,
-# and the target splits into MIN_BLOCKS blocks at least, so that a small
-# target's buffers stay small beside its output.
+# A walk (_walk) splits the target into blocks of at most `rows` rows of one
+# plane and fills each block's source coordinates into one buffer that every
+# block reuses, beside a copy of m_a2 k for each row of a block: 48 bytes a
+# block voxel, and resample's kernel adds 2 bytes of bools. resample's blocks
+# hold at most BLOCK voxels, so that these buffers stay within a core's L2
+# cache, and split the target into MIN_BLOCKS blocks at least, so that a
+# small target's buffers stay small beside its output.
 BLOCK, MIN_BLOCKS = 2**14, 128
-# _blocks finds the k-ranges of whole planes of target rows at once, at most
-# one row per RANGE_VOXELS target voxels (one plane at least). Their arrays
-# take about 120 bytes a row, a byte a target voxel, and are freed before a
-# kernel allocates its output and buffers.
+# The walk's cull finds the k-ranges of whole planes of target rows at once,
+# at most one row per RANGE_VOXELS target voxels (one plane at least). Their
+# arrays take about 120 bytes a row, a byte a target voxel, and are freed
+# before _walk returns, so before a kernel allocates its output.
 RANGE_VOXELS = 128
 
 
@@ -161,35 +164,39 @@ def _support(data: np.ndarray) -> tuple[slice, ...] | None:
     return _bbox(data if data.dtype == bool else data.view(f"u{data.itemsize}"), 1)
 
 
-def _row_sums(vox_map: np.ndarray, dims) -> tuple[np.ndarray, np.ndarray]:
-    """(along_x, along_y): the first two terms of each source coordinate, so
-    that row (i, j) starts at along_x[:, i] + along_y[:, j] = (s_a + m_a0 i)
-    + m_a1 j, summed as scipy's affine_transform sums it."""
-    lin, shift = vox_map[:3, :3], vox_map[:3, 3]
-    return shift[:, None] + lin[:, 0:1] * np.arange(dims[0]), lin[:, 1:2] * np.arange(dims[1])
+def _walk(support, dims, vox_map: np.ndarray, rows: int):
+    """An iterator over the blocks of the target grid dims whose voxels can
+    reach the source box support through vox_map (target voxel -> source
+    voxel), yielding (index, c) for each block: rows j0:j1 of target plane
+    i, cut to their voxels k0:k1, picked out of a dims array by index = (i,
+    slice(j0, j1), slice(k0, k1)), and c, a (3, j1 - j0, k1 - k0) array of
+    their source coordinates. Axis a's coordinate is summed as scipy's
+    affine_transform sums it, ((s_a + m_a0 i) + m_a1 j) + m_a2 k: a row's
+    start is copied across it, then m_a2 k is added from a block of rows
+    made once, so that no ufunc broadcasts an operand, which numpy would
+    buffer. c is one buffer that every block reuses: a kernel may write to
+    it, and is done with it when it asks for the next block.
 
+    Each target voxel outside the blocks reads +0.0 in every kernel: every
+    voxel it would interpolate from, or the one nearest to it, has all bits
+    0 or lies outside the source. Along row (i, j) the coordinate on axis a
+    is r_a + m_a2 k, with r_a the row's start, so it lies in the closed
+    range [lo, hi] of support's slice for k between (lo - r_a) / m_a2 and
+    (hi - r_a) / m_a2. These bounds are taken with half a voxel of slack,
+    far more than a coordinate's rounding, and each block's k-range is
+    widened by a voxel for theirs. On an axis along which a coordinate
+    moves less than half a voxel in a row, each row is tested once, with
+    another half voxel of slack. No support, or a non-finite map, yields no
+    block.
 
-def _blocks(vox_map: np.ndarray, dims, support, rows: int) -> np.ndarray:
-    """(i, j0, j1, k0, k1) for each block of a resample, one a row: rows
-    j0:j1 of target plane i, cut to their voxels k0:k1, which hold every
-    voxel whose source coordinates can lie in the box support. Each target
-    voxel outside the blocks reads +0.0: every voxel it would interpolate
-    from, or the one nearest to it, has all bits 0 or lies outside the
-    source.
-
-    Along row (i, j) the coordinate on axis a is r_a + m_a2 k, with r_a the
-    row's start (_row_sums), so it lies in the closed range [lo, hi] of
-    support's slice for k between (lo - r_a) / m_a2 and (hi - r_a) / m_a2.
-    These bounds are taken with half a voxel of slack, far more than a
-    coordinate's rounding, and each block's k-range is widened by a voxel
-    for theirs. On an axis along which a coordinate moves less than half a
-    voxel in a row, each row is tested once, with another half voxel of
-    slack."""
-    spans = [np.zeros((0, 5), dtype=np.intp)]  # none
+    The blocks are found before _walk returns, so the cull's temporaries
+    are freed before a kernel allocates its output."""
     if support is None or not np.isfinite(vox_map[:3]).all():
-        return spans[0]  # a non-finite coordinate lies outside the source
+        return iter(())  # a non-finite coordinate lies outside the source
     nx, ny, nz = dims
-    along_x, along_y = _row_sums(vox_map, dims)
+    # Row (i, j) starts at along_x[:, i] + along_y[:, j] = (s_a + m_a0 i) + m_a1 j.
+    along_x = vox_map[:3, 3:4] + vox_map[:3, 0:1] * np.arange(nx)
+    along_y = vox_map[:3, 1:2] * np.arange(ny)
     lo = np.array([s.start for s in support], dtype=np.float64)[:, None] - 0.5
     hi = np.array([s.stop for s in support], dtype=np.float64)[:, None] - 0.5
     slope = vox_map[:3, 2:3]
@@ -203,6 +210,7 @@ def _blocks(vox_map: np.ndarray, dims, support, rows: int) -> np.ndarray:
     cuts = np.arange(0, ny, rows)
     j = np.arange(ny)
     group = max(1, int(np.prod(dims)) // RANGE_VOXELS // max(ny, 1))
+    spans = [np.zeros((0, 5), dtype=np.intp)]  # (i, j0, j1, k0, k1), one a block
     for i0 in range(0, nx, group):
         first = (ends[0, :, i0:i0 + group, None] - per_row[:, None]).max(axis=0)
         last = (ends[1, :, i0:i0 + group, None] - per_row[:, None]).min(axis=0)
@@ -220,69 +228,20 @@ def _blocks(vox_map: np.ndarray, dims, support, rows: int) -> np.ndarray:
             np.clip(np.floor(k0[di, c]) - 1.0, 0, nz), np.clip(np.ceil(k1[di, c]) + 2.0, 0, nz),
         ], axis=1).astype(np.intp))
     spans = np.concatenate(spans)
-    return spans[spans[:, 3] < spans[:, 4]]
+    spans = spans[spans[:, 3] < spans[:, 4]]
+    along_z = np.repeat((vox_map[:3, 2:3] * np.arange(nz))[:, None, :], rows, axis=1)
+    buffer = np.empty(3 * rows * nz)
 
-
-def _carve(buffer: np.ndarray, *shape) -> np.ndarray:
-    """The leading part of a flat buffer, as a C-contiguous array of shape."""
-    return buffer[:math.prod(shape)].reshape(shape)
-
-
-def _resample_nearest(data: np.ndarray, dims, vox_map: np.ndarray, support) -> np.ndarray:
-    """data read at target voxel (i, j, k) as resample reads it, into a new
-    array of data's dtype, computed on _blocks only. Axis a's source
-    coordinate is summed as scipy's affine_transform sums it,
-    ((s_a + m_a0 i) + m_a1 j) + m_a2 k, and rounded as it rounds it,
-    floor(c + 0.5), so the two read the same voxel. Each block gathers once
-    from the source's flat array. No ufunc here broadcasts an operand, since
-    numpy buffers such an operand: a row's first two terms are copied across
-    it, then the third is added from a block of rows of m_a2 k made once."""
-    nz = dims[2]
-    rows = max(1, min(BLOCK, int(np.prod(dims)) // MIN_BLOCKS) // max(nz, 1))
-    blocks = _blocks(vox_map, dims, support, rows)
-    along_x, along_y = _row_sums(vox_map, dims)
-    out = np.zeros(dims, data.dtype)
-    src = np.ravel(data)
-    top = np.asarray(data.shape, dtype=np.float64) - 1.0
-    step = (float(data.shape[1] * data.shape[2]), float(data.shape[2]), 1.0)
-    along_z = np.repeat((vox_map[:3, 2:3] * np.arange(nz))[:, None, :], rows, axis=1)  # per row
-    floats = np.empty(2 * rows * nz)
-    bools = np.empty(2 * rows * nz, dtype=bool)
-    zero = np.zeros((), data.dtype)
-    signed_zero = data.dtype.kind == "f"
-    for span in blocks:
-        i, j0, j1, k0, k1 = span.tolist()
-        row_start = along_x[:, i, None] + along_y[:, j0:j1]
-        c, acc = _carve(floats, 2, j1 - j0, k1 - k0)
-        bad, tb = _carve(bools, 2, j1 - j0, k1 - k0)
-        for a in range(3):
-            c[...] = row_start[a, :, None]
-            c += along_z[a, :j1 - j0, k0:k1]
-            c += 0.5
-            np.floor(c, out=c)
-            if a == 0:  # the first axis sets bad and acc, the others add to them
-                np.less(c, 0.0, out=bad)
-            else:
-                np.less(c, 0.0, out=tb)
-                bad |= tb
-            np.greater(c, top[a], out=tb)
-            bad |= tb
-            if a == 0:
-                np.multiply(c, step[a], out=acc)
-            else:
-                c *= step[a]
-                acc += c
-        np.copyto(acc, 0.0, where=bad)
-        idx = c.view(np.intp)  # the coordinates have been read
-        np.copyto(idx, acc, casting="unsafe")
-        block = out[i, j0:j1, k0:k1]
-        # Every index is in range: "clip" only keeps take from buffering its
-        # output, as it does under the default "raise".
-        src.take(idx, out=block, mode="clip")
-        np.copyto(block, zero, where=bad)
-        if signed_zero:
-            block += zero  # -0.0 reads +0.0, as scipy's sum from 0.0 makes it
-    return out
+    def blocks():
+        for span in spans:
+            i, j0, j1, k0, k1 = span.tolist()
+            c = buffer[:3 * (j1 - j0) * (k1 - k0)].reshape(3, j1 - j0, k1 - k0)
+            row_start = along_x[:, i, None] + along_y[:, j0:j1]
+            for a in range(3):
+                c[a] = row_start[a, :, None]
+                c[a] += along_z[a, :j1 - j0, k0:k1]
+            yield (i, slice(j0, j1), slice(k0, k1)), c
+    return blocks()
 
 
 def resample(
@@ -297,15 +256,45 @@ def resample(
     world_map sends a target voxel's world position to the position in
     source-world at which to sample. Voxel indices refer to voxel centers.
     At source voxel coordinate c it reads voxel floor(c + 0.5), or 0 when
-    that voxel is outside the volume. It works by index arithmetic
-    (_resample_nearest) straight into the source's dtype, a BinaryMask's
-    bool included, and writes the bytes scipy's affine_transform writes with
-    order 0 and mode "grid-constant". Only the target voxels that can reach
-    the source's support (_support, _blocks) are computed; the others read
-    +0.0. On a 128^3 phantom's brain mask it takes under a third of a pass
-    over the whole grid.
+    that voxel is outside the volume: the rounding and the sum of c
+    (_walk) are scipy's, so it writes the bytes scipy's affine_transform
+    writes with order 0 and mode "grid-constant". It is the nearest kernel
+    over _walk's blocks: each rounds and bounds-tests its coordinates in
+    place and gathers once from the source's flat array, straight into the
+    source's dtype, a BinaryMask's bool included. The target voxels outside
+    the blocks read +0.0. On a 128^3 phantom's brain mask it takes under a
+    third of a pass over the whole grid.
     """
+    data, dims = source.data, tuple(target_dims)
     vox_map = invert(source.affine) @ np.asarray(world_map) @ np.asarray(target_affine)
-    return type(source)(
-        _resample_nearest(source.data, tuple(target_dims), vox_map, _support(source.data)),
-        target_affine)
+    rows = max(1, min(BLOCK, int(np.prod(dims)) // MIN_BLOCKS) // max(dims[2], 1))
+    walk = _walk(_support(data), dims, vox_map, rows)
+    out = np.zeros(dims, data.dtype)
+    src = np.ravel(data)
+    top = np.asarray(data.shape, dtype=np.float64) - 1.0
+    step = (float(data.shape[1] * data.shape[2]), float(data.shape[2]))
+    bools = np.empty(2 * rows * dims[2], dtype=bool)
+    zero = np.zeros((), data.dtype)
+    for index, c in walk:
+        bad, tb = bools[:2 * c[0].size].reshape(2, *c.shape[1:])
+        c += 0.5
+        np.floor(c, out=c)
+        np.less(c[0], 0.0, out=bad)
+        for a in range(3):
+            bad |= np.greater(c[a], top[a], out=tb)
+            if a:
+                bad |= np.less(c[a], 0.0, out=tb)
+        acc, idx = c[0], c[1].view(np.intp)  # the flat index, summed exactly
+        acc *= step[0]
+        acc += np.multiply(c[1], step[1], out=c[1])
+        acc += c[2]
+        np.copyto(acc, 0.0, where=bad)
+        np.copyto(idx, acc, casting="unsafe")  # c[1] has been read
+        block = out[index]
+        # Every index is in range: "clip" only keeps take from buffering its
+        # output, as it does under the default "raise".
+        src.take(idx, out=block, mode="clip")
+        np.copyto(block, zero, where=bad)
+        if data.dtype.kind == "f":
+            block += zero  # -0.0 reads +0.0, as scipy's sum from 0.0 makes it
+    return type(source)(out, target_affine)

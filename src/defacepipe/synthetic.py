@@ -101,19 +101,17 @@ def sample_trilinear(volume: Volume, dims, affine, world_map) -> Volume:
     subjects that perfbench's batch-64 builds for seeds 1-60, one voxel of
     one subject differs, by one float32 ulp.
 
-    Only the target voxels that can reach the source's support are computed
-    (geometry._support, geometry._blocks, one target plane a block); the
-    others read +0.0. Each coordinate is summed as scipy sums it, ((s_a +
-    m_a0 i) + m_a1 j) + m_a2 k, and read from the support's box padded by
-    registration._MARGIN zeros; shifting it by the box's integer start is
-    exact where it can reach the box. A point outside [0, n - 1] on any
-    axis reads 0."""
+    It is the trilinear kernel over geometry._walk, one target plane a
+    block: each block's coordinates are read from the support's box padded
+    by registration._MARGIN zeros, shifted by the box's integer start, which
+    is exact where they can reach the box. The target voxels outside the
+    blocks, and any point outside [0, n - 1] on an axis, read 0."""
     data = volume.data
     vox_map = geometry.invert(volume.affine) @ np.asarray(world_map) @ np.asarray(affine)
     support = geometry._support(data)
+    walk = geometry._walk(support, dims, vox_map, dims[1])
     out = np.zeros(dims, data.dtype)
-    blocks = geometry._blocks(vox_map, dims, support, dims[1])
-    if not len(blocks):
+    if support is None:
         return Volume(out, affine)
     box = data[support]
     margin = registration._MARGIN
@@ -121,16 +119,13 @@ def sample_trilinear(volume: Volume, dims, affine, world_map) -> Volume:
     padded[margin:-margin, margin:-margin, margin:-margin] = box
     start = np.array([s.start for s in support], dtype=np.float64)[:, None]
     top = np.asarray(data.shape, dtype=np.float64)[:, None] - 1.0
-    along_x, along_y = geometry._row_sums(vox_map, dims)
-    along_z = vox_map[:3, 2:3] * np.arange(dims[2])
-    for i, j0, j1, k0, k1 in blocks.tolist():
-        c = ((along_x[:, i, None] + along_y[:, j0:j1])[:, :, None]
-             + along_z[:, None, k0:k1]).reshape(3, -1)
-        outside = ((c < 0.0) | (c > top)).any(axis=0)
-        c -= start
-        values, _ = registration._trilinear(padded, c)
+    for index, c in walk:
+        points = c.reshape(3, -1)
+        outside = ((points < 0.0) | (points > top)).any(axis=0)
+        points -= start
+        values, _ = registration._trilinear(padded, points)
         values[outside] = 0.0
-        out[i, j0:j1, k0:k1] = values.reshape(j1 - j0, k1 - k0)
+        out[index] = values.reshape(c.shape[1:])
     return Volume(out, affine)
 
 

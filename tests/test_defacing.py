@@ -178,16 +178,19 @@ def _same_bits(a, b):
 
 
 @pytest.mark.parametrize("mask_axes, mask_flips",
-                         [((0, 1, 2), (False, False, False)), *STORED_ORIENTATIONS])
+                         [((0, 1, 2), (False, False, False)), *STORED_ORIENTATIONS,
+                          (None, None)])
 @pytest.mark.parametrize("axes, flips", STORED_ORIENTATIONS)
 def test_quickshear_on_stored_axes_matches_ras(head, axes, flips, mask_axes, mask_flips):
     """The phantom stored with permuted and flipped voxel axes, its affine
     permuted to match, is sheared to the RAS output stored the same way,
     bit for bit, whichever axes of the same world grid its brain mask is
-    stored on."""
+    stored on, and also without a brain mask (mask_axes None), when the
+    fallback extractor finds the brain."""
     volume = _stored(head.volume, axes, flips)
-    out = quickshear(volume, _stored(head.brain_mask, mask_axes, mask_flips), buffer_mm=2.0)
-    ras = quickshear(head.volume, head.brain_mask, buffer_mm=2.0)
+    brain = None if mask_axes is None else _stored(head.brain_mask, mask_axes, mask_flips)
+    out = quickshear(volume, brain, buffer_mm=2.0)
+    ras = quickshear(head.volume, None if brain is None else head.brain_mask, buffer_mm=2.0)
     assert _same_bits(out.data, _stored_data(ras.data, axes, flips))
     np.testing.assert_array_equal(out.affine, volume.affine)
 
