@@ -7,8 +7,8 @@ Runs, through ``defacepipe.cli.main`` from this checkout's ``src/``:
 seed 0, once with the fallback extractor and once with ``--brain-mask`` on
 seed 0's brain mask (into ``pack-external/``), ``quickshear --brain-mask``
 on each subject (seeds 1-3), one ``deface --jobs 1`` over the three
-subjects, and one ``qc --json`` over the (original, defaced) and
-(original, sheared) pairs. Then it writes seed 1's
+subjects, and one ``qc --json`` for each (original, defaced) and each
+(original, sheared) pair. Then it writes seed 1's
 phantom and brain mask once more, in ``noncanonical/``, stored with permuted
 and flipped voxel axes and the affine that keeps every voxel's world
 position, and runs ``quickshear --brain-mask``, ``deface --jobs 1`` and
@@ -71,6 +71,16 @@ def _run(argv):
         code = main(argv)
     if code != 0:
         sys.exit(f"error: defacepipe {' '.join(argv)} exited {code}")
+
+
+def _qc_each(original: Path) -> None:
+    """One ``qc --json`` of original against its defaced and one against its
+    sheared volume, into ``qc_defaced.json`` and ``qc_quickshear.json``
+    beside it: qc refuses a manifest that lists one original twice."""
+    for suffix in ("_defaced", "_quickshear"):
+        manifest = original.parent / MANIFEST
+        manifest.write_text(f"{original} {original.parent / f'phantom{suffix}.nii.gz'}\n")
+        _run(["qc", str(manifest), "--json", str(original.parent / f"qc{suffix}.json")])
 
 
 def _digest(path: Path) -> str:
@@ -187,11 +197,8 @@ def run_flow(out: Path) -> None:
     _run(["deface", *map(str, subjects), "--jobs", "1",
           "--template", str(out / "pack" / "phantom_stripped.nii.gz"),
           "--face-mask", str(out / "pack" / "phantom_keepmask.nii.gz")])
-    manifest = out / MANIFEST
-    manifest.write_text("".join(
-        f"{s} {s.parent / ('phantom' + suffix + '.nii.gz')}\n"
-        for s in subjects for suffix in ("_defaced", "_quickshear")))
-    _run(["qc", str(manifest), "--json", str(out / "qc.json")])
+    for subject in subjects:
+        _qc_each(subject)
 
     stored = write_noncanonical(out / f"seed-{SUBJECT_SEEDS[0]}", out / "noncanonical")
     _run(["quickshear", str(stored),
@@ -219,11 +226,7 @@ def run_flow(out: Path) -> None:
     _run(["deface", str(coarse), "--jobs", "1",
           "--template", str(out / "pack" / "phantom_stripped.nii.gz"),
           "--face-mask", str(out / "pack" / "phantom_keepmask.nii.gz")])
-    manifest = coarse.parent / MANIFEST
-    manifest.write_text("".join(
-        f"{coarse} {coarse.parent / ('phantom' + suffix + '.nii.gz')}\n"
-        for suffix in ("_defaced", "_quickshear")))
-    _run(["qc", str(manifest), "--json", str(coarse.parent / "qc.json")])
+    _qc_each(coarse)
 
 
 def main(argv=None) -> int:

@@ -36,21 +36,31 @@ def otsu_threshold(data: np.ndarray) -> float:
     The 256 bins are numpy's histogram bins over the finite minimum to
     maximum: ``edges = np.linspace(lo, hi, 257)``, bin i holds
     ``edges[i] <= x < edges[i + 1]`` and the last bin is closed. The counts
-    come from one sorted float64 copy of the data, where a binary search
-    finds where each edge falls; the sort puts -inf first and +inf and NaN
-    last, so the finite values are one slice of it. Unlike numpy's
-    histogram, a finite range too narrow for 256 distinct float64 edges
-    raises no error."""
-    flat = np.ravel(data).astype(np.float64)
-    flat.sort()
-    flat = flat[np.searchsorted(flat, -np.inf, "right"):np.searchsorted(flat, np.inf, "left")]
+    come from one sorted copy of the data in its own dtype, where a binary
+    search finds where each edge falls; the sort puts -inf first and +inf
+    and NaN last, so the finite values are one slice of it. Each inner edge
+    is looked up as the smallest value of the dtype not below it: the same
+    values lie below the two, and a needle in the data's own dtype keeps
+    numpy from casting the sorted copy. Unlike numpy's histogram, a finite
+    range too narrow for 256 distinct float64 edges raises no error."""
+    flat = np.sort(data, axis=None)
+    dtype = flat.dtype
+    if dtype.kind == "f":
+        inf = np.array(np.inf, dtype)
+        flat = flat[np.searchsorted(flat, -inf, "right"):np.searchsorted(flat, inf, "left")]
     if flat.size == 0:
         return 0.0
-    lo, hi = flat[0], flat[-1]
+    lo, hi = float(flat[0]), float(flat[-1])
     if hi <= lo:
         return lo
     edges = np.linspace(lo, hi, 257)
-    below = np.searchsorted(flat, edges[1:-1], "left")
+    if dtype.kind == "f":
+        inner = edges[1:-1].astype(dtype)
+        short = inner < edges[1:-1]
+        inner[short] = np.nextafter(inner[short], inf)
+    else:
+        inner = np.ceil(edges[1:-1]).astype(dtype)
+    below = np.searchsorted(flat, inner, "left")
     hist = np.diff(below, prepend=0, append=flat.size).astype(np.float64)
     centers = (edges[:-1] + edges[1:]) / 2
     w0 = np.cumsum(hist)

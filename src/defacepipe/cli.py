@@ -156,7 +156,10 @@ def cmd_quickshear(args) -> int:
 
 
 def _parse_manifest(path: Path) -> list[tuple[str, Path, Path]]:
+    """(id, original, defaced) per line. The id is the original's file
+    name, so a manifest whose originals share a file name is refused."""
     items = []
+    originals = {}
     for lineno, line in enumerate(path.read_text().splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -164,7 +167,12 @@ def _parse_manifest(path: Path) -> list[tuple[str, Path, Path]]:
         parts = line.split()
         if len(parts) != 2:
             raise ValueError(f"{path}:{lineno}: expected two paths per line")
-        items.append((Path(parts[0]).name, Path(parts[0]), Path(parts[1])))
+        original = Path(parts[0])
+        first = originals.setdefault(original.name, original)
+        if first is not original:
+            raise ValueError(f"{path}:{lineno}: originals {first} and {original} "
+                             f"share the file name {original.name}")
+        items.append((original.name, original, Path(parts[1])))
     if not items:
         raise ValueError(f"{path}: empty manifest")
     return items

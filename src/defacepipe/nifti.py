@@ -3,6 +3,12 @@
 Only the fields the pipeline needs are interpreted; the original header
 bytes ride along in a sidecar so unrelated metadata survives a round trip.
 descrip and aux_file are zeroed on write as a minimal anonymisation scrub.
+
+The voxel bytes pass through one slab of COPY_TILE[2] z-planes at a time,
+so a read or a write holds the volume and one slab, never a second copy of
+the volume. A .nii.gz is inflated by zlib, in pieces of at most READ_CHUNK
+bytes, and after the voxels to the end of their gzip member, which checks
+the member's CRC-32 and length.
 """
 
 import contextlib
@@ -26,7 +32,7 @@ from .errors import (
     UnsupportedDatatype,
     UnsupportedDims,
 )
-from .volume import DTYPE_TO_CODE, SUPPORTED_DTYPES, Volume, copy_into
+from .volume import COPY_TILE, DTYPE_TO_CODE, SUPPORTED_DTYPES, Volume, copy_into
 
 HEADER_SIZE = 348
 VOX_OFFSET = 352
@@ -57,33 +63,70 @@ class HeaderSidecar:
     warnings: list = field(default_factory=list)
 
 
-def _is_gzipped(path: Path) -> bool:
-    with open(path, "rb") as f:
-        return f.read(2) == GZIP_MAGIC
+class _Gunzip:
+    """The decompressed bytes of a gzip file, read forward as gzip.open
+    reads them: member after member, zero padding after a member skipped.
+    One zlib.decompressobj inflates a member in pieces of at most
+    READ_CHUNK bytes, and checks the member's CRC-32 and ISIZE trailer
+    (RFC 1952) on reaching its end."""
 
+    def __init__(self, f):
+        self._f = f
+        self._inflate = zlib.decompressobj(wbits=31)
+        self._input = b""
+        self._pos = 0
 
-def _open(path: Path):
-    """Binary stream of the file's NIfTI bytes, and an upper bound on how
-    many it holds."""
-    size = path.stat().st_size
-    if _is_gzipped(path):
-        return gzip.open(path, "rb"), size * GZIP_MAX_RATIO
-    return open(path, "rb"), size
+    def _piece(self, n: int) -> bytes:
+        """Up to n more bytes of the current member, b"" once it has ended."""
+        d = self._inflate
+        while not d.eof:
+            if not self._input:
+                self._input = self._f.read(READ_CHUNK)
+                if not self._input:
+                    raise EOFError("compressed file ended before the end-of-stream marker")
+            piece = d.decompress(self._input, n)
+            self._input = d.unconsumed_tail
+            if piece:
+                return piece
+        return b""
 
+    def _next_member(self) -> bool:
+        """Start on the next member, past any zero padding; False if none
+        follows."""
+        rest = self._inflate.unused_data.lstrip(b"\0")
+        while not rest:
+            rest = self._f.read(READ_CHUNK)
+            if not rest:
+                return False
+            rest = rest.lstrip(b"\0")
+        self._inflate = zlib.decompressobj(wbits=31)
+        self._input = rest
+        return True
 
-def _read_exactly(f, nbytes: int) -> np.ndarray | None:
-    """The next nbytes of f as a uint8 array, or None if f ends first. Read
-    in READ_CHUNK pieces: asked for more at once, a gzip stream decompresses
-    all of it into temporary buffers before copying it over."""
-    out = np.empty(nbytes, np.uint8)
-    view = memoryview(out)
-    got = 0
-    while got < nbytes:
-        n = f.readinto(view[got:got + READ_CHUNK])
-        if not n:
-            return None
-        got += n
-    return out
+    def readinto(self, buffer) -> int:
+        """Fill a writable byte buffer with the next bytes; fewer only at the
+        end of the last member."""
+        view = memoryview(buffer)
+        got = 0
+        while got < len(view):
+            piece = self._piece(min(len(view) - got, READ_CHUNK))
+            if not piece and not self._next_member():
+                break
+            view[got:got + len(piece)] = piece
+            got += len(piece)
+        self._pos += got
+        return got
+
+    def seek(self, offset: int) -> None:
+        """Skip forward to offset, or to the end if it comes first."""
+        skip = memoryview(bytearray(READ_CHUNK))
+        while self._pos < offset and self.readinto(skip[:offset - self._pos]):
+            pass
+
+    def finish(self) -> None:
+        """Inflate the rest of the current member, which checks its trailer."""
+        while self._piece(READ_CHUNK):
+            pass
 
 
 def _quaternion_affine(raw: bytes, bo: str) -> np.ndarray:
@@ -141,11 +184,16 @@ def read_nifti(path) -> tuple[Volume, HeaderSidecar]:
     if not path.is_file():
         raise IoError(f"no such file: {path}")
     try:
-        f, available = _open(path)
-        with f:
-            raw = f.read(HEADER_SIZE)
-            if len(raw) < HEADER_SIZE:
+        with open(path, "rb") as file:
+            gz = file.read(2) == GZIP_MAGIC
+            file.seek(0)
+            f = _Gunzip(file) if gz else file
+            # An upper bound on the NIfTI bytes the file holds.
+            available = os.fstat(file.fileno()).st_size * (GZIP_MAX_RATIO if gz else 1)
+            raw = bytearray(HEADER_SIZE)
+            if f.readinto(raw) < HEADER_SIZE:
                 raise NotNifti(f"{path}: file shorter than a NIfTI-1 header")
+            raw = bytes(raw)
             magic = raw[344:348]
             if magic != NIFTI1_MAGIC:
                 raise NotNifti(f"{path}: bad magic {magic!r}")
@@ -190,28 +238,36 @@ def read_nifti(path) -> tuple[Volume, HeaderSidecar]:
             if offset + nbytes > available:  # checked first: the read allocates nbytes
                 raise CorruptFile(f"{path}: {nbytes} voxel bytes at {offset} exceed the file")
             f.seek(offset)
-            payload = _read_exactly(f, nbytes)
-            if payload is None:
-                raise CorruptFile(f"{path}: fewer than the {nbytes} voxel bytes declared")
+            # The payload, x fastest, comes in slabs of whole z-planes, each
+            # read into one reused buffer and copied into the C-order array
+            # while it is still in cache. The copy swaps the byte order,
+            # casts and reorders tile by tile (volume.copy_into), every value
+            # cast as one assignment casts it. A signalling NaN voxel, cast,
+            # and a scaled value past float64's range read as NaN and inf,
+            # with no floating-point warning: the pipeline reads a non-finite
+            # voxel as background.
+            data = np.empty(shape, np.float64 if scaling else dtype.newbyteorder("="))
+            nx, ny, nz = shape
+            depth = COPY_TILE[2]
+            slab = np.empty(nx * ny * min(depth, nz) * dtype.itemsize, np.uint8)
+            with np.errstate(invalid="ignore", over="ignore"):
+                for z in range(0, nz, depth):
+                    planes = min(depth, nz - z)
+                    buffer = slab[:nx * ny * planes * dtype.itemsize]
+                    if f.readinto(buffer) < buffer.size:
+                        raise CorruptFile(f"{path}: fewer than the {nbytes} voxel bytes declared")
+                    copy_into(data[:, :, z:z + planes],
+                              buffer.view(dtype).reshape((nx, ny, planes), order="F"))
+                if scaling:
+                    slope, inter = scaling
+                    data *= slope
+                    data += inter
+            if gz:
+                f.finish()
     except (EOFError, zlib.error) as e:
         raise CorruptFile(f"{path}: {e}") from e
     except OSError as e:
         raise IoError(f"{path}: {e}") from e
-
-    # One copy swaps the byte order, casts and reorders x-fastest file order
-    # into a C-contiguous array, tile by tile so neither side is walked at a
-    # plane's stride; every value is cast as one assignment casts it. A
-    # signalling NaN voxel, cast, and a scaled value past float64's range
-    # read as NaN and inf, with no floating-point warning: the pipeline reads
-    # a non-finite voxel as background.
-    data = np.empty(shape, np.float64 if scaling else dtype.newbyteorder("="))
-    with np.errstate(invalid="ignore", over="ignore"):
-        copy_into(data, payload.view(dtype).reshape(shape, order="F"))
-        if scaling:
-            slope, inter = scaling
-            data *= slope
-            data += inter
-    del payload
 
     warnings = []
 
@@ -262,50 +318,55 @@ def sidecar_for_dtype(dtype) -> HeaderSidecar:
     )
 
 
-def _encode_payload(volume: Volume, sidecar: HeaderSidecar, path) -> np.ndarray:
-    """The voxels as the file stores them: the sidecar's datatype in its
-    byte order, x fastest, as one C-contiguous array. Scaled data and float
-    data bound for an integer type are rounded in float64 and range-checked;
-    any other data is cast in the one copy that reorders it, which goes tile
-    by tile (volume.copy_into) and leaves every value as one assignment
-    would."""
+def _encode_payload(volume: Volume, sidecar: HeaderSidecar, path):
+    """The voxels as the file stores them, in slabs of COPY_TILE[2] z-planes:
+    each slab a C-contiguous array of the sidecar's datatype in its byte
+    order, x fastest. Scaled data and float data bound for an integer type
+    are rounded in float64 and range-checked slab by slab; any other data is
+    cast in the one copy that reorders it, which goes tile by tile
+    (volume.copy_into) and leaves every value as one assignment would."""
     dtype = np.dtype(SUPPORTED_DTYPES[sidecar.datatype_code])
-    data = volume.data
     scaling = _scaling(sidecar.scl_slope, sidecar.scl_inter, path)
     to_integer = np.issubdtype(dtype, np.integer)
-    if scaling or (to_integer and not np.can_cast(data.dtype, dtype, "safe")):
-        data = data.astype(np.float64)
-        if scaling:
-            slope, inter = scaling
-            data -= inter
-            data /= slope
-        if to_integer:
-            np.rint(data, out=data)
-            info = np.iinfo(dtype)
-            # written so that a NaN, whose comparisons are all False, fails
-            if not (info.min <= data.min() and data.max() <= info.max):
-                raise DatatypeOverflow(
-                    f"value outside {dtype} range [{info.min}, {info.max}] or not finite"
-                )
-    payload = np.empty(data.shape[::-1], dtype.newbyteorder(sidecar.byte_order))
-    copy_into(payload, data.T)
-    return payload
+    rounded = scaling or (to_integer and not np.can_cast(volume.data.dtype, dtype, "safe"))
+    depth = COPY_TILE[2]
+    for z in range(0, volume.dims[2], depth):
+        data = volume.data[:, :, z:z + depth]
+        if rounded:
+            data = data.astype(np.float64)
+            if scaling:
+                slope, inter = scaling
+                data -= inter
+                data /= slope
+            if to_integer:
+                np.rint(data, out=data)
+                info = np.iinfo(dtype)
+                # written so that a NaN, whose comparisons are all False, fails
+                if not (info.min <= data.min() and data.max() <= info.max):
+                    raise DatatypeOverflow(
+                        f"value outside {dtype} range [{info.min}, {info.max}] or not finite"
+                    )
+        payload = np.empty(data.shape[::-1], dtype.newbyteorder(sidecar.byte_order))
+        copy_into(payload, data.T)
+        yield payload
 
 
 def write_nifti(volume: Volume, sidecar: HeaderSidecar, path) -> None:
     """Write a Volume back to disk, preserving the input header verbatim
     except for geometry, datatype bookkeeping, and the scrub list. A
-    .nii.gz is compressed at GZIP_LEVEL."""
+    .nii.gz is compressed at GZIP_LEVEL. The voxels are encoded and written
+    slab by slab; a value that does not fit the datatype fails the write
+    and leaves path as it was."""
     path = Path(path)
-    payload = _encode_payload(volume, sidecar, path)
     code = sidecar.datatype_code
+    itemsize = np.dtype(SUPPORTED_DTYPES[code]).itemsize
     bo = sidecar.byte_order
 
     raw = bytearray(sidecar.raw)
     struct.pack_into(bo + "i", raw, 0, HEADER_SIZE)
     dims = volume.dims
     struct.pack_into(bo + "8h", raw, 40, 3, dims[0], dims[1], dims[2], 1, 1, 1, 1)
-    struct.pack_into(bo + "2h", raw, 70, code, payload.itemsize * 8)
+    struct.pack_into(bo + "2h", raw, 70, code, itemsize * 8)
     sp = volume.spacing
     struct.pack_into(bo + "8f", raw, 76, 1.0, sp[0], sp[1], sp[2], 0, 0, 0, 0)
     struct.pack_into(bo + "f", raw, 108, float(VOX_OFFSET))
@@ -323,15 +384,13 @@ def write_nifti(volume: Volume, sidecar: HeaderSidecar, path) -> None:
 
     try:
         with atomic_file(path) as f:
-            if path.suffix == ".gz":
-                # The gzip header names the final file, not the temporary one.
-                with gzip.GzipFile(filename=path, mode="wb", fileobj=f, mtime=0,
-                                   compresslevel=GZIP_LEVEL) as gz:
-                    gz.write(raw)
-                    gz.write(payload)
-            else:
-                f.write(raw)
-                f.write(payload)
+            # The gzip header names the final file, not the temporary one.
+            with (gzip.GzipFile(filename=path, mode="wb", fileobj=f, mtime=0,
+                                compresslevel=GZIP_LEVEL)
+                  if path.suffix == ".gz" else contextlib.nullcontext(f)) as out:
+                out.write(raw)
+                for payload in _encode_payload(volume, sidecar, path):
+                    out.write(payload)
     except OSError as e:
         raise IoError(f"{path}: {e}") from e
 

@@ -444,6 +444,28 @@ def test_qc_empty_manifest_exit_2(tmp_path, capsys):
     assert "empty manifest" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("same", [False, True])
+def test_qc_originals_sharing_a_file_name_exit_2(workspace, tmp_path, capsys, monkeypatch, same):
+    """An item's id is its original's file name, so two originals of one
+    name (in two directories, or one listed twice) would leave a FAILED id
+    naming neither: the manifest is refused, naming both, before any read."""
+    root, _head, _subject = workspace
+    subj = root / "subj.nii.gz"
+    other = subj if same else tmp_path / "elsewhere" / "subj.nii.gz"
+    if not same:
+        other.parent.mkdir()
+        shutil.copy(subj, other)
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text(f"{subj} {subj}\n{other} {subj}\n")
+    reads = []
+    monkeypatch.setattr(nifti, "read_nifti", lambda path: reads.append(path))
+    report = tmp_path / "report.json"
+    assert main(["qc", str(manifest), "--json", str(report)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{subj} and {other}" in err
+    assert reads == [] and not report.exists()
+
+
 def test_qc_malformed_manifest_exit_2(tmp_path):
     manifest = tmp_path / "bad.txt"
     manifest.write_text("only_one_path\n")
