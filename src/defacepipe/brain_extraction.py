@@ -72,29 +72,45 @@ def otsu_threshold(data: np.ndarray) -> float:
     return float(centers[int(np.argmax(between))])
 
 
+def _above(data: np.ndarray, t: float) -> np.ndarray:
+    """Mask of data's finite voxels above t: NaN and -inf are never above
+    it, and +inf is dropped by a second, transient mask."""
+    mask = data > t
+    if data.dtype.kind == "f":
+        mask &= data < np.inf
+    return mask
+
+
 def fallback_extract(v: Volume) -> BinaryMask:
     """Otsu threshold, 2 mm closing, largest component, hole fill. A
-    non-finite voxel is background."""
-    finite = np.isfinite(v.data)
-    if not finite.all():
-        # NaN compares False with every threshold, so the voxel is below it.
-        v = Volume(np.where(finite, v.data, np.nan), v.affine)
+    non-finite voxel is background.
+
+    Besides v it copies no volume, and it keeps one full-grid mask from one
+    step to the next, each dropped once the next is made: on float32 data
+    its peak is the Otsu sort's one copy of the voxels."""
     t = otsu_threshold(v.data)
-    upper = v.data[v.data > t]
+    above = _above(v.data, t)
+    upper = v.data[above]
+    del above
     if upper.size:
         # Re-anchor the cut to the bright class alone. The raw Otsu optimum
         # drifts with how much background the field of view contains, so two
         # extractions of the same anatomy (say, before and after defacing)
         # would flip boundary voxels; half the foreground median stays put.
         t = 0.5 * float(np.median(upper))
-    fg = BinaryMask(v.data > t, v.affine)
-    if not fg.data.any():
+    del upper
+    mask = BinaryMask(_above(v.data, t), v.affine)
+    if not mask.data.any():
         raise EmptyMask("no foreground above Otsu threshold")
-    closed = morphology.erode(morphology.dilate(fg, CLOSING_MM), CLOSING_MM)
-    if not closed.data.any():
-        closed = fg
-    comp = morphology.largest_connected_component(closed)
-    return morphology.fill_holes(comp)
+    mask = morphology.dilate(mask, CLOSING_MM)
+    mask = morphology.erode(mask, CLOSING_MM)
+    if not mask.data.any():
+        # Erosion reads beyond the array as False, so the closing can lose a
+        # foreground at the array's faces: fall back to the foreground, made
+        # again rather than kept through the closing.
+        mask = BinaryMask(_above(v.data, t), v.affine)
+    mask = morphology.largest_connected_component(mask)
+    return morphology.fill_holes(mask)
 
 
 def extract_brain(v: Volume, mask: BinaryMask | None = None) -> BinaryMask:

@@ -179,7 +179,10 @@ def _parse_manifest(path: Path) -> list[tuple[str, Path, Path]]:
 
 
 def _read_pair(orig_path: Path, defaced_path: Path):
-    return nifti.read_nifti(orig_path)[0], nifti.read_nifti(defaced_path)[0]
+    """The original, then the defaced volume, each read when it is asked
+    for, so qc_report drops the first before it reads the second."""
+    yield nifti.read_nifti(orig_path)[0]
+    yield nifti.read_nifti(defaced_path)[0]
 
 
 def cmd_qc(args) -> int:

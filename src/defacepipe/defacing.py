@@ -185,9 +185,10 @@ def _section_ends(section: np.ndarray) -> np.ndarray:
 
 
 def _shear_plane(brain: BinaryMask, buffer_mm: float) -> np.ndarray:
-    """Face side of the hull-derived shear plane, as a boolean array on the
-    brain's (canonical) grid. brain is not empty, as extract_brain and
-    fallback_extract return it.
+    """Face side of the hull-derived shear plane on the brain's (canonical)
+    grid, as a boolean (y, z) section: voxel (x, y, z) is on the face side
+    when section[y, z] is, for every x. brain is not empty, as
+    extract_brain and fallback_extract return it.
 
     The plane is fitted in the (anterior, superior) mm plane of the
     mid-sagittal slice and extruded along x; it is offset so no brain voxel
@@ -222,7 +223,7 @@ def _shear_plane(brain: BinaryMask, buffer_mm: float) -> np.ndarray:
     zz = (np.arange(brain.dims[2]) * sp[2])[None, :]
     plane = normal[0] * yy + normal[1] * zz
     offset = plane[brain.data.any(axis=0)].max() + buffer_mm
-    return np.broadcast_to(plane > offset, brain.dims)
+    return plane > offset
 
 
 def quickshear(input_volume: Volume, brain: BinaryMask, buffer_mm: float = 5.0) -> Volume:
@@ -231,12 +232,17 @@ def quickshear(input_volume: Volume, brain: BinaryMask, buffer_mm: float = 5.0) 
     brain is read by extract_brain, stored on any axes of input_volume's
     grid. The plane is offset outward past every brain voxel, so brain
     tissue is never removed. Only the brain mask is reoriented: the plane is
-    fitted on the canonical grid and its keep side goes back to the native
-    grid as a 1-byte mask, which masks the input there, as deface does.
+    fitted on the canonical grid, and the input is masked on its own grid
+    through a view of the plane's keep side, its (y, z) section broadcast
+    along x and mapped to the native axes. So the output is the one
+    full-size array it makes, with the bits np.where(keep, v, 0) gives in
+    the input's dtype: a kept NaN or -0.0 voxel is kept as it is.
     """
     perm, _ = geometry.canonical_axes(input_volume)
-    face_side = _shear_plane(extract_brain(input_volume, brain), buffer_mm)
-    return apply_mask(input_volume, BinaryMask(perm.undo(~face_side), input_volume.affine))
+    keep = ~_shear_plane(extract_brain(input_volume, brain), buffer_mm)
+    canon_dims = tuple(input_volume.dims[i] for i in perm.perm)
+    keep = perm.undo_view(np.broadcast_to(keep, canon_dims))
+    return apply_mask(input_volume, BinaryMask(keep, input_volume.affine))
 
 
 # ---------------------------------------------------------------------------

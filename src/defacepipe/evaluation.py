@@ -96,24 +96,37 @@ def propagate_labels(
     )
 
 
-def _pair_dice(original: Volume, defaced: Volume) -> float:
-    """Dice of the fallback brain masks of the two volumes."""
-    masks = [extract_brain(reorient_to_canonical(v)[0]) for v in (original, defaced)]
+def _pair_dice(volumes) -> float:
+    """Dice of the fallback brain masks of the two volumes of the iterable
+    volumes, (original, defaced), taken one at a time. Each volume is
+    dropped once it is reoriented and its canonical copy once its mask is
+    made, so when volumes reads lazily, the original is gone before the
+    defaced volume is read."""
+    masks = []
+    for v in volumes:
+        canon = reorient_to_canonical(v)[0]
+        del v
+        masks.append(extract_brain(canon))
+        del canon
     return dice(*masks)
 
 
 def qc_report(items, threshold: float = 0.99) -> DiceReport:
     """For each (id, read) of items, an iterable taken one item at a time,
-    read() returns the pair (original Volume, defaced Volume); re-extract
-    brain masks on both with the fallback extractor and Dice them. Reading
-    and scoring a pair is one step: an error in either is recorded as the
-    item's error, not fatal, and the pair is freed before the next item is
-    taken."""
+    read() returns an iterable of the original and the defaced Volume; the
+    fallback extractor re-extracts a brain mask from each and the two masks
+    are Dice-scored. The volumes are taken one at a time, and each is freed
+    once its mask is made, so a read() that reads its files lazily (a
+    generator) holds one volume and one mask at a time; a tuple works too.
+    Reading and scoring a pair is one step: an error in either is recorded
+    as the item's error, not fatal, so when a pair has two faults the first
+    one met is recorded, an unscorable original before an unreadable
+    defaced file. The pair is freed before the next item is taken."""
     per_item = []
     values = []
     for item_id, read in items:
         try:
-            d = _pair_dice(*read())
+            d = _pair_dice(read())
             per_item.append((item_id, d, d < threshold, None))
             values.append(d)
         except Exception as e:

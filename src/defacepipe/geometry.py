@@ -89,11 +89,15 @@ class AxisPermutation:
         rev = tuple(j for j in range(3) if self.flips[j])
         return np.flip(out, rev) if rev else out
 
+    def undo_view(self, data: np.ndarray) -> np.ndarray:
+        """Inverse of apply, as a view of data."""
+        rev = tuple(j for j in range(3) if self.flips[j])
+        return np.transpose(np.flip(data, rev) if rev else data, np.argsort(self.perm))
+
     def undo(self, data: np.ndarray) -> np.ndarray:
         """Inverse of apply, as a C-contiguous array: a view of data when it
         already is one, as for the identity, else a new array."""
-        rev = tuple(j for j in range(3) if self.flips[j])
-        view = np.transpose(np.flip(data, rev) if rev else data, np.argsort(self.perm))
+        view = self.undo_view(data)
         if view.flags.c_contiguous:
             return view
         out = np.empty(view.shape, view.dtype)
@@ -143,7 +147,7 @@ def reorient_to_canonical(
 
 # A walk (_walk) splits the target into blocks of at most `rows` rows of one
 # plane and fills each block's source coordinates into one buffer that every
-# block reuses, beside a copy of m_a2 k for each row of a block: 48 bytes a
+# block reuses, beside one axis's m_a2 k for each row of a block: 32 bytes a
 # block voxel, and resample's kernel adds 2 bytes of bools. resample's blocks
 # hold at most BLOCK voxels, so that these buffers stay within a core's L2
 # cache, and split the target into MIN_BLOCKS blocks at least, so that a
@@ -172,10 +176,11 @@ def _walk(support, dims, vox_map: np.ndarray, rows: int):
     slice(j0, j1), slice(k0, k1)), and c, a (3, j1 - j0, k1 - k0) array of
     their source coordinates. Axis a's coordinate is summed as scipy's
     affine_transform sums it, ((s_a + m_a0 i) + m_a1 j) + m_a2 k: a row's
-    start is copied across it, then m_a2 k is added from a block of rows
-    made once, so that no ufunc broadcasts an operand, which numpy would
-    buffer. c is one buffer that every block reuses: a kernel may write to
-    it, and is done with it when it asks for the next block.
+    start is copied across it, then m_a2 k is copied across a second
+    buffer's rows and added from there, so that every operand of the add is
+    contiguous: numpy buffers a broadcast or strided operand of a ufunc,
+    though not of a copy. c is one buffer that every block reuses: a kernel
+    may write to it, and is done with it when it asks for the next block.
 
     Each target voxel outside the blocks reads +0.0 in every kernel: every
     voxel it would interpolate from, or the one nearest to it, has all bits
@@ -229,17 +234,19 @@ def _walk(support, dims, vox_map: np.ndarray, rows: int):
         ], axis=1).astype(np.intp))
     spans = np.concatenate(spans)
     spans = spans[spans[:, 3] < spans[:, 4]]
-    along_z = np.repeat((vox_map[:3, 2:3] * np.arange(nz))[:, None, :], rows, axis=1)
-    buffer = np.empty(3 * rows * nz)
+    along_z = vox_map[:3, 2:3] * np.arange(nz)
+    buffer, steps = np.empty(3 * rows * nz), np.empty(rows * nz)
 
     def blocks():
         for span in spans:
             i, j0, j1, k0, k1 = span.tolist()
             c = buffer[:3 * (j1 - j0) * (k1 - k0)].reshape(3, j1 - j0, k1 - k0)
+            step = steps[:c[0].size].reshape(c.shape[1:])
             row_start = along_x[:, i, None] + along_y[:, j0:j1]
             for a in range(3):
                 c[a] = row_start[a, :, None]
-                c[a] += along_z[a, :j1 - j0, k0:k1]
+                step[...] = along_z[a, k0:k1]
+                c[a] += step
             yield (i, slice(j0, j1), slice(k0, k1)), c
     return blocks()
 

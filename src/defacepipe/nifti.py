@@ -233,7 +233,10 @@ def read_nifti(path) -> tuple[Volume, HeaderSidecar]:
 
             if not math.isfinite(vox_offset):
                 raise CorruptFile(f"{path}: vox_offset {vox_offset}")
-            offset = int(vox_offset) if vox_offset >= HEADER_SIZE else VOX_OFFSET
+            # A single file's voxels start at 352 at the earliest: bytes 348-351
+            # are the extension flags. A lower offset reads as 352, as nibabel
+            # fixes it.
+            offset = int(vox_offset) if vox_offset >= VOX_OFFSET else VOX_OFFSET
             nbytes = math.prod(shape) * dtype.itemsize
             if offset + nbytes > available:  # checked first: the read allocates nbytes
                 raise CorruptFile(f"{path}: {nbytes} voxel bytes at {offset} exceed the file")

@@ -1,11 +1,13 @@
 """Exit codes, output artifacts, and batch behavior of the command line."""
 
+import functools
 import gzip
 import json
 import multiprocessing
 import os
 import shutil
 import struct
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -435,6 +437,71 @@ def test_qc_reads_each_pair_after_freeing_the_last(workspace, tmp_path, monkeypa
     monkeypatch.setattr(nifti, "read_nifti", read_nifti)
     assert main(["qc", str(manifest)]) == 0
     assert alive_at_read == [0, 0, 0]
+
+
+def test_qc_reads_the_defaced_volume_after_freeing_the_original(workspace, tmp_path,
+                                                                 monkeypatch):
+    """qc holds one volume of a pair at a time: when a pair's defaced file
+    is read, the volume read from its original, and that volume's data, are
+    gone."""
+    root, _head, _subject = workspace
+    subj = root / "subj.nii.gz"
+    original = shutil.copy(subj, tmp_path / "original.nii.gz")
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text(f"{original} {subj}\n")
+    refs, alive_at_defaced_read = [], []
+    real_read = nifti.read_nifti
+
+    def read_nifti(path):
+        if Path(path) == subj:  # the defaced file, second of its pair
+            alive_at_defaced_read.append([ref() is not None for ref in refs])
+        volume, sidecar = real_read(path)
+        refs.extend((weakref.ref(volume), weakref.ref(volume.data)))
+        return volume, sidecar
+
+    monkeypatch.setattr(nifti, "read_nifti", read_nifti)
+    assert main(["qc", str(manifest)]) == 0
+    assert alive_at_defaced_read == [[False, False]]
+
+
+def test_qc_pair_with_two_faults_reports_the_original(workspace, tmp_path):
+    """A pair is read and scored one volume at a time, so when its original
+    cannot be scored (all zero) and its defaced file cannot be read, the
+    original's fault is the one recorded, and the defaced file is never
+    opened."""
+    root, head, _subject = workspace
+    blank = tmp_path / "blank.nii.gz"
+    zeros = Volume(np.zeros_like(head.volume.data), head.volume.affine)
+    nifti.write_nifti(zeros, nifti.sidecar_for_dtype(np.float32), blank)
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text(f"{blank} {tmp_path / 'missing.nii.gz'}\n")
+    report = tmp_path / "report.json"
+    assert main(["qc", str(manifest), "--json", str(report)]) == 1
+    items = json.loads(report.read_text())["items"]
+    assert [item["error"] for item in items] == ["no foreground above Otsu threshold"]
+
+
+def test_qc_pair_peak_is_one_volume_its_sort_and_one_mask(tmp_path):
+    """Scoring one 128^3 float32 pair read from files holds the original's
+    mask (1 byte a voxel), the defaced volume (4) and its Otsu sort's copy
+    (4): 9.0 bytes a voxel measured, where reading both volumes before
+    scoring either read 14.8."""
+    head = synthetic.nominal_head(128).volume
+    assert head.data.dtype == np.float32
+    paths = [tmp_path / "original.nii.gz", tmp_path / "defaced.nii.gz"]
+    for path in paths:
+        nifti.write_nifti(head, nifti.sidecar_for_dtype(np.float32), path)
+    size = head.data.size
+    del head
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        report = evaluation.qc_report([("pair", functools.partial(cli._read_pair, *paths))])
+        peak = tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+    assert report.per_item == [("pair", 1.0, False, None)]
+    assert peak <= 9.5 * size
 
 
 def test_qc_empty_manifest_exit_2(tmp_path, capsys):

@@ -635,17 +635,19 @@ def test_sample_trilinear_matches_scipy_up_to_the_sources_faces():
 
 def test_resample_allocates_no_per_voxel_coordinates():
     """A nearest resample of a 64^3 mask writes its output directly. As a
-    uint8 Volume it allocates at most 3 bytes per target voxel above entry,
-    with no float64 output (8 bytes) and no coordinate array (24 bytes). As
-    a BinaryMask it allocates at most 1.5 bytes: its bool output and the
-    resample's block buffers (1.38 bytes measured), and no uint8 copy to
-    read above 0 (2 bytes). The block size depends on the dims, so a
-    non-cubic grid is measured too."""
+    uint8 Volume or as a BinaryMask it allocates at most 1.39 bytes per
+    target voxel above entry: its 1-byte output and the walk's and the
+    kernel's block buffers (1.336-1.343 bytes measured), with no float64
+    output (8 bytes), no coordinate array (24 bytes) and no uint8 copy of
+    a mask to read above 0 (2 bytes). A fill that adds m_a2 k from a
+    strided block of all three axes' rows, which numpy buffers, read
+    1.454-1.464. The block size depends on the dims, so a non-cubic grid
+    is measured too."""
     world_map = _z_turn(0.1) @ geometry.translation((0.3, -0.2, 0.1))
     for dims in ((64, 64, 64), (96, 80, 40)):
         for mask, bound in (
-            (Volume(np.ones(dims, dtype=np.uint8), np.eye(4)), 3.0),
-            (BinaryMask(np.ones(dims, dtype=bool), np.eye(4)), 1.5),
+            (Volume(np.ones(dims, dtype=np.uint8), np.eye(4)), 1.39),
+            (BinaryMask(np.ones(dims, dtype=bool), np.eye(4)), 1.39),
         ):
             tracemalloc.start()
             try:

@@ -242,6 +242,23 @@ def test_read_unusable_vox_offset_is_corrupt(tmp_path, identity_2x2x2, offset):
         nifti.read_nifti(bad)
 
 
+@pytest.mark.parametrize("offset", [348.0, 349.5, 351.0])
+def test_read_vox_offset_below_352_reads_from_352(tmp_path, offset):
+    """Bytes 348-351 of a single file are the extension flags, so its voxels
+    start at 352 at the earliest: a 1-voxel uint8 file whose vox_offset is
+    in 348-351 reads its voxel from 352, not a flag byte, and is corrupt
+    when it ends at 352."""
+    raw = bytearray(build_nifti_bytes(np.full((1, 1, 1), 42, dtype=np.uint8)))
+    struct.pack_into("<f", raw, 108, offset)
+    raw[348] = 7
+    path = tmp_path / "low.nii"
+    path.write_bytes(raw)
+    assert nifti.read_nifti(path)[0].data.tolist() == [[[42]]]
+    path.write_bytes(raw[:352])
+    with pytest.raises(CorruptFile):
+        nifti.read_nifti(path)
+
+
 @pytest.mark.parametrize("compress", [False, True])
 def test_read_declared_size_beyond_file_is_corrupt(tmp_path, identity_2x2x2, compress):
     """30000^3 float32 voxels declared in a file of a few hundred bytes fail
