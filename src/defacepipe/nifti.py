@@ -6,9 +6,10 @@ descrip and aux_file are zeroed on write as a minimal anonymisation scrub.
 
 The voxel bytes pass through one slab of COPY_TILE[2] z-planes at a time,
 so a read or a write holds the volume and one slab, never a second copy of
-the volume. A .nii.gz is inflated by zlib, in pieces of at most READ_CHUNK
-bytes, and after the voxels to the end of their gzip member, which checks
-the member's CRC-32 and length.
+the volume. A .nii.gz is read through gzip.GzipFile, in requests of at
+most READ_CHUNK bytes, and after the voxels on to the end of the file, which
+checks the CRC-32 and length of every gzip member; trailing bytes that are
+not a gzip member make the file corrupt.
 """
 
 import contextlib
@@ -41,8 +42,9 @@ GZIP_MAGIC = b"\x1f\x8b"
 # its CPU for 1.4% fewer bytes, and levels 1-5 write more (a mask up to 2.5
 # times as much). The level changes no decompressed byte.
 GZIP_LEVEL = 6
-# Decoded-payload piece size: small enough that a gzip read's temporary
-# buffers stay small next to the payload.
+# The size of each read request made to the file or to gzip.GzipFile: small
+# enough that the copies GzipFile makes of a request stay small next to the
+# payload.
 READ_CHUNK = 1 << 16
 # Deflate expands its input at most about 1032-fold, so a gzip file of n
 # bytes holds fewer than n * GZIP_MAX_RATIO uncompressed bytes.
@@ -61,72 +63,6 @@ class HeaderSidecar:
     scl_inter: float
     sform_code: int
     warnings: list = field(default_factory=list)
-
-
-class _Gunzip:
-    """The decompressed bytes of a gzip file, read forward as gzip.open
-    reads them: member after member, zero padding after a member skipped.
-    One zlib.decompressobj inflates a member in pieces of at most
-    READ_CHUNK bytes, and checks the member's CRC-32 and ISIZE trailer
-    (RFC 1952) on reaching its end."""
-
-    def __init__(self, f):
-        self._f = f
-        self._inflate = zlib.decompressobj(wbits=31)
-        self._input = b""
-        self._pos = 0
-
-    def _piece(self, n: int) -> bytes:
-        """Up to n more bytes of the current member, b"" once it has ended."""
-        d = self._inflate
-        while not d.eof:
-            if not self._input:
-                self._input = self._f.read(READ_CHUNK)
-                if not self._input:
-                    raise EOFError("compressed file ended before the end-of-stream marker")
-            piece = d.decompress(self._input, n)
-            self._input = d.unconsumed_tail
-            if piece:
-                return piece
-        return b""
-
-    def _next_member(self) -> bool:
-        """Start on the next member, past any zero padding; False if none
-        follows."""
-        rest = self._inflate.unused_data.lstrip(b"\0")
-        while not rest:
-            rest = self._f.read(READ_CHUNK)
-            if not rest:
-                return False
-            rest = rest.lstrip(b"\0")
-        self._inflate = zlib.decompressobj(wbits=31)
-        self._input = rest
-        return True
-
-    def readinto(self, buffer) -> int:
-        """Fill a writable byte buffer with the next bytes; fewer only at the
-        end of the last member."""
-        view = memoryview(buffer)
-        got = 0
-        while got < len(view):
-            piece = self._piece(min(len(view) - got, READ_CHUNK))
-            if not piece and not self._next_member():
-                break
-            view[got:got + len(piece)] = piece
-            got += len(piece)
-        self._pos += got
-        return got
-
-    def seek(self, offset: int) -> None:
-        """Skip forward to offset, or to the end if it comes first."""
-        skip = memoryview(bytearray(READ_CHUNK))
-        while self._pos < offset and self.readinto(skip[:offset - self._pos]):
-            pass
-
-    def finish(self) -> None:
-        """Inflate the rest of the current member, which checks its trailer."""
-        while self._piece(READ_CHUNK):
-            pass
 
 
 def _quaternion_affine(raw: bytes, bo: str) -> np.ndarray:
@@ -184,10 +120,10 @@ def read_nifti(path) -> tuple[Volume, HeaderSidecar]:
     if not path.is_file():
         raise IoError(f"no such file: {path}")
     try:
-        with open(path, "rb") as file:
+        with open(path, "rb") as file, contextlib.ExitStack() as stack:
             gz = file.read(2) == GZIP_MAGIC
             file.seek(0)
-            f = _Gunzip(file) if gz else file
+            f = stack.enter_context(gzip.GzipFile(fileobj=file)) if gz else file
             # An upper bound on the NIfTI bytes the file holds.
             available = os.fstat(file.fileno()).st_size * (GZIP_MAX_RATIO if gz else 1)
             raw = bytearray(HEADER_SIZE)
@@ -257,17 +193,22 @@ def read_nifti(path) -> tuple[Volume, HeaderSidecar]:
                 for z in range(0, nz, depth):
                     planes = min(depth, nz - z)
                     buffer = slab[:nx * ny * planes * dtype.itemsize]
-                    if f.readinto(buffer) < buffer.size:
-                        raise CorruptFile(f"{path}: fewer than the {nbytes} voxel bytes declared")
+                    for at in range(0, buffer.size, READ_CHUNK):
+                        piece = buffer[at:at + READ_CHUNK]
+                        if f.readinto(piece) < piece.size:
+                            raise CorruptFile(
+                                f"{path}: fewer than the {nbytes} voxel bytes declared")
                     copy_into(data[:, :, z:z + planes],
                               buffer.view(dtype).reshape((nx, ny, planes), order="F"))
                 if scaling:
                     slope, inter = scaling
                     data *= slope
                     data += inter
-            if gz:
-                f.finish()
-    except (EOFError, zlib.error) as e:
+            # On to the end of the file: GzipFile checks each member's trailer
+            # as it reaches it.
+            while gz and f.read(READ_CHUNK):
+                pass
+    except (EOFError, zlib.error, gzip.BadGzipFile) as e:
         raise CorruptFile(f"{path}: {e}") from e
     except OSError as e:
         raise IoError(f"{path}: {e}") from e
