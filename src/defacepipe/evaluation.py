@@ -75,7 +75,8 @@ def multilabel_dice(a: Volume, b: Volume) -> dict[int, float]:
     """Per-label binary Dice over nonzero integer labels present in either
     volume; 0 is background."""
     check_same_grid(a, b)
-    labels = np.union1d(np.unique(a.data), np.unique(b.data))
+    # each sorted in its memory order, which the set of labels ignores
+    labels = np.union1d(np.unique(a.data.ravel("K")), np.unique(b.data.ravel("K")))
     return {int(lab): dice(BinaryMask(a.data == lab, a.affine),
                            BinaryMask(b.data == lab, b.affine))
             for lab in labels if lab != 0}

@@ -132,7 +132,8 @@ def _shifted(crop: np.ndarray, structure: np.ndarray, combine) -> np.ndarray:
 
 def apply_mask(v: Volume, m: BinaryMask) -> Volume:
     check_same_grid(v, m)
-    out = np.where(m.data, v.data, 0).astype(v.data.dtype, copy=False)
+    out = np.zeros_like(v.data)  # in v's memory order
+    np.copyto(out, v.data, where=m.data)
     return Volume(out, v.affine)
 
 

@@ -2,7 +2,14 @@
 
 Only the fields the pipeline needs are interpreted; the original header
 bytes ride along in a sidecar so unrelated metadata survives a round trip.
-descrip and aux_file are zeroed on write as a minimal anonymisation scrub.
+The free-text fields (data_type, db_name, descrip, aux_file, intent_name)
+are zeroed on write as a minimal anonymisation scrub.
+
+A volume comes back x fastest, as the file stores it (F order), so neither
+a read nor the write of a volume that was read reorders a voxel; code that
+takes a volume keeps its order, and registration sums its foreground
+centroid over a C-order copy, as a float sum's rounding depends on the
+order it adds in.
 
 The voxel bytes pass through one slab of COPY_TILE[2] z-planes at a time,
 so a read or a write holds the volume and one slab, never a second copy of
@@ -178,14 +185,16 @@ def read_nifti(path) -> tuple[Volume, HeaderSidecar]:
                 raise CorruptFile(f"{path}: {nbytes} voxel bytes at {offset} exceed the file")
             f.seek(offset)
             # The payload, x fastest, comes in slabs of whole z-planes, each
-            # read into one reused buffer and copied into the C-order array
-            # while it is still in cache. The copy swaps the byte order,
-            # casts and reorders tile by tile (volume.copy_into), every value
-            # cast as one assignment casts it. A signalling NaN voxel, cast,
-            # and a scaled value past float64's range read as NaN and inf,
-            # with no floating-point warning: the pipeline reads a non-finite
-            # voxel as background.
-            data = np.empty(shape, np.float64 if scaling else dtype.newbyteorder("="))
+            # read into one reused buffer and copied into the array while it
+            # is still in cache. The array is x fastest too (F order), so a
+            # slab is one contiguous block of it and the copy, which swaps
+            # the byte order and casts, every value as one assignment casts
+            # it, reorders nothing. A signalling NaN voxel, cast, and a
+            # scaled value past float64's range read as NaN and inf, with no
+            # floating-point warning: the pipeline reads a non-finite voxel
+            # as background.
+            data = np.empty(shape, np.float64 if scaling else dtype.newbyteorder("="),
+                            order="F")
             nx, ny, nz = shape
             depth = COPY_TILE[2]
             slab = np.empty(nx * ny * min(depth, nz) * dtype.itemsize, np.uint8)
@@ -198,8 +207,8 @@ def read_nifti(path) -> tuple[Volume, HeaderSidecar]:
                         if f.readinto(piece) < piece.size:
                             raise CorruptFile(
                                 f"{path}: fewer than the {nbytes} voxel bytes declared")
-                    copy_into(data[:, :, z:z + planes],
-                              buffer.view(dtype).reshape((nx, ny, planes), order="F"))
+                    data[:, :, z:z + planes] = buffer.view(dtype).reshape(
+                        (nx, ny, planes), order="F")
                 if scaling:
                     slope, inter = scaling
                     data *= slope
@@ -267,8 +276,9 @@ def _encode_payload(volume: Volume, sidecar: HeaderSidecar, path):
     each slab a C-contiguous array of the sidecar's datatype in its byte
     order, x fastest. Scaled data and float data bound for an integer type
     are rounded in float64 and range-checked slab by slab; any other data is
-    cast in the one copy that reorders it, which goes tile by tile
-    (volume.copy_into) and leaves every value as one assignment would."""
+    cast in the one copy into the slab (volume.copy_into), which leaves
+    every value as one assignment would. That copy reorders only a volume
+    that is not x fastest already, tile by tile."""
     dtype = np.dtype(SUPPORTED_DTYPES[sidecar.datatype_code])
     scaling = _scaling(sidecar.scl_slope, sidecar.scl_inter, path)
     to_integer = np.issubdtype(dtype, np.integer)
@@ -315,9 +325,12 @@ def write_nifti(volume: Volume, sidecar: HeaderSidecar, path) -> None:
     struct.pack_into(bo + "8f", raw, 76, 1.0, sp[0], sp[1], sp[2], 0, 0, 0, 0)
     struct.pack_into(bo + "f", raw, 108, float(VOX_OFFSET))
     struct.pack_into(bo + "2f", raw, 112, sidecar.scl_slope, sidecar.scl_inter)
-    # Anonymisation scrub: free-text fields zeroed.
+    # Anonymisation scrub: every free-text field zeroed.
+    raw[4:14] = bytes(10)  # data_type
+    raw[14:32] = bytes(18)  # db_name
     raw[148:228] = bytes(80)  # descrip
     raw[228:252] = bytes(24)  # aux_file
+    raw[328:344] = bytes(16)  # intent_name
     # sform is authoritative on output; drop qform to avoid stale geometry.
     struct.pack_into(bo + "2h", raw, 252, 0, max(1, sidecar.sform_code))
     struct.pack_into(bo + "4f", raw, 280, *volume.affine[0, :])

@@ -139,8 +139,10 @@ def mutual_information(counts: np.ndarray) -> float:
 
 def _foreground_centroid(v: Volume) -> np.ndarray:
     """Intensity-weighted world centroid of the positive voxels, from each
-    axis's marginal sums (no per-voxel index array)."""
-    w = np.asarray(v.data, dtype=np.float64)
+    axis's marginal sums (no per-voxel index array). The sums run over a
+    C-order copy: a float sum's rounding depends on the order it adds in,
+    and a volume read from a file is x fastest."""
+    w = np.asarray(v.data, dtype=np.float64, order="C")
     w = np.where(w > 0, w, 0.0)
     total = w.sum()
     if total <= 0:

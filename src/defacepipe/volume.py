@@ -28,7 +28,10 @@ def copy_into(dst: np.ndarray, src: np.ndarray) -> None:
     cast as that one assignment would. When src's last axis is not its
     contiguous one, numpy would walk src at a stride of a whole plane or row
     for every element of dst, so the copy goes block by block in COPY_TILE
-    tiles instead."""
+    tiles instead. A volume read from a file is x fastest, as its file, so
+    the tiles run only where the two orders differ: writing a volume made
+    in memory in C order (nifti's payload slabs are x fastest), and
+    reorienting one (geometry.reorient_to_canonical, AxisPermutation.undo)."""
     if abs(src.strides[-1]) == src.itemsize:
         dst[...] = src
         return
@@ -79,9 +82,10 @@ class Grid:
 class Volume(Grid):
     """A dense 3D scalar volume with a voxel-to-world affine.
 
-    data is indexed [x, y, z] (x fastest in memory order on disk);
-    affine maps homogeneous voxel indices to world mm. Background, and any
-    voxel a mask removes or a resample leaves uncovered, is 0.
+    data is indexed [x, y, z], in any memory order: x fastest (F order) when
+    read from a file, as the file stores it, often C order when made in
+    memory. affine maps homogeneous voxel indices to world mm. Background,
+    and any voxel a mask removes or a resample leaves uncovered, is 0.
     """
 
 

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from defacepipe import nifti, synthetic
+from defacepipe import nifti, synthetic, volume
 from defacepipe.errors import (
     CorruptFile,
     DatatypeOverflow,
@@ -567,8 +567,11 @@ def test_overflow_in_a_later_slab_keeps_the_old_file(tmp_path, suffix):
 
 
 _SCALINGS = {False: (1.0, 0.0), True: (2.0, -3.0)}
-# Shapes spanning several tiles of volume.copy_into with ragged last tiles,
-# and ones thinner than a tile on some axes.
+# Shapes spanning two slabs of COPY_TILE[2] z-planes with a ragged last
+# slab, and ones thinner than a slab or a tile on some axes. The payload
+# copies of read_nifti and write_nifti go slab by slab, and a volume read is
+# x fastest as its file, so the copies of a read and a write back reorder
+# nothing.
 RAGGED_SHAPES = [(33, 70, 17), (1, 40, 3), (40, 1, 2)]
 
 
@@ -579,8 +582,8 @@ def test_written_bytes_are_header_then_fortran_order_payload(tmp_path, dtype, by
     """Read back through write_nifti, a hand-built file comes out byte for
     byte as it went in (header, 4 zero extension bytes, x-fastest payload in
     the header's byte order), and a .nii.gz decompresses to the same bytes.
-    The shapes past (3, 4, 5) span several tiles of the reordering copy,
-    with ragged last tiles."""
+    The first of the shapes past (3, 4, 5) spans two slabs, the last one
+    ragged."""
     rng = np.random.default_rng(7)
     for shape in [(3, 4, 5), *RAGGED_SHAPES]:
         stored = rng.integers(0, 100, size=shape).astype(dtype)
@@ -606,8 +609,9 @@ def test_written_bytes_are_header_then_fortran_order_payload(tmp_path, dtype, by
 ])
 def test_read_data_is_writable_c_contiguous_native(tmp_path, shape, byte_order, dtype, scaled):
     """Every datatype, byte order and scaling reads, from a .nii and from a
-    .nii.gz, into a writable C-contiguous native array of the stored
-    values, x fastest in the file."""
+    .nii.gz, into a writable native array of the stored values, x fastest
+    as in the file: F-contiguous. (The name is that of the C-order read it
+    checked before.)"""
     stored = (np.arange(np.prod(shape)) % 251).astype(dtype).reshape(shape)
     slope, inter = _SCALINGS[scaled]
     blob = build_nifti_bytes(stored, scl_slope=slope, scl_inter=inter, byte_order=byte_order)
@@ -615,11 +619,36 @@ def test_read_data_is_writable_c_contiguous_native(tmp_path, shape, byte_order, 
         path = tmp_path / name
         path.write_bytes(contents)
         data = nifti.read_nifti(path)[0].data
-        assert data.flags.writeable and data.flags.c_contiguous
+        assert data.flags.writeable and data.flags.f_contiguous
         assert data.dtype.isnative
         assert data.dtype == (np.float64 if scaled else dtype)
         np.testing.assert_array_equal(data, stored * slope + inter if scaled else stored)
         data[(0, 0, 0)] = 9  # writable in fact, not only by flag
+
+
+class _NoTiles:
+    """Stands in for volume.COPY_TILE, which only copy_into's tiled loop
+    reads: unpacking it fails the test."""
+
+    def __iter__(self):
+        raise AssertionError("volume.copy_into entered its tiled loop")
+
+
+def test_read_then_write_reorders_no_voxel(tmp_path, monkeypatch):
+    """A .nii.gz read and written back, to a .nii.gz and to a .nii, never
+    enters copy_into's tiled loop; writing the C-order volume it was made
+    from does."""
+    made = synthetic.nominal_head(32).volume
+    path = tmp_path / "h.nii.gz"
+    sidecar = nifti.sidecar_for_dtype(np.float32)
+    nifti.write_nifti(made, sidecar, path)
+    monkeypatch.setattr(volume, "COPY_TILE", _NoTiles())
+    read, read_sidecar = nifti.read_nifti(path)
+    nifti.write_nifti(read, read_sidecar, tmp_path / "out.nii.gz")
+    nifti.write_nifti(read, read_sidecar, tmp_path / "out.nii")
+    assert gzip.decompress(path.read_bytes()) == (tmp_path / "out.nii").read_bytes()
+    with pytest.raises(AssertionError, match="tiled loop"):
+        nifti.write_nifti(made, sidecar, tmp_path / "made.nii")
 
 
 def _peak_bytes_per_voxel(fn, n_voxels):
@@ -658,7 +687,7 @@ def test_write_mask_allocates_one_payload_copy(tmp_path, head64):
 
 
 def test_gz_read_float32_allocates_the_array_and_one_slab(tmp_path, head64):
-    """At most 6.5 bytes per voxel at 64^3 (6.0 measured): the 4-byte C-order
+    """At most 6.5 bytes per voxel at 64^3 (6.0 measured): the 4-byte F-order
     array, one reused slab of 16 z-planes (1 byte per voxel at this size)
     filled by gzip.GzipFile reads of at most READ_CHUNK bytes each, whose
     copies stay small. One read of a whole slab would copy it twice more."""
@@ -696,18 +725,29 @@ def test_write_background_zero_representable(tmp_path):
     assert (vol.data == 0).sum() == 2
 
 
+# The header's free-text fields: data_type, db_name, descrip, aux_file and
+# intent_name, as (offset, length).
+TEXT_FIELDS = [(4, 10), (14, 18), (148, 80), (228, 24), (328, 16)]
+
+
 def test_write_scrubs_text_fields(tmp_path, identity_2x2x2):
+    """A marker filling each free-text field reads in and is zeroed on
+    write, to a .nii and to a .nii.gz."""
     path, _ = identity_2x2x2
     raw = bytearray(path.read_bytes())
-    raw[148 : 148 + 7] = b"PATIENT"
+    for offset, length in TEXT_FIELDS:
+        raw[offset:offset + length] = (b"PATIENT^" * 10)[:length]
     src = tmp_path / "named.nii"
     src.write_bytes(raw)
     vol, sidecar = nifti.read_nifti(src)
-    out = tmp_path / "scrubbed.nii"
-    nifti.write_nifti(vol, sidecar, out)
-    hdr = out.read_bytes()[:348]
-    assert hdr[148:228] == bytes(80)
-    assert hdr[228:252] == bytes(24)
+    assert sidecar.raw[4:14] == b"PATIENT^PA"
+    for name in ("scrubbed.nii", "scrubbed.nii.gz"):
+        out = tmp_path / name
+        nifti.write_nifti(vol, sidecar, out)
+        hdr = nifti.read_nifti(out)[1].raw
+        for offset, length in TEXT_FIELDS:
+            assert hdr[offset:offset + length] == bytes(length)
+        assert b"PATIENT" not in hdr
 
 
 def test_sform_qform_disagreement_warns(tmp_path):
