@@ -95,14 +95,22 @@ class AxisPermutation:
         return np.transpose(np.flip(data, rev) if rev else data, np.argsort(self.perm))
 
     def undo(self, data: np.ndarray) -> np.ndarray:
-        """Inverse of apply, as a C-contiguous array: a view of data when it
-        already is one, as for the identity, else a new array."""
+        """Inverse of apply, as an array contiguous in data's order, F when
+        data is F-contiguous, else C: a view of data when it already is
+        one, as for the identity, else a new array."""
         view = self.undo_view(data)
-        if view.flags.c_contiguous:
+        order = _order(data)
+        if view.flags[f"{order}_CONTIGUOUS"]:
             return view
-        out = np.empty(view.shape, view.dtype)
+        out = np.empty(view.shape, view.dtype, order=order)
         copy_into(out, view)
         return out
+
+
+def _order(data: np.ndarray) -> str:
+    """"F" for an F-contiguous array that is not also C-contiguous, as a
+    volume read from a file is, else "C"."""
+    return "F" if np.isfortran(data) else "C"
 
 
 def canonical_axes(g: Volume | BinaryMask) -> tuple[AxisPermutation, np.ndarray]:
@@ -135,12 +143,14 @@ def reorient_to_canonical(
 ) -> tuple[Volume | BinaryMask, AxisPermutation]:
     """v's voxels copied onto canonical_axes(v), as the same type as v, so
     a BinaryMask moves 1 byte a voxel; on axes that are already canonical,
-    v's own data, not copied."""
+    v's own data, not copied. The copy is contiguous in v's order, F when
+    v's data is F-contiguous, else C, so a volume read from a file and
+    stored flipped (LAS, LPS) is copied in memory order, not transposed."""
     rec, aff = canonical_axes(v)
     if rec.is_identity:
         return type(v)(v.data, v.affine), rec
     view = rec.apply(v.data)
-    data = np.empty(view.shape, view.dtype)
+    data = np.empty(view.shape, view.dtype, order=_order(v.data))
     copy_into(data, view)
     return type(v)(data, aff), rec
 

@@ -23,16 +23,23 @@ GRID_ATOL = 1e-6
 COPY_TILE = (16, 32, 16)
 
 
+def _fastest_axis(a: np.ndarray) -> int:
+    """The axis, of those longer than one, along which a steps fewest bytes."""
+    return int(np.argmin([abs(s) if n > 1 else np.inf for n, s in zip(a.shape, a.strides)]))
+
+
 def copy_into(dst: np.ndarray, src: np.ndarray) -> None:
     """dst[...] = src for two 3D arrays of one shape, each element copied or
-    cast as that one assignment would. When src's last axis is not its
-    contiguous one, numpy would walk src at a stride of a whole plane or row
+    cast as that one assignment would. When src and dst step fastest along
+    different axes, numpy would walk src at a stride of a whole plane or row
     for every element of dst, so the copy goes block by block in COPY_TILE
-    tiles instead. A volume read from a file is x fastest, as its file, so
-    the tiles run only where the two orders differ: writing a volume made
-    in memory in C order (nifti's payload slabs are x fastest), and
-    reorienting one (geometry.reorient_to_canonical, AxisPermutation.undo)."""
-    if abs(src.strides[-1]) == src.itemsize:
+    tiles instead. A volume read from a file is x fastest (F order), as its
+    file, and a reorientation keeps its input's order, C or F, so a flip
+    copies in memory order. The tiles run only where the two orders differ:
+    writing a volume made in memory in C order (nifti's payload slabs are
+    x fastest), and reorienting one whose axes are permuted
+    (geometry.reorient_to_canonical, AxisPermutation.undo)."""
+    if _fastest_axis(src) == _fastest_axis(dst):
         dst[...] = src
         return
     ti, tj, tk = COPY_TILE

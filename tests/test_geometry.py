@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import ndimage
 
-from defacepipe import geometry, synthetic
+from defacepipe import geometry, synthetic, volume
 from defacepipe.errors import AmbiguousOrientation, SingularTransform
 from defacepipe.volume import BinaryMask, Volume
 
@@ -254,6 +254,29 @@ def test_reorientation_copies_every_orientation_bit_for_bit(dtype):
         view = np.transpose(np.flip(out.data, [j for j in range(3) if flips[j]]),
                             np.argsort(perm))
         assert _same_bits(back, np.ascontiguousarray(view))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, bool])
+def test_reorientation_keeps_f_order_in_every_orientation(dtype, monkeypatch):
+    """A volume read from a file is F order: in all 48 orientations
+    reorient_to_canonical and undo give F-contiguous arrays with the bits
+    of the C-order case, and a flip alone, whose view steps fastest along
+    x as the copy does, never enters copy_into's tiled loop."""
+    data = np.asfortranarray(np.random.default_rng(17).integers(
+        0, 2 if dtype is bool else 1000, size=(17, 33, 20)).astype(dtype))
+    tiles = volume.COPY_TILE
+    for perm, flips in ORIENTATIONS:
+        # Only the tiled loop reads COPY_TILE: None there fails the test.
+        monkeypatch.setattr(volume, "COPY_TILE", None if perm == (0, 1, 2) else tiles)
+        aff = np.eye(4)
+        aff[:3, :3] = 0.0
+        for j in range(3):
+            aff[j, perm[j]] = -1.0 if flips[j] else 1.0
+        out, rec = geometry.reorient_to_canonical(Volume(data, aff))
+        assert out.data.flags.f_contiguous
+        assert _same_bits(out.data, np.ascontiguousarray(rec.apply(data)))
+        back = rec.undo(out.data)
+        assert back.flags.f_contiguous and _same_bits(back, data)
 
 
 def test_resample_identity_nearest_bit_identical():

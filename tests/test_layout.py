@@ -2,8 +2,9 @@
 
 read_nifti returns a volume x fastest (F order), as its file stores it,
 while phantoms and masks made in memory are C order. Each step that takes
-a volume gives the same bits from either copy of one subject, and the
-steps that make a full-size volume from it keep its order.
+a volume gives the same bits from either copy of one subject, on canonical
+axes and stored flipped or permuted, and the steps that make a full-size
+volume from it keep its order.
 """
 
 import itertools
@@ -11,9 +12,9 @@ import itertools
 import numpy as np
 import pytest
 
-from defacepipe import nifti, registration, synthetic
-from defacepipe.brain_extraction import fallback_extract, otsu_threshold
-from defacepipe.defacing import quickshear
+from defacepipe import geometry, nifti, registration, synthetic
+from defacepipe.brain_extraction import extract_brain, fallback_extract, otsu_threshold
+from defacepipe.defacing import deface, quickshear
 from defacepipe.morphology import apply_mask
 from defacepipe.volume import BinaryMask, Volume
 
@@ -102,3 +103,54 @@ def test_registration_same_transform(head, volumes):
     want = registration.register_affine(fixed["C"], volumes["C"])[0]
     for t, s in [("C", "F"), ("F", "C"), ("F", "F")]:
         assert _same_bits(registration.register_affine(fixed[t], volumes[s])[0], want)
+
+
+# Axes a scan may be stored on: flipped along x (LAS), along x and y (LPS),
+# and sagittal, its axes permuted (PIR). Voxel axis perm[j] runs along
+# world axis j, reversed when flips[j] is set.
+STORED = {
+    "LAS": ((0, 1, 2), (True, False, False)),
+    "LPS": ((0, 1, 2), (True, True, False)),
+    "PIR": ((2, 0, 1), (False, True, True)),
+}
+
+
+def _stored(grid, perm, flips):
+    """grid, on canonical axes, stored C order on the axes (perm, flips),
+    every voxel at its world position."""
+    rec = geometry.AxisPermutation(perm, flips)
+    to_canonical = np.eye(4)
+    to_canonical[:3, :3] = 0.0
+    for j in range(3):
+        to_canonical[j, perm[j]] = -1.0 if flips[j] else 1.0
+        to_canonical[j, 3] = grid.dims[j] - 1 if flips[j] else 0.0
+    return type(grid)(np.ascontiguousarray(rec.undo_view(grid.data)),
+                      grid.affine @ to_canonical)
+
+
+@pytest.mark.parametrize("axes", STORED)
+def test_stored_axes_extract_and_quickshear(subject, axes):
+    """The fallback mask and QuickShear's output from either copy of a
+    subject stored off canonical axes, and the output in the input's
+    order."""
+    volumes = _layouts(_stored(subject.volume, *STORED[axes]))
+    masks = _layouts(_stored(subject.brain_mask, *STORED[axes]))
+    assert _same_bits(extract_brain(volumes["F"]).data, extract_brain(volumes["C"]).data)
+    want = quickshear(volumes["C"], masks["C"]).data
+    for v, m in itertools.product("CF", "CF"):
+        out = quickshear(volumes[v], masks[m]).data
+        assert _same_bits(out, want)
+        assert out.flags[f"{v}_CONTIGUOUS"]
+
+
+@pytest.mark.parametrize("axes", ["LPS", "PIR"])
+def test_stored_axes_deface(pack, subject, axes):
+    """deface gives the same transform, brain-safe mask and defaced volume
+    from either copy, the defaced volume in the input's order."""
+    volumes = _layouts(_stored(subject.volume, *STORED[axes]))
+    results = {o: deface(v, pack) for o, v in volumes.items()}
+    assert _same_bits(results["F"].transform, results["C"].transform)
+    for o, r in results.items():
+        assert _same_bits(r.brain_safe_mask.data, results["C"].brain_safe_mask.data)
+        assert _same_bits(r.defaced.data, results["C"].defaced.data)
+        assert r.defaced.data.flags[f"{o}_CONTIGUOUS"]
